@@ -135,8 +135,16 @@ class AllocationState:
         return float(n * self.waterline[k] - self.floor_sum[k]
                      + self.frozen_power[k])
 
+    def sole_counts(self) -> np.ndarray:
+        return np.fromiter(map(len, self.sole), dtype=int,
+                           count=self.num_users)
+
     def user_powers(self) -> np.ndarray:
-        return np.array([self.user_power(k) for k in range(self.num_users)])
+        """Every user_power(k) at once, with the same float operations."""
+        counts = self.sole_counts()
+        return np.where(counts == 0, self.frozen_power,
+                        counts * self.waterline - self.floor_sum
+                        + self.frozen_power)
 
     def total_power(self) -> float:
         return float(self.user_powers().sum())
@@ -435,24 +443,36 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
 # -- mutual-SIC pairing across RRHs -------------------------------------------
 
 def _mutual_candidates(state: AllocationState, k2: int):
-    """Candidate arrays for beneficiary k2: one row per (n, r2) couple."""
+    """Candidate arrays for beneficiary k2: one row per (n, r2) couple.
+
+    Rows run over the incumbents' subcarriers n in ascending order and,
+    within one n, over state.rrhs without the incumbent's own RRH r1.
+    Returns (n, k1, r1, r2, gains, w1, n1, rest_floor) where gains is the
+    tuple (g11, g12, g21, g22) and rest_floor is the incumbent's sole-set
+    noise floor once n leaves it (0 when nothing is left).
+    """
     G, s2 = state.gains, state.sigma2_w
-    rows = []
-    for n in sorted(state.first):
-        k1, r1 = state.first[n]
-        if k1 == k2:
-            continue
-        g11 = float(G[k1, n, r1])
-        n1 = len(state.sole[k1])
-        rest = [g for (sn, _, g) in state.sole[k1] if sn != n]
-        rest_floor = s2 / min(rest) if rest else 0.0
-        for r2 in state.rrhs:
-            if int(r2) == r1:
-                continue
-            rows.append((n, k1, r1, int(r2), g11, float(G[k1, n, r2]),
-                         float(G[k2, n, r1]), float(G[k2, n, int(r2)]),
-                         float(state.waterline[k1]), n1, rest_floor))
-    return rows
+    firsts = [(n, k1, r1) for n, (k1, r1) in sorted(state.first.items())
+              if k1 != k2]
+    ns, k1s, r1s = np.array(firsts, dtype=int).reshape(-1, 3).T
+    rrhs = state.rrhs
+    ns, k1s, r1s = (np.repeat(a, len(rrhs)) for a in (ns, k1s, r1s))
+    r2s = np.tile(rrhs, len(firsts))
+    keep = r2s != r1s
+    ns, k1s, r1s, r2s = ns[keep], k1s[keep], r1s[keep], r2s[keep]
+
+    # each incumbent's two weakest sole gains: dropping n from the sole set
+    # leaves the weakest one unless n carries it
+    weakest = np.full((state.num_users, 2), np.inf)
+    for k, sole in enumerate(state.sole):
+        low = sorted(g for _, _, g in sole)[:2]
+        weakest[k, :len(low)] = low
+    g11 = G[k1s, ns, r1s]
+    rest_min = np.where(g11 == weakest[k1s, 0], weakest[k1s, 1],
+                        weakest[k1s, 0])
+    gains = (g11, G[k1s, ns, r2s], G[k2, ns, r1s], G[k2, ns, r2s])
+    return (ns, k1s, r1s, r2s, gains, state.waterline[k1s],
+            state.sole_counts()[k1s], s2 / rest_min)
 
 
 def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -486,23 +506,20 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         w2 = state.waterline[k2]
         g2_floor = s2 / state.sole_gains(k2).min()
 
-        rows = _mutual_candidates(state, k2)
-        if not rows:
+        ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = \
+            _mutual_candidates(state, k2)
+        if not ns.size:
             active.discard(k2)
             state._log("mutual", k2, -1, False, math.nan, before)
             continue
-        g11, g12, g21, g22 = (np.array([r[i] for r in rows])
-                              for i in (4, 5, 6, 7))
-        w1 = np.array([r[8] for r in rows])
-        n1 = np.array([r[9] for r in rows])
-        rest_floor = np.array([r[10] for r in rows])
+        g11, g12, g21, g22 = gains
         p1i = w1 - s2 / g11
 
         feasible = (g11 * g22 <= g21 * g12) & (g22 * w2 > s2)
 
         if mode == "opad":
             p1, p2, dp1, dp2, case = opad_cases(
-                (g11, g12, g21, g22), s2, w1, w2, p1i, n1, n2, mu)
+                gains, s2, w1, w2, p1i, n1, n2, mu)
             valid = feasible & (case > 0)
         else:
             # waterfill the joiner onto its sole set, clamp into the window
@@ -557,8 +574,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
                        before)
             continue
 
-        n, k1, r1, r2 = rows[best][0], rows[best][1], rows[best][2], \
-            rows[best][3]
+        n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
         gains_b = PairGains(float(g11[best]), float(g12[best]),
                             float(g21[best]), float(g22[best]))
         p1_f, p2_f = float(p1[best]), float(p2[best])
@@ -572,7 +588,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
             if refined is not None:
                 p1_f, p2_f, dp_f = refined
 
-        _freeze_mutual(state, n, k1, r1, int(r2), k2, gains_b, p1_f, p2_f,
+        _freeze_mutual(state, n, k1, r1, r2, k2, gains_b, p1_f, p2_f,
                        float(p1i[best]), int(n1[best]))
         state._log("mutual", k2, n, True, dp_f, before)
     prev = state.phase_iterations.get("mutual", (0, 0))

@@ -61,6 +61,7 @@ class TrialRecord:
     singsic_sc: int
     failed: bool
     error: str = ""
+    warnings: str = ""      # AllocationResult.warnings joined by "; "
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,8 @@ def _run_point(config: RunConfig, value: float, trial: int):
             out.append(TrialRecord(config.sweep_axis, float(value), alg,
                                    trial, seed, res.total_power_w,
                                    res.nonmux_sc, res.mutsic_sc,
-                                   res.singsic_sc, False))
+                                   res.singsic_sc, False,
+                                   warnings="; ".join(res.warnings)))
         except Exception as exc:
             out.append(TrialRecord(config.sweep_axis, float(value), alg,
                                    trial, seed, float("nan"), 0, 0, 0,
@@ -170,7 +172,7 @@ def aggregate(records) -> list:
 
 TRIAL_COLUMNS = ("sweep_axis", "sweep_value", "algorithm", "trial", "seed",
                  "total_power_w", "nonmux_sc", "mutsic_sc", "singsic_sc",
-                 "failed", "error")
+                 "failed", "error", "warnings")
 AGGREGATE_COLUMNS = ("algorithm", "sweep_axis", "sweep_value", "n_trials",
                      "n_failed", "mean_power_w", "std_power_w",
                      "mean_nonmux_sc", "mean_mutsic_sc", "mean_singsic_sc")
@@ -185,7 +187,7 @@ def write_trial_csv(records, path) -> None:
                              r.algorithm, r.trial, r.seed,
                              repr(float(r.total_power_w)),
                              r.nonmux_sc, r.mutsic_sc, r.singsic_sc,
-                             int(r.failed), r.error])
+                             int(r.failed), r.error, r.warnings])
 
 
 def read_trial_csv(path) -> list:
@@ -201,7 +203,7 @@ def read_trial_csv(path) -> list:
                 row["algorithm"], int(row["trial"]), int(row["seed"]),
                 float(row["total_power_w"]), int(row["nonmux_sc"]),
                 int(row["mutsic_sc"]), int(row["singsic_sc"]),
-                bool(int(row["failed"])), row["error"]))
+                bool(int(row["failed"])), row["error"], row["warnings"]))
     return records
 
 

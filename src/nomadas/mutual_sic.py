@@ -148,14 +148,29 @@ def sopa_deltas(powers: PairPowers, gains: PairGains, sigma2_w,
     return dp1, dp2
 
 
+def _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
+    """phi(p1) and dphi/dp1, where (1 + c) - phi is the stationarity.
+
+    phi = a^(-m1) + c*K*b^(-m2) is a sum of two decreasing power laws with
+    a = (sigma2 + p1*g11) / (sigma2 + p1i*g11), b = 1 + c*p1*g22/sigma2,
+    m1 = n1/(n1 - 1), m2 = (n2 + 1)/n2 and K = w2*g22/sigma2.
+    """
+    g11, _, _, g22 = gains_arrays
+    d1 = sigma2_w + p1i * g11
+    db = c * (g22 / sigma2_w)
+    a = (sigma2_w + p1 * g11) / d1
+    b = 1.0 + p1 * db
+    e1 = -n1 / (n1 - 1.0)         # -m1
+    e2 = -(n2 + 1.0) / n2         # -m2
+    t1 = a ** e1
+    t2 = w2 * db * b ** e2
+    return t1 + t2, e1 * t1 * g11 / (a * d1) + e2 * t2 * db / b
+
+
 def _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
     """Derivative of dp1(p1) + dp2(c*p1) in p1; root is the edge optimum."""
-    g11, _, _, g22 = gains_arrays
-    a = (sigma2_w + p1 * g11) / (sigma2_w + p1i * g11)
-    term1 = 1.0 - a ** (-n1 / (n1 - 1.0))
-    shrink = (1.0 + c * p1 * g22 / sigma2_w) ** (-(n2 + 1.0) / n2)
-    term2 = 1.0 - w2 * (g22 / sigma2_w) * shrink
-    return term1 + c * term2
+    phi, _ = _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2)
+    return (1.0 + c) - phi
 
 
 def opad_stationarity(p1_w, gains: PairGains, powers: PairPowers, sigma2_w,
@@ -189,12 +204,19 @@ def _case1(gains_arrays, sigma2_w, w2, p1i, n2):
 
 def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
                      iters=100):
-    """Vectorized bisection for the edge-case stationarity roots.
+    """Vectorized safeguarded Newton for the edge-case stationarity roots.
 
     All arguments broadcast; returns (p1, ok) where ok marks candidates with
-    a bracketed positive root. The stationarity function is increasing in
-    p1, negative near 0 under the admission precondition, and tends to
-    1 + c > 0, so a root exists whenever the numerics can bracket it.
+    a bracketed positive root. The stationarity (1 + c) - phi(p1) is
+    increasing in p1, negative near 0 under the admission precondition, and
+    tends to 1 + c > 0, so a root exists whenever the numerics can bracket
+    it. From the bracket's top, Newton steps are taken on log(phi) against
+    log(p1), where the two power laws in phi are nearly straight; a step
+    that leaves the bracket falls back to the bracket's geometric midpoint.
+    A row stops once its raw Newton step is at most 4e-16 relative, or once
+    the next point would not move it (rounding noise in phi can keep the
+    raw step just above that), and the loop ends when every bracketed row
+    has stopped or after iters steps.
     """
 
     def g_of(p1):
@@ -221,13 +243,23 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     ok = (glo < 0.0) & (ghi > 0.0) & np.isfinite(glo) & np.isfinite(ghi)
     lo = np.where(ok, lo, 1.0)
     hi = np.where(ok, hi, 2.0)
+    target = 1.0 + c
+    p1 = hi.copy()
+    running = ok.copy()
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g_of(mid)
-        below = gm < 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    p1 = 0.5 * (lo + hi)
+        phi, dphi = _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2)
+        below = phi > target
+        lo = np.where(below, p1, lo)
+        hi = np.where(below, hi, p1)
+        # a step that overflows lands outside the bracket like any other
+        with np.errstate(over="ignore", divide="ignore"):
+            step = np.log(target / phi) * phi / (p1 * dphi)
+            nxt = p1 * np.exp(step)
+        nxt = np.where((nxt > lo) & (nxt < hi), nxt, np.sqrt(lo * hi))
+        running &= (np.abs(step) > 4e-16) & (nxt != p1)
+        if not running.any():
+            break
+        p1 = np.where(running, nxt, p1)
     return p1, ok & (p1 > 0.0)
 
 

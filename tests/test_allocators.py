@@ -5,6 +5,7 @@ import pytest
 
 from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState, Scenario,
                      generate_channel, run_algorithm)
+from nomadas import allocators
 from nomadas.allocators import worst_best_h
 from nomadas.waterfill import rate_second, rate_single
 
@@ -101,6 +102,88 @@ def test_accepted_steps_decrease_total(batch, alg):
         for rec in batch[alg, i].state.log:
             if rec.accepted and rec.phase != "wbh":
                 assert rec.total_after_w < rec.total_before_w
+
+
+def _scalar_user_powers(state):
+    return np.array([state.user_power(k) for k in range(state.num_users)])
+
+
+def test_user_powers_equal_scalar_loop(batch):
+    """The vectorized user_powers repeats user_power(k) bit for bit."""
+    emptied = 0
+    for res in batch.values():
+        st = res.state
+        assert np.array_equal(st.user_powers(), _scalar_user_powers(st))
+        emptied += sum(not sole for sole in st.sole)
+    assert emptied > 0     # users whose sole set a pairing phase emptied
+
+
+def test_user_powers_equal_scalar_loop_at_every_step(monkeypatch):
+    """Same check after every logged step, NaN waterlines included.
+
+    Before the first phase has reached a user, its sole set is empty and
+    its waterline NaN; user_power(k) then returns the frozen power alone.
+    """
+    ch = next(drops(LOADED, 1, base_seed=17))
+    fresh = AllocationState(ch, AlgorithmConfig("OMA-DAS"))
+    assert np.isnan(fresh.waterline).all()
+    assert np.array_equal(fresh.user_powers(), _scalar_user_powers(fresh))
+    log = AllocationState._log
+    seen_nan = 0
+
+    def checked_log(state, *args):
+        nonlocal seen_nan
+        seen_nan += int(np.isnan(state.waterline).any())
+        assert np.array_equal(state.user_powers(),
+                              _scalar_user_powers(state))
+        log(state, *args)
+
+    monkeypatch.setattr(AllocationState, "_log", checked_log)
+    for alg in ALGORITHMS:
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    assert seen_nan > 0
+
+
+def _candidate_rows(state, k2):
+    """Reference candidate builder: one Python tuple per (n, r2) row."""
+    G, s2 = state.gains, state.sigma2_w
+    rows = []
+    for n in sorted(state.first):
+        k1, r1 = state.first[n]
+        if k1 == k2:
+            continue
+        rest = [g for (sn, _, g) in state.sole[k1] if sn != n]
+        rest_floor = s2 / min(rest) if rest else 0.0
+        for r2 in state.rrhs:
+            if r2 != r1:
+                rows.append((n, k1, r1, r2, G[k1, n, r1], G[k1, n, r2],
+                             G[k2, n, r1], G[k2, n, r2], state.waterline[k1],
+                             len(state.sole[k1]), rest_floor))
+    return rows
+
+
+@pytest.mark.parametrize("alg", ["MutSIC-DPA", "MutSIC-OPAd",
+                                 "MutAndSingSIC"])
+def test_mutual_candidates_equal_reference_rows(alg, monkeypatch):
+    """Array-built candidates repeat the row loop: same rows, same order."""
+    built = allocators._mutual_candidates
+    compared = 0
+
+    def checked(state, k2):
+        nonlocal compared
+        out = built(state, k2)
+        ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = out
+        columns = (ns, k1s, r1s, r2s) + tuple(gains) + (w1, n1, rest_floor)
+        want = _candidate_rows(state, k2)
+        assert np.array_equal(np.array(columns).T.reshape(-1, 11),
+                              np.array(want, dtype=float).reshape(-1, 11))
+        compared += len(want)
+        return out
+
+    monkeypatch.setattr(allocators, "_mutual_candidates", checked)
+    for ch in drops(LOADED, 3, base_seed=17):
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    assert compared > 0
 
 
 def test_total_matches_power_tensor(batch):

@@ -1,6 +1,7 @@
 """Monte Carlo harness: sweeps, trial records, aggregation, CSV persistence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ def test_failures_are_captured(monkeypatch):
     assert all(not r.failed and r.error == "" for r in good)
 
 
+def test_warnings_reach_trial_records(monkeypatch):
+    real = run_algorithm
+
+    def warned(channel, acfg):
+        res = real(channel, acfg)
+        if acfg.algorithm == "SRRH":
+            return replace(res, warnings=("first, note", "second"))
+        return res
+
+    monkeypatch.setattr(harness, "run_algorithm", warned)
+    recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=2))
+    assert all(r.warnings == "first, note; second"
+               for r in recs if r.algorithm == "SRRH")
+    assert all(r.warnings == "" for r in recs if r.algorithm == "OMA-DAS")
+
+
 # -- aggregation ---------------------------------------------------------------
 
 def _rec(alg, value, trial, power, failed=False):
@@ -185,6 +202,16 @@ def test_trial_csv_roundtrip(records, tmp_path):
                 assert math.isnan(vb)
             else:
                 assert va == vb, col
+
+
+def test_trial_csv_roundtrip_keeps_warnings(tmp_path):
+    path = tmp_path / "trials.csv"
+    recs = [replace(_rec("SRRH", 1e6, t, 1.5), warnings=w)
+            for t, w in enumerate(["", "one warning",
+                                   'quoted "text", comma; and more'])]
+    write_trial_csv(recs, path)
+    assert path.read_text().splitlines()[0].endswith(",warnings")
+    assert read_trial_csv(path) == recs
 
 
 def test_aggregate_csv_roundtrip(records, tmp_path):

@@ -11,11 +11,12 @@ from nomadas import (CandidateRejected, PairGains, PairPowers, dpa_adjust,
                      mutual_rates, mutual_sic_feasible, opad_optimize,
                      power_window, rate_condition_terms, rate_second,
                      sopa_deltas)
-from nomadas.mutual_sic import opad_stationarity
+from nomadas import mutual_sic
+from nomadas.mutual_sic import opad_cases, opad_stationarity
 from nomadas.waterfill import waterline_add
 
-from oracles import (SIGMA2_REF, bisection_waterline, sample_pair_instance,
-                     total_power_at_rate)
+from oracles import (SIGMA2_REF, bisection_waterline, edge_root_bisection,
+                     sample_pair_instance, total_power_at_rate)
 
 gains_st = st.floats(min_value=1e-9, max_value=1e3)
 
@@ -361,3 +362,136 @@ def test_opad_scaling_invariance():
         assert scaled.p2_w == pytest.approx(base.p2_w / c, rel=1e-7)
         assert scaled.dp_total_w == pytest.approx(base.dp_total_w / c,
                                                   rel=1e-6)
+
+
+# -- the vectorized window-case kernel -----------------------------------------------
+
+def _cases_args(insts):
+    """opad_cases arguments for a batch of sampled pair instances."""
+    def col(key):
+        return np.array([inst[key] for inst in insts])
+    gains = tuple(np.array([getattr(inst["gains"], f) for inst in insts])
+                  for f in ("g11", "g12", "g21", "g22"))
+    return (gains, insts[0]["sigma2_w"], col("w1"), col("w2"), col("p1i"),
+            col("n1"), col("n2"), insts[0]["mu"])
+
+
+@pytest.fixture(scope="module")
+def case_batch():
+    rng = np.random.default_rng(41)
+    # every fourth instance may have an empty margined window
+    insts = [sample_pair_instance(rng, require_window=bool(i % 4))
+             for i in range(300)]
+    return insts, opad_cases(*_cases_args(insts))
+
+
+def test_opad_cases_rows_independent_of_batch(case_batch):
+    """Each row of a batched call equals the same row called alone."""
+    insts, out = case_batch
+    for j, inst in enumerate(insts):
+        alone = opad_cases(*_cases_args([inst]))
+        for batched, single in zip(out, alone):
+            assert np.array_equal(batched[j:j + 1], single)
+
+
+def test_opad_cases_matches_scalar_optimizer(case_batch):
+    """Case and joint delta agree with opad_optimize where both solve."""
+    insts, (p1, p2, dp1, dp2, case) = case_batch
+    compared = 0
+    for j, inst in enumerate(insts):
+        try:
+            sol = opad_optimize(inst["gains"],
+                                PairPowers(inst["p1i"], 0.0, inst["p1i"],
+                                           inst["w1"], inst["w2"]),
+                                inst["sigma2_w"], inst["n1"], inst["n2"],
+                                inst["mu"])
+        except CandidateRejected:
+            continue
+        if case[j] == 0:
+            continue
+        assert case[j] == sol.case
+        assert dp1[j] + dp2[j] == pytest.approx(sol.dp_total_w, rel=1e-9)
+        compared += 1
+    assert compared >= 200
+    assert {1, 2, 3} <= set(case.tolist())
+
+
+def test_opad_cases_edge_powers_are_stationary(case_batch):
+    insts, (p1, p2, dp1, dp2, case) = case_batch
+    edges = np.flatnonzero(case >= 2)
+    assert edges.size >= 50
+    for j in edges:
+        inst = insts[j]
+        powers = PairPowers(inst["p1i"], 0.0, inst["p1i"], inst["w1"],
+                            inst["w2"])
+        resid = opad_stationarity(p1[j], inst["gains"], powers,
+                                  inst["sigma2_w"], inst["n1"], inst["n2"],
+                                  inst["mu"], int(case[j]))
+        assert abs(resid) < 1e-8
+
+
+# -- edge roots against a scalar bisection oracle --------------------------------------
+
+def _edge_rows(rng, count, tiny_root):
+    """Edge-case root problems, one (c, instance) per row.
+
+    c is the instance's case-2 or case-3 power ratio. With tiny_root the
+    joiner's waterline is re-set so the root lands below 1e-6 * p1i, at a
+    point where the joiner's term still bends (c*p1*g22/sigma2 between
+    0.03 and 1), so rounding pins the root well below 1e-12 relative.
+    """
+    rows = []
+    while len(rows) < count:
+        inst = sample_pair_instance(rng)
+        g, s2 = inst["gains"], inst["sigma2_w"]
+        n1, n2, p1i = inst["n1"], inst["n2"], inst["p1i"]
+        c = (1.0 + inst["mu"]) * g.g11 / g.g12 if rng.random() < 0.5 \
+            else (1.0 - inst["mu"]) * g.g21 / g.g22
+        w2 = inst["w2"]
+        if tiny_root:
+            root = 10.0 ** rng.uniform(-1.5, 0.0) * s2 / (c * g.g22)
+            if not root < 1e-6 * p1i:
+                continue
+            a = (s2 + root * g.g11) / (s2 + p1i * g.g11)
+            b = 1.0 + c * root * g.g22 / s2
+            # the joiner waterline that zeroes the stationarity at root
+            w2 = (s2 / g.g22) * (1.0 + (1.0 - a ** (-n1 / (n1 - 1.0))) / c) \
+                * b ** ((n2 + 1.0) / n2)
+            if not w2 * g.g22 > s2:
+                continue
+        rows.append((c, g.g11, g.g12, g.g21, g.g22, inst["w1"], w2, p1i,
+                     n1, n2))
+    return np.array(rows).T
+
+
+@pytest.mark.parametrize("tiny_root", [False, True])
+def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
+    rng = np.random.default_rng(43 + tiny_root)
+    c, g11, g12, g21, g22, w1, w2, p1i, n1, n2 = _edge_rows(rng, 120,
+                                                              tiny_root)
+    counts = {"phi": 0, "bracket": 0}
+    phi, stationarity = mutual_sic._phi, mutual_sic._stationarity
+
+    def counted_phi(*args):
+        counts["phi"] += 1
+        return phi(*args)
+
+    def counted_stationarity(*args):
+        counts["bracket"] += 1
+        return stationarity(*args)
+
+    monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
+    monkeypatch.setattr(mutual_sic, "_stationarity", counted_stationarity)
+    p1, ok = mutual_sic._edge_case_roots(c, (g11, g12, g21, g22), SIGMA2_REF,
+                                         w1, w2, p1i, n1, n2)
+    assert ok.all()
+    if tiny_root:
+        assert (p1 < 1e-6 * p1i).all()
+    for i in range(c.size):
+        want = edge_root_bisection(c[i], g11[i], g22[i], SIGMA2_REF, w2[i],
+                                   p1i[i], n1[i], n2[i])
+        assert p1[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+    # every bracket-phase evaluation goes through _stationarity; the rest
+    # are Newton steps, which must stop far below the 100-step cap
+    newton_steps = counts["phi"] - counts["bracket"]
+    assert 0 < newton_steps <= 30

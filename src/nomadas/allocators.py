@@ -708,8 +708,10 @@ def run_algorithm(channel: ChannelTensor,
     if alg == "SRRH-OPA":
         opa = optimal_pa.optimal_power_allocation(state)
         if not opa.converged:
-            warnings.append("optimal power allocation did not converge; "
-                            "keeping waterfilled powers")
+            warnings.append(
+                f"optimal power allocation did not converge "
+                f"({opa.iterations} Newton iterations, KKT residual "
+                f"{opa.residual_norm:.1e}); keeping waterfilled powers")
             result = _finalize(state, alg, warnings)
         else:
             per_user = opa.power_w.sum(axis=(1, 2))

@@ -203,11 +203,14 @@ def _case1(gains_arrays, sigma2_w, w2, p1i, n2):
 
 
 def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
-                     iters=100):
+                     admissible, iters=100):
     """Vectorized safeguarded Newton for the edge-case stationarity roots.
 
-    All arguments broadcast; returns (p1, ok) where ok marks candidates with
-    a bracketed positive root. The stationarity (1 + c) - phi(p1) is
+    All arguments broadcast; returns (p1, ok) where ok marks admissible
+    candidates with a bracketed positive root. Rows outside the
+    `admissible` mask are never bracketed: an inadmissible row may have no
+    bracket at all and would keep the grow or shrink loop running to its
+    cap for every other row. The stationarity (1 + c) - phi(p1) is
     increasing in p1, negative near 0 under the admission precondition, and
     tends to 1 + c > 0, so a root exists whenever the numerics can bracket
     it. From the bracket's top, Newton steps are taken on log(phi) against
@@ -229,18 +232,19 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     glo = g_of(lo)
     ghi = g_of(hi)
     for _ in range(80):
-        grow = ghi <= 0.0
+        grow = admissible & (ghi <= 0.0)
         if not np.any(grow):
             break
         hi = np.where(grow, hi * 4.0, hi)
         ghi = np.where(grow, g_of(hi), ghi)
     for _ in range(40):
-        shrink = glo >= 0.0
+        shrink = admissible & (glo >= 0.0)
         if not np.any(shrink):
             break
         lo = np.where(shrink, lo * 0.125, lo)
         glo = np.where(shrink, g_of(lo), glo)
-    ok = (glo < 0.0) & (ghi > 0.0) & np.isfinite(glo) & np.isfinite(ghi)
+    ok = admissible & (glo < 0.0) & (ghi > 0.0) & np.isfinite(glo) \
+        & np.isfinite(ghi)
     lo = np.where(ok, lo, 1.0)
     hi = np.where(ok, hi, 2.0)
     target = 1.0 + c
@@ -267,10 +271,10 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     """Evaluate all three window cases for (arrays of) pair candidates.
 
     gains_arrays is the tuple (g11, g12, g21, g22); every argument
-    broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0 and infinite
-    deltas where no case is feasible. Candidates must already satisfy the
-    waterline-decrease admission test (w2 * g22 > sigma2) and n1 >= 2,
-    n2 >= 1; entries violating those are masked out here as well.
+    broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0 and zero
+    powers and deltas where no case is feasible. Candidates must already
+    satisfy the waterline-decrease admission test (w2 * g22 > sigma2) and
+    n1 >= 2, n2 >= 1; entries violating those are masked out here as well.
     """
     g11, g12, g21, g22 = [np.asarray(a, dtype=float) for a in gains_arrays]
     w1 = np.asarray(w1, dtype=float)
@@ -309,13 +313,13 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
         c2 = (1.0 + mu) * g11 / g12
         ray2_ok = c2 <= g21 / g22 * (1.0 + POWER_ATOL)
         p1_2, ok2 = _edge_case_roots(c2, garr, sigma2_w, w1, w2, p1i, n1,
-                                     n2)
+                                     n2, admissible)
         consider(2, p1_2, c2 * p1_2, ok2 & ray2_ok)
 
         c3 = (1.0 - mu) * g21 / g22
         ray3_ok = c3 >= g11 / g12 * (1.0 - POWER_ATOL)
         p1_3, ok3 = _edge_case_roots(c3, garr, sigma2_w, w1, w2, p1i, n1,
-                                     n2)
+                                     n2, admissible)
         consider(3, p1_3, c3 * p1_3, ok3 & ray3_ok)
 
     return best["p1"], best["p2"], best["dp1"], best["dp2"], best["case"]

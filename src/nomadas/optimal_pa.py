@@ -15,7 +15,9 @@ characterizes the optimum. Two solvers live here:
 Both solve a scale-normalized KKT system: stationarity rows are divided by
 (1 + lambda) and rate rows by (1 + target), so one absolute residual
 tolerance works across users whose marginal powers differ by many orders
-of magnitude.
+of magnitude. ``optimal_power_allocation`` gives the Newton solver the
+analytic Jacobian of its system; the oracle leaves the solver to take it
+by central differences, which keeps it an independent check.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +88,107 @@ def _collect_slots(state):
     return slots, pairs
 
 
+class _KktLayout(NamedTuple):
+    """Index arrays of the KKT system of a sole + single-SIC assignment.
+
+    The unknowns are z = (x, y, lam): one rate per slot, one rate per pair
+    (the pair's second user, stacked on slot pair_slot) and one multiplier
+    per user, rates in bits per subcarrier use.
+    """
+
+    slot_user: np.ndarray
+    slot_u: np.ndarray      # slot gain over noise
+    pair_slot: np.ndarray
+    pair_user: np.ndarray
+    pair_u: np.ndarray      # second user's gain over noise
+    q: np.ndarray           # per-user demand in bits per subcarrier use
+
+
+def _kkt_layout(state):
+    """The state's slots (see _collect_slots) and their _KktLayout."""
+    s2 = state.sigma2_w
+    slots, pairs = _collect_slots(state)
+    return slots, _KktLayout(
+        slot_user=np.array([s[0] for s in slots], dtype=int),
+        slot_u=np.array([s[3] for s in slots]) / s2,
+        pair_slot=np.array([p[0] for p in pairs], dtype=int),
+        pair_user=np.array([p[1] for p in pairs], dtype=int),
+        pair_u=np.array([p[2] for p in pairs]) / s2,
+        q=state.demands / state.sc_bw_hz)
+
+
+def _marginals(lay, x, y):
+    """Marginal power per bit of every slot rate (A) and pair rate (B).
+
+    A = ln2 * 2^(x + y_slot) / u, with y_slot the rate of the pair stacked
+    on the slot (0 on sole slots), and B = ln2 * 2^y * ((2^x_s - 1) / u_s
+    + 1 / v) for a pair on slot s with second-user gain over noise v.
+    """
+    ysl = np.zeros(x.size)
+    ysl[lay.pair_slot] = y
+    a = LN2 * 2.0 ** (x + ysl) / lay.slot_u
+    b = LN2 * 2.0 ** y * ((2.0 ** x[lay.pair_slot] - 1.0)
+                          / lay.slot_u[lay.pair_slot] + 1.0 / lay.pair_u)
+    return a, b
+
+
+def _kkt_system(lay, pin_x, pin_y):
+    """Normalized KKT residual of a _KktLayout and its analytic Jacobian.
+
+    Rows, in order: slot stationarity (A - lam)/(1 + |lam|), pair
+    stationarity (B - lam)/(1 + |lam|) with the user's lam, and per-user
+    rate (sum of the user's x and y - q)/(1 + q). The row of a pinned rate
+    (pin_x, pin_y) is the rate itself. Both functions build on _marginals.
+    """
+    ns, npair, K = lay.slot_u.size, lay.pair_u.size, lay.q.size
+    n = ns + npair + K
+    ix = np.arange(ns)
+    iy = ns + np.arange(npair)
+    # the user block: rate row k and multiplier column k share an index
+    kx = ns + npair + lay.slot_user
+    ky = ns + npair + lay.pair_user
+    sp = lay.pair_slot
+
+    def terms(z):
+        x, y, lam = z[:ns], z[ns:ns + npair], z[ns + npair:]
+        a, b = _marginals(lay, x, y)
+        return x, y, a, b, lam[lay.slot_user], lam[lay.pair_user]
+
+    def residual(z):
+        # exploratory newton steps can overflow the exponentials; the
+        # resulting inf/nan rows are rejected by the line search
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y, a, b, lx, ly = terms(z)
+            f_slot = np.where(pin_x, x, (a - lx) / (1.0 + np.abs(lx)))
+            f_pair = np.where(pin_y, y, (b - ly) / (1.0 + np.abs(ly)))
+            rates = np.bincount(lay.slot_user, weights=x, minlength=K) \
+                + np.bincount(lay.pair_user, weights=y, minlength=K)
+            f_rate = (rates - lay.q) / (1.0 + lay.q)
+            return np.concatenate([f_slot, f_pair, f_rate])
+
+    def jacobian(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, a, b, lx, ly = terms(z)
+            d = 1.0 + np.abs(lx)
+            e = 1.0 + np.abs(ly)
+            jac = np.zeros((n, n))
+            jac[ix, ix] = LN2 * a / d
+            jac[sp, iy] = LN2 * a[sp] / d[sp]
+            jac[ix, kx] = -(d + (a - lx) * np.sign(lx)) / d ** 2
+            jac[iy, iy] = LN2 * b / e
+            # dB/dx_s = ln2^2 * 2^(y + x_s) / u_s = ln2 * A_s
+            jac[iy, sp] = LN2 * a[sp] / e
+            jac[iy, ky] = -(e + (b - ly) * np.sign(ly)) / e ** 2
+            for rows, pinned in ((ix, pin_x), (iy, pin_y)):
+                jac[rows[pinned]] = 0.0
+                jac[rows[pinned], rows[pinned]] = 1.0
+            jac[kx, ix] = 1.0 / (1.0 + lay.q[lay.slot_user])
+            jac[ky, iy] = 1.0 / (1.0 + lay.q[lay.pair_user])
+            return jac
+
+    return residual, jacobian
+
+
 def optimal_power_allocation(state, tol: float = 1e-8,
                              max_iter: int = 80) -> OpaResult:
     """Minimum-power rates for a fixed sole + single-SIC assignment.
@@ -92,7 +196,8 @@ def optimal_power_allocation(state, tol: float = 1e-8,
     The rate variables must stay non-negative (a negative rate would mean
     the slot untransmits), so the KKT system is solved with an active-set
     loop: solve the equality system, pin variables that went negative to
-    zero, release pins whose multipliers turn infeasible, repeat. Starts
+    zero, release pins whose multipliers turn infeasible, repeat. Each
+    solve is damped Newton on the analytic Jacobian of _kkt_system. Starts
     from the state's realized rates and falls back to the input powers
     (converged=False) if any solve stalls or fails to improve.
     """
@@ -101,16 +206,8 @@ def optimal_power_allocation(state, tol: float = 1e-8,
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
     K = state.num_users
-    slots, pairs = _collect_slots(state)
-    ns, npair = len(slots), len(pairs)
-
-    slot_user = np.array([s[0] for s in slots], dtype=int)
-    slot_u = np.array([s[3] for s in slots]) / s2
-    pair_slot = np.array([p[0] for p in pairs], dtype=int)
-    pair_user = np.array([p[1] for p in pairs], dtype=int)
-    pair_u = np.array([p[2] for p in pairs]) / s2
-
-    q = state.demands / sc_bw
+    slots, lay = _kkt_layout(state)
+    ns, npair = lay.slot_u.size, lay.pair_u.size
 
     # start from the realized allocation: x, y are per-subcarrier rates
     p_now = state.power_tensor()
@@ -122,57 +219,21 @@ def optimal_power_allocation(state, tol: float = 1e-8,
 
     lam0 = np.zeros(K)
     cnt = np.zeros(K)
-    yx = np.zeros(ns)
-    if npair:
-        yx[pair_slot] = y0
-    m_slot = LN2 * 2.0 ** (x0 + yx) / slot_u
-    np.add.at(lam0, slot_user, m_slot)
-    np.add.at(cnt, slot_user, 1.0)
-    if npair:
-        m_pair = LN2 * 2.0 ** y0 * ((2.0 ** x0[pair_slot] - 1.0)
-                                    / slot_u[pair_slot] + 1.0 / pair_u)
-        np.add.at(lam0, pair_user, m_pair)
-        np.add.at(cnt, pair_user, 1.0)
+    m_slot, m_pair = _marginals(lay, x0, y0)
+    np.add.at(lam0, lay.slot_user, m_slot)
+    np.add.at(cnt, lay.slot_user, 1.0)
+    np.add.at(lam0, lay.pair_user, m_pair)
+    np.add.at(cnt, lay.pair_user, 1.0)
     lam0 /= np.maximum(cnt, 1.0)
-
-    def make_residual(pin_x, pin_y):
-        def residual(z):
-            # exploratory newton steps can overflow the exponentials; the
-            # resulting inf/nan rows are rejected by the line search
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = z[:ns]
-                y = z[ns:ns + npair]
-                lam = z[ns + npair:]
-                ysl = np.zeros(ns)
-                if npair:
-                    ysl[pair_slot] = y
-                f_slot = (LN2 * 2.0 ** (x + ysl) / slot_u
-                          - lam[slot_user]) \
-                    / (1.0 + np.abs(lam[slot_user]))
-                f_slot = np.where(pin_x, x, f_slot)
-                rates = np.bincount(slot_user, weights=x, minlength=K)
-                if npair:
-                    f_pair = (LN2 * 2.0 ** y
-                              * ((2.0 ** x[pair_slot] - 1.0)
-                                 / slot_u[pair_slot]
-                                 + 1.0 / pair_u) - lam[pair_user]) \
-                        / (1.0 + np.abs(lam[pair_user]))
-                    f_pair = np.where(pin_y, y, f_pair)
-                    rates = rates + np.bincount(pair_user, weights=y,
-                                                minlength=K)
-                else:
-                    f_pair = np.zeros(0)
-                f_rate = (rates - q) / (1.0 + q)
-                return np.concatenate([f_slot, f_pair, f_rate])
-        return residual
 
     pin_x = np.zeros(ns, dtype=bool)
     pin_y = np.zeros(npair, dtype=bool)
     z0 = np.concatenate([x0, y0, lam0])
     report = None
     for _ in range(2 + ns + npair):
-        report = solve_system(make_residual(pin_x, pin_y), z0, tol=tol,
-                              max_iter=max_iter)
+        residual, jacobian = _kkt_system(lay, pin_x, pin_y)
+        report = solve_system(residual, z0, tol=tol, max_iter=max_iter,
+                              jac=jacobian)
         if not report.converged:
             return OpaResult(p_now, input_total, False, report.iterations,
                              report.residual_norm)
@@ -189,17 +250,12 @@ def optimal_power_allocation(state, tol: float = 1e-8,
             continue
         # dual feasibility: a pinned slot must not be cheaper than the
         # user's marginal power per bit, else it re-enters the basis
-        ysl = np.zeros(ns)
-        if npair:
-            ysl[pair_slot] = y
-        eta_x = LN2 * 2.0 ** (x + ysl) / slot_u - lam[slot_user]
-        eta_y = (LN2 * 2.0 ** y * ((2.0 ** x[pair_slot] - 1.0)
-                                   / slot_u[pair_slot] + 1.0 / pair_u)
-                 - lam[pair_user]) if npair else np.zeros(0)
+        m_slot, m_pair = _marginals(lay, x, y)
+        eta_x = m_slot - lam[lay.slot_user]
+        eta_y = m_pair - lam[lay.pair_user]
         tol_eta = 1e-9 * (1.0 + np.abs(lam))
-        bad_x = pin_x & (eta_x < -tol_eta[slot_user])
-        bad_y = pin_y & (eta_y < -tol_eta[pair_user]) if npair \
-            else np.zeros(0, dtype=bool)
+        bad_x = pin_x & (eta_x < -tol_eta[lay.slot_user])
+        bad_y = pin_y & (eta_y < -tol_eta[lay.pair_user])
         if bad_x.any() or bad_y.any():
             # release the single worst pin to avoid add/release cycling
             cands = [(eta_x[i], "x", i) for i in np.flatnonzero(bad_x)]
@@ -217,13 +273,13 @@ def optimal_power_allocation(state, tol: float = 1e-8,
                          report.residual_norm)
 
     P = np.zeros_like(state.gains)
-    p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / slot_u)
+    p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
     for i, (k, n, r, g) in enumerate(slots):
         P[k, n, r] = p1[i]
     for j, sp in enumerate(state.singles):
-        i = pair_slot[j]
+        i = lay.pair_slot[j]
         P[sp.k2, sp.n, sp.r] = 0.0 if pin_y[j] else \
-            (2.0 ** y[j] - 1.0) * (p1[i] + 1.0 / pair_u[j])
+            (2.0 ** y[j] - 1.0) * (p1[i] + 1.0 / lay.pair_u[j])
     total = float(P.sum())
     if total > input_total * (1.0 + 1e-9) + 1e-15:
         # a stationary point that does not improve the start is not the

@@ -1,7 +1,8 @@
 """Scalar and small-system root finding used by the power optimizers.
 
 solve_scalar brackets a sign change and mixes bisection with secant steps;
-solve_system is a damped Newton iteration with a central-difference Jacobian.
+solve_system is a damped Newton iteration that takes the caller's Jacobian
+when one is given and falls back to central differences otherwise.
 Both report the residual actually achieved instead of trusting step size.
 """
 
@@ -90,7 +91,10 @@ def solve_scalar(f, bracket, tol=1e-10, max_iter=200, positive=False):
 
 
 def _jacobian(f, x, fx):
-    """Central-difference Jacobian, one column per variable."""
+    """Central-difference Jacobian, one column per variable.
+
+    Costs 2n evaluations of f; solve_system uses it only without `jac`.
+    """
     n = x.size
     jac = np.empty((fx.size, n))
     for j in range(n):
@@ -104,8 +108,13 @@ def _jacobian(f, x, fx):
     return jac
 
 
-def solve_system(f, x0, tol=1e-8, max_iter=80):
+def solve_system(f, x0, tol=1e-8, max_iter=80, jac=None):
     """Damped Newton for f(x) = 0 with x0 as the starting point.
+
+    jac(x), when given, returns the Jacobian of f at x; without it the
+    Jacobian is taken by central differences (_jacobian), 2n calls of f per
+    Newton step. With it, f is called only at the start and in the line
+    search.
 
     Steps are halved until the max-norm residual strictly decreases, so the
     residual history is non-increasing; converged is False when damping
@@ -119,11 +128,11 @@ def solve_system(f, x0, tol=1e-8, max_iter=80):
         return SolveReport(x, resid, 0, True, tuple(history))
 
     for it in range(1, max_iter + 1):
-        jac = _jacobian(f, x, fx)
+        jx = _jacobian(f, x, fx) if jac is None else jac(x)
         try:
-            step = np.linalg.solve(jac, -fx)
+            step = np.linalg.solve(jx, -fx)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -fx, rcond=None)
+            step, *_ = np.linalg.lstsq(jx, -fx, rcond=None)
         if not np.all(np.isfinite(step)):
             return SolveReport(x, resid, it - 1, False, tuple(history))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nomadas import AlgorithmConfig, generate_channel, run_algorithm
-from nomadas import harness
+from nomadas import harness, optimal_pa
 from nomadas.harness import (AGGREGATE_COLUMNS, TRIAL_COLUMNS, AggregateRow,
                              RunConfig, TrialRecord, aggregate, apply_sweep,
                              read_aggregate_csv, read_trial_csv,
@@ -146,6 +146,22 @@ def test_warnings_reach_trial_records(monkeypatch):
     assert all(r.warnings == "first, note; second"
                for r in recs if r.algorithm == "SRRH")
     assert all(r.warnings == "" for r in recs if r.algorithm == "OMA-DAS")
+
+
+def test_opa_fallback_warning_reaches_trial_records(monkeypatch):
+    """The SRRH-OPA fallback says how far its Newton solve got."""
+    def stalled(state):
+        p = state.power_tensor()
+        return optimal_pa.OpaResult(p, float(p.sum()), False, 7, 3.1e-5)
+
+    monkeypatch.setattr(optimal_pa, "optimal_power_allocation", stalled)
+    recs = run_monte_carlo(RunConfig(SMALL, ("SRRH-OPA",), trials=2))
+    assert len(recs) == 2
+    for r in recs:
+        assert not r.failed
+        assert r.warnings == ("optimal power allocation did not converge "
+                              "(7 Newton iterations, KKT residual 3.1e-05); "
+                              "keeping waterfilled powers")
 
 
 # -- aggregation ---------------------------------------------------------------

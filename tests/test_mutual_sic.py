@@ -430,6 +430,44 @@ def test_opad_cases_edge_powers_are_stationary(case_batch):
         assert abs(resid) < 1e-8
 
 
+def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
+    """Inadmissible rows change no output and add no root-finding work.
+
+    Half the mixed-in rows lose the incumbent's last spare sole
+    subcarrier (n1 = 1), half put the joiner's waterline under the
+    candidate's noise floor (w2 * g22 <= sigma2); both are rows that
+    opad_cases masks out, and neither may be bracketed.
+    """
+    rng = np.random.default_rng(47)
+    good = [sample_pair_instance(rng) for _ in range(60)]
+    bad = []
+    for i in range(40):
+        inst = dict(sample_pair_instance(rng))
+        if i % 2:
+            inst["n1"] = 1
+        else:
+            inst["w2"] = 0.5 * inst["sigma2_w"] / inst["gains"].g22
+        bad.append(inst)
+    mixed = good[:30] + bad + good[30:]
+    is_good = np.array([True] * 30 + [False] * 40 + [True] * 30)
+
+    calls = {"n": 0}
+    stationarity = mutual_sic._stationarity
+
+    def counted(*args):
+        calls["n"] += 1
+        return stationarity(*args)
+
+    monkeypatch.setattr(mutual_sic, "_stationarity", counted)
+    alone = opad_cases(*_cases_args(good))
+    calls_alone, calls["n"] = calls["n"], 0
+    out = opad_cases(*_cases_args(mixed))
+    assert calls["n"] <= calls_alone
+    for mixed_col, alone_col in zip(out, alone):
+        assert np.array_equal(mixed_col[is_good], alone_col)
+    assert (out[4][~is_good] == 0).all()
+
+
 # -- edge roots against a scalar bisection oracle --------------------------------------
 
 def _edge_rows(rng, count, tiny_root):
@@ -483,7 +521,7 @@ def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
     monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
     monkeypatch.setattr(mutual_sic, "_stationarity", counted_stationarity)
     p1, ok = mutual_sic._edge_case_roots(c, (g11, g12, g21, g22), SIGMA2_REF,
-                                         w1, w2, p1i, n1, n2)
+                                         w1, w2, p1i, n1, n2, True)
     assert ok.all()
     if tiny_root:
         assert (p1 < 1e-6 * p1i).all()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nomadas import (AlgorithmConfig, generate_channel, run_algorithm)
+from nomadas import (AlgorithmConfig, Scenario, generate_channel,
+                     run_algorithm, solver)
+from nomadas import optimal_pa
 from nomadas.optimal_pa import (constrained_mutual_pa_oracle,
                                 opa_kkt_residual, optimal_power_allocation)
 from nomadas.waterfill import rate_second, rate_single
@@ -104,6 +106,113 @@ def test_opa_power_tensor_consistent():
     assert res.total_power_w == pytest.approx(float(res.power_w.sum()),
                                               rel=1e-12)
     assert (res.power_w >= 0.0).all()
+
+
+# -- the analytic KKT Jacobian ------------------------------------------------------
+
+# every halving of the Newton step the line search may try, t = 1 .. 2^-30
+LINE_SEARCH_TRIES = 31
+
+
+@pytest.fixture(scope="module")
+def paper_lpo_states():
+    """SRRH-LPO assignments of 10 paper-cell drops (sole + single-SIC)."""
+    return [run_algorithm(ch, AlgorithmConfig("SRRH-LPO")).state
+            for ch in drops(Scenario(), 10)]
+
+
+def _start_point(state, monkeypatch):
+    """The z0 that optimal_power_allocation hands its first Newton solve."""
+    starts = []
+
+    def capture(f, z0, **kwargs):
+        starts.append(np.array(z0, dtype=float))
+        return solver.solve_system(f, z0, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimal_pa, "solve_system", capture)
+        optimal_power_allocation(state)
+    return starts[0]
+
+
+def test_kkt_jacobian_matches_central_differences(paper_lpo_states,
+                                                  monkeypatch):
+    rng = np.random.default_rng(53)
+    checked_pins = 0
+    for st in paper_lpo_states[:4]:
+        assert st.singles
+        _, lay = optimal_pa._kkt_layout(st)
+        ns, npair = lay.slot_u.size, lay.pair_u.size
+        z0 = _start_point(st, monkeypatch)
+        lam = z0[ns + npair:]
+        points = [z0]
+        for _ in range(3):
+            z = z0 + 0.05 * rng.standard_normal(z0.size) * np.abs(z0)
+            # multipliers of both signs, as exploratory steps produce
+            z[ns + npair:] = lam * rng.choice([-1.0, 1.0], lam.size)
+            points.append(z)
+        for forced in (False, True):
+            pin_x = np.zeros(ns, dtype=bool)
+            pin_y = np.zeros(npair, dtype=bool)
+            if forced:
+                pin_x[rng.choice(ns, 5, replace=False)] = True
+                pin_x[lay.pair_slot[0]] = True
+                pin_y[rng.choice(npair, min(npair, 2), replace=False)] = True
+                checked_pins += 1
+            residual, jacobian = optimal_pa._kkt_system(lay, pin_x, pin_y)
+            for z in points:
+                jac = jacobian(z)
+                fd = solver._jacobian(residual, z, residual(z))
+                scale = np.max(np.abs(jac))
+                assert np.max(np.abs(jac - fd)) <= 1e-6 * scale
+                pinned = np.concatenate([pin_x, pin_y])
+                rows = np.flatnonzero(pinned)
+                assert np.array_equal(jac[rows], np.eye(z.size)[rows])
+    assert checked_pins == 4
+
+
+def test_opa_newton_steps_use_no_differences(paper_lpo_states, monkeypatch):
+    """Residual calls per solve stay within the line search's budget.
+
+    Central differences would add 2n calls per Newton step, more than the
+    line search's 31 tries once n > 15.
+    """
+    solves = []
+
+    def counted_solve(f, z0, **kwargs):
+        calls = {"f": 0}
+
+        def counted(z):
+            calls["f"] += 1
+            return f(z)
+
+        report = solver.solve_system(counted, z0, **kwargs)
+        solves.append((np.size(z0), report, calls["f"]))
+        return report
+
+    monkeypatch.setattr(optimal_pa, "solve_system", counted_solve)
+    for st in paper_lpo_states:
+        optimal_power_allocation(st)
+    assert solves
+    for n, report, f_evals in solves:
+        assert n > LINE_SEARCH_TRIES // 2
+        steps = report.iterations + (not report.converged)
+        assert f_evals <= 1 + steps * LINE_SEARCH_TRIES
+    assert max(report.iterations for _, report, _ in solves) >= 1
+
+
+def test_opa_totals_match_difference_jacobian(paper_lpo_states, monkeypatch):
+    analytic = [optimal_power_allocation(st) for st in paper_lpo_states]
+
+    def without_jac(f, z0, jac=None, **kwargs):
+        return solver.solve_system(f, z0, **kwargs)
+
+    monkeypatch.setattr(optimal_pa, "solve_system", without_jac)
+    for st, res in zip(paper_lpo_states, analytic):
+        fd = optimal_power_allocation(st)
+        assert res.converged and fd.converged
+        assert res.total_power_w == pytest.approx(fd.total_power_w,
+                                                  rel=1e-10, abs=0.0)
 
 
 # -- branch oracle against the sequential allocator ---------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nomadas import NoRoot, solve_scalar, solve_system
+from nomadas import NoRoot, solve_scalar, solve_system, solver
 
 
 def test_scalar_linear_root():
@@ -92,3 +92,52 @@ def test_system_reports_failure_honestly():
                           max_iter=10)
     assert not report.converged
     assert report.residual_norm > 0.0
+
+
+# -- caller-supplied Jacobian -------------------------------------------------------
+
+def _circle_line(z):
+    x, y = z
+    return np.array([x * x + y * y - 1.0, x - y])
+
+
+def _circle_line_jac(z):
+    x, y = z
+    return np.array([[2.0 * x, 2.0 * y], [1.0, -1.0]])
+
+
+def _exp_system(z):
+    x, y = z
+    return np.array([np.exp(x) - 2.0, x * y - 1.0])
+
+
+def _exp_system_jac(z):
+    x, y = z
+    return np.array([[np.exp(x), 0.0], [y, x]])
+
+
+@pytest.mark.parametrize("f, jac, x0", [
+    (_circle_line, _circle_line_jac, [1.0, 0.5]),
+    (_exp_system, _exp_system_jac, [3.0, 3.0]),
+])
+def test_system_with_jacobian_matches_differences(f, jac, x0, monkeypatch):
+    """jac replaces the differences: same root, f only in the line search."""
+    fd = solve_system(f, np.array(x0))
+    calls = {"f": 0}
+
+    def counted(z):
+        calls["f"] += 1
+        return f(z)
+
+    def no_differences(*args):
+        raise AssertionError("central differences used despite jac")
+
+    monkeypatch.setattr(solver, "_jacobian", no_differences)
+    report = solve_system(counted, np.array(x0), jac=jac)
+    assert report.converged and fd.converged
+    np.testing.assert_allclose(report.solution, fd.solution, rtol=0.0,
+                               atol=1e-10)
+    hist = np.array(report.residuals)
+    assert np.all(np.diff(hist) <= 0.0)
+    # one call at x0, then at least one line-search try per Newton step
+    assert report.iterations + 1 <= calls["f"] <= 1 + 31 * report.iterations

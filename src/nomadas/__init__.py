@@ -16,37 +16,33 @@ from .channel import (ChannelTensor, channel_from_csv, channel_to_csv,
 from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                       apply_sweep, read_aggregate_csv, read_trial_csv,
                       run_monte_carlo, write_aggregate_csv, write_trial_csv)
-from .mutual_sic import (OpadSolution, PairGains, PairPowers, dpa_adjust,
-                         mutual_rates, mutual_sic_feasible, opad_optimize,
-                         power_window, rate_condition_terms, sopa_deltas)
+from .mutual_sic import (PairGains, dpa_adjust, mutual_sic_feasible,
+                         power_window, rate_condition_terms)
 from .optimal_pa import (OpaResult, OracleInfeasible, OracleResult,
                          constrained_mutual_pa_oracle,
                          optimal_power_allocation)
 from .scenario import Scenario, drop_users, hexagon_contains, load_scenario, \
     place_rrhs
-from .solver import NoRoot, SolveReport, solve_scalar, solve_system
-from .waterfill import (CandidateRejected, InfeasibleWaterline, ftpa_power,
-                        lpo_power, rate_second, rate_single, sole_powers,
-                        waterline_add, waterline_from_rate,
+from .solver import SolveReport, solve_system
+from .waterfill import (InfeasibleWaterline, ftpa_power, rate_second,
+                        rate_single, waterline_add, waterline_from_rate,
                         waterline_rate_shift)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "AlgorithmConfig", "AllocationResult", "AllocationState",
-    "AggregateRow", "AuditReport", "CandidateRejected", "ChannelTensor",
-    "InfeasibleWaterline", "MutualPair", "NoRoot", "OpaResult",
-    "OpadSolution", "OracleInfeasible", "OracleResult", "PairGains",
-    "PairPowers", "RunConfig", "Scenario", "SinglePair", "SolveReport",
+    "AggregateRow", "AuditReport", "ChannelTensor", "InfeasibleWaterline",
+    "MutualPair", "OpaResult", "OracleInfeasible", "OracleResult",
+    "PairGains", "RunConfig", "Scenario", "SinglePair", "SolveReport",
     "TrialRecord", "aggregate", "apply_sweep", "audit_result",
     "channel_from_csv", "channel_to_csv", "constrained_mutual_pa_oracle",
     "dpa_adjust", "drop_users", "ftpa_power", "generate_channel",
-    "hexagon_contains", "load_scenario", "lpo_power", "mutual_rates",
-    "mutual_sic_feasible", "noise_power", "opad_optimize",
-    "optimal_power_allocation", "pathloss_gain", "place_rrhs",
-    "power_window", "rate_condition_terms", "rate_second", "rate_single",
-    "read_aggregate_csv", "read_trial_csv", "run_algorithm",
-    "run_invariant_audit", "run_monte_carlo", "sole_powers", "sopa_deltas",
-    "solve_scalar", "solve_system", "waterline_add", "waterline_from_rate",
-    "waterline_rate_shift", "write_aggregate_csv", "write_trial_csv",
+    "hexagon_contains", "load_scenario", "mutual_sic_feasible",
+    "noise_power", "optimal_power_allocation", "pathloss_gain",
+    "place_rrhs", "power_window", "rate_condition_terms", "rate_second",
+    "rate_single", "read_aggregate_csv", "read_trial_csv", "run_algorithm",
+    "run_invariant_audit", "run_monte_carlo", "solve_system",
+    "waterline_add", "waterline_from_rate", "waterline_rate_shift",
+    "write_aggregate_csv", "write_trial_csv",
 ]

@@ -21,10 +21,12 @@ import numpy as np
 
 from . import optimal_pa
 from .channel import ChannelTensor
-from .mutual_sic import (CandidateRejected, PairGains, PairPowers,
-                         opad_cases, opad_optimize, rate_condition_terms)
-from .waterfill import (POWER_ATOL, _lpo_core, rate_second, rate_single,
-                        waterline_add, waterline_rate_shift)
+from .mutual_sic import (PairGains, dpa_adjust, mutual_sic_feasible,
+                         opad_cases, rate_condition_terms)
+from .waterfill import (POWER_ATOL, _lpo_core, admits_waterline_decrease,
+                        delta_power_noma, delta_power_oma, ftpa_power,
+                        rate_second, rate_single, waterline_add,
+                        waterline_rate_shift)
 
 ALGORITHMS = (
     "OMA-CAS", "NOMA-CAS", "OMA-DAS", "SRRH", "SRRH-LPO", "SRRH-OPA",
@@ -258,7 +260,7 @@ def oma_phase(state: AllocationState) -> None:
         w = state.waterline[k]
         free_arr = np.array(state.free)
         cand = G[k, free_arr[:, None], state.rrhs[None, :]]
-        admissible = cand * w > s2
+        admissible = admits_waterline_decrease(cand, w, s2)
         before = state.total_power()
         if not admissible.any():
             active.discard(k)
@@ -270,7 +272,7 @@ def oma_phase(state: AllocationState) -> None:
         gain = float(G[k, n, r])
         n_cur = len(state.sole[k])
         w_new = waterline_add(w, n_cur, gain, s2)
-        dp = (n_cur + 1) * w_new - n_cur * w - s2 / gain
+        dp = delta_power_oma(w, w_new, n_cur, gain, s2)
         if dp < -rho:
             state.waterline[k] = w_new
             state.free.remove(n)
@@ -323,11 +325,10 @@ def uc_extension_phase(state: AllocationState) -> None:
         cand = G[k][:, state.rrhs]
         before = state.total_power()
         with np.errstate(divide="ignore"):
-            w_new = np.exp((n_cur * np.log(w) + np.log(s2 / cand))
-                           / (n_cur + 1))
+            w_new = waterline_add(w, n_cur, cand, s2)
         # shared candidates can outrank existing gains, so unlike the free
         # phase the shrunk waterline must be checked against the floor
-        ok = allow & (cand * w > s2) & (w_new >= floor)
+        ok = allow & admits_waterline_decrease(cand, w, s2) & (w_new >= floor)
         if not ok.any():
             active.discard(k)
             state._log("uc", k, -1, False, math.nan, before)
@@ -337,7 +338,7 @@ def uc_extension_phase(state: AllocationState) -> None:
         n, r = int(ni), int(state.rrhs[ri])
         gain = float(G[k, n, r])
         wn = float(w_new[ni, ri])
-        dp = (n_cur + 1) * wn - n_cur * w - s2 / gain
+        dp = delta_power_oma(w, wn, n_cur, gain, s2)
         if dp < -rho:
             state.waterline[k] = wn
             if n in state.free:
@@ -407,16 +408,16 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
         valid = g2 < g1
         if mode == "ftpa":
             with np.errstate(divide="ignore", over="ignore"):
-                p2 = np.where(valid, p1 * (g1 / g2) ** alpha, np.inf)
+                p2 = np.where(valid, ftpa_power(p1, g1, g2, alpha), np.inf)
         else:
             p2, reject = _lpo_core(w2, p1, g2, s2, n2, mu)
             valid &= ~reject
         with np.errstate(invalid="ignore", over="ignore"):
             rate2 = rate_second(np.where(p2 < np.inf, p2, 0.0), p1, g2,
                                 s2, sc_bw)
-            w2_new = w2 * 2.0 ** (-rate2 / (sc_bw * n2))
+            w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
             valid &= w2_new >= g2_floor
-            dp = np.where(valid, n2 * (w2_new - w2) + p2, np.inf)
+            dp = np.where(valid, delta_power_noma(w2, w2_new, n2, p2), np.inf)
         best = int(np.argmin(dp))
         if not valid[best] or not dp[best] < -rho:
             active.discard(k2)
@@ -515,7 +516,8 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         g11, g12, g21, g22 = gains
         p1i = w1 - s2 / g11
 
-        feasible = (g11 * g22 <= g21 * g12) & (g22 * w2 > s2)
+        feasible = mutual_sic_feasible(gains) \
+            & admits_waterline_decrease(g22, w2, s2)
 
         if mode == "opad":
             p1, p2, dp1, dp2, case = opad_cases(
@@ -524,48 +526,17 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         else:
             # waterfill the joiner onto its sole set, clamp into the window
             with np.errstate(invalid="ignore"):
-                w_add = np.exp((n2 * np.log(w2) + np.log(s2 / g22))
-                               / (n2 + 1))
+                w_add = waterline_add(w2, n2, g22, s2)
             p1 = p1i.copy()
-            p2 = w_add - s2 / g22
+            p2, ok = dpa_adjust(w_add - s2 / g22, gains, p1i, mu)
             dp1 = np.zeros_like(p2)
-            valid = feasible.copy()
-            lo = p1i * g11 / g12
-            hi = p1i * g21 / g22
-            valid &= (1.0 + mu) * lo <= (1.0 - mu) * hi + POWER_ATOL
-            p2 = np.clip(p2, (1.0 + mu) * lo, (1.0 - mu) * hi)
+            valid = feasible & ok
 
-        with np.errstate(invalid="ignore", over="ignore"):
-            p2_safe = np.where(valid & (p2 > 0), p2, 0.0)
-            rate2 = rate_single(p2_safe, g22, s2, sc_bw)
-            w2_new = w2 * 2.0 ** (-rate2 / (sc_bw * n2))
-            valid &= (w2_new >= g2_floor) & (p2 > 0)
-            if mode == "opad":
-                dp2 = np.where(valid, dp2, np.inf)
-            else:
-                dp2 = np.where(valid, n2 * (w2_new - w2) + p2, np.inf)
-
-        # incumbent side: freezing at p1 shifts its remaining sole set
-        rate1_new = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
-        rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
-        moved = np.abs(p1 - p1i) > POWER_ATOL
-        valid &= ~moved | (n1 >= 2)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w1_new = np.where(
-                n1 >= 2,
-                w1 * 2.0 ** ((rate1_old - rate1_new)
-                             / (sc_bw * np.maximum(n1 - 1, 1))),
-                w1)
-        valid &= np.where(moved, w1_new >= rest_floor, True)
-
-        # exact decodability margins at the final powers
-        cross = g12 * g21 - g22 * g11
-        xy = p1 * p2 * cross + s2 * p2 * (g12 - g22)
-        zt = p1 * p2 * cross + s2 * p1 * (g21 - g11)
-        scale = p1 * p2 * (g12 * g21 + g22 * g11) \
-            + s2 * (p2 * (g12 + g22) + p1 * (g21 + g11))
-        valid &= (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
-
+        valid, w2_new = _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2,
+                                      n2, g2_floor, rest_floor, valid)
+        if mode != "opad":
+            with np.errstate(invalid="ignore", over="ignore"):
+                dp2 = delta_power_noma(w2, w2_new, n2, p2)
         dp_total = np.where(valid, dp1 + dp2, np.inf)
         best = int(np.argmin(dp_total))
         if not valid[best] or not dp_total[best] < -rho:
@@ -581,10 +552,10 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         dp_f = float(dp_total[best])
 
         if mode == "sopad":
-            refined = _refine_with_opad(state, gains_b, float(p1i[best]),
-                                        float(w1[best]), w2,
-                                        int(n1[best]), n2, mu, g2_floor,
-                                        float(rest_floor[best]))
+            row = slice(best, best + 1)
+            refined = _refine_with_opad(
+                state, tuple(g[row] for g in gains), p1i[row], w1[row],
+                n1[row], w2, n2, g2_floor, rest_floor[row])
             if refined is not None:
                 p1_f, p2_f, dp_f = refined
 
@@ -595,35 +566,58 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     state.phase_iterations["mutual"] = (prev[0] + iters, prev[1] + limit)
 
 
-def _refine_with_opad(state, gains: PairGains, p1i, w1, w2, n1, n2, mu,
-                      g2_floor, rest_floor):
-    """One joint optimization on the selected candidate; None keeps DPA."""
+def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
+                  rest_floor, valid):
+    """Narrow `valid` to the pair rows that pass every feasibility screen.
+
+    The joiner's waterline after offloading p2's rate must stay at or above
+    its sole-set floor g2_floor; an incumbent whose power moves off p1i
+    needs a remaining sole set whose shifted waterline stays at or above
+    rest_floor; both decode margins must hold at (p1, p2). Returns
+    (valid, w2_new).
+    """
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
-    try:
-        sol = opad_optimize(gains, PairPowers(p1i, 0.0, p1i, w1, w2), s2,
-                            n1, n2, mu)
-    except CandidateRejected:
+    g11, g22 = gains[0], gains[3]
+    with np.errstate(invalid="ignore", over="ignore"):
+        p2_safe = np.where(valid & (p2 > 0), p2, 0.0)
+        rate2 = rate_single(p2_safe, g22, s2, sc_bw)
+        w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
+        valid = valid & (w2_new >= g2_floor) & (p2 > 0)
+
+    # incumbent side: freezing at p1 shifts its remaining sole set
+    rate1_new = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
+    rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
+    moved = np.abs(p1 - p1i) > POWER_ATOL
+    valid &= ~moved | (n1 >= 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w1_new = np.where(
+            n1 >= 2,
+            waterline_rate_shift(w1, rate1_old - rate1_new,
+                                 np.maximum(n1 - 1, 1), sc_bw),
+            w1)
+    valid &= np.where(moved, w1_new >= rest_floor, True)
+
+    # exact decodability margins at the final powers
+    xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
+    valid &= (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
+    return valid, w2_new
+
+
+def _refine_with_opad(state, gains, p1i, w1, n1, w2, n2, g2_floor,
+                      rest_floor):
+    """One joint optimization on the selected one-row candidate.
+
+    The optimum must pass the same screens as every candidate; returns
+    (p1, p2, joint delta), or None to keep the DPA powers.
+    """
+    p1, p2, dp1, dp2, case = opad_cases(gains, state.sigma2_w, w1, w2, p1i,
+                                        n1, n2, state.config.mu)
+    valid, _ = _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2,
+                             g2_floor, rest_floor, case > 0)
+    if not valid[0]:
         return None
-    # the refined powers must pass the same feasibility screens
-    rate2 = rate_single(sol.p2_w, gains.g22, s2, sc_bw)
-    if w2 * 2.0 ** (-rate2 / (sc_bw * n2)) < g2_floor:
-        return None
-    if sol.p1_w > p1i + POWER_ATOL:
-        rate1_new = rate_single(sol.p1_w, gains.g11, s2, sc_bw)
-        rate1_old = rate_single(p1i, gains.g11, s2, sc_bw)
-        if n1 < 2 or (w1 * 2.0 ** ((rate1_old - rate1_new)
-                                   / (sc_bw * (n1 - 1))) < rest_floor):
-            return None
-    powers = PairPowers(sol.p1_w, sol.p2_w, p1i, w1, w2)
-    xy, zt = rate_condition_terms(gains, powers, s2)
-    scale = sol.p1_w * sol.p2_w * (gains.g12 * gains.g21
-                                   + gains.g22 * gains.g11) \
-        + s2 * (sol.p2_w * (gains.g12 + gains.g22)
-                + sol.p1_w * (gains.g21 + gains.g11))
-    if xy < -1e-9 * scale or zt < -1e-9 * scale:
-        return None
-    return sol.p1_w, sol.p2_w, sol.dp_total_w
+    return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0])
 
 
 def _freeze_mutual(state: AllocationState, n, k1, r1, r2, k2,

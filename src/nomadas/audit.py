@@ -14,6 +14,7 @@ import numpy as np
 
 from .allocators import AlgorithmConfig, AllocationResult, run_algorithm
 from .channel import generate_channel
+from .mutual_sic import power_window, rate_condition_terms
 from .scenario import Scenario
 from .waterfill import (InfeasibleWaterline, rate_second, rate_single,
                         waterline_from_rate)
@@ -127,17 +128,13 @@ def audit_result(result: AllocationResult) -> list[str]:
             g22 = float(G[mp.k2, mp.n, mp.r2])
             p1 = float(P[mp.k1, mp.n, mp.r1])
             p2 = float(P[mp.k2, mp.n, mp.r2])
-            lo = p1 * g11 / g12
-            hi = p1 * g21 / g22
+            gains = (g11, g12, g21, g22)
+            lo, hi = power_window(gains, p1)
             if not (lo * (1.0 - WINDOW_RTOL) <= p2
                     <= hi * (1.0 + WINDOW_RTOL)):
                 v.append(f"mutual pair on {mp.n}: p2 {p2:.3e} outside "
                          f"[{lo:.3e}, {hi:.3e}]")
-            cross = g12 * g21 - g22 * g11
-            xy = p1 * p2 * cross + s2 * p2 * (g12 - g22)
-            zt = p1 * p2 * cross + s2 * p1 * (g21 - g11)
-            scale = p1 * p2 * (g12 * g21 + g22 * g11) \
-                + s2 * (p2 * (g12 + g22) + p1 * (g21 + g11))
+            xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
             if xy < -1e-9 * scale or zt < -1e-9 * scale:
                 v.append(f"mutual pair on {mp.n}: decode margin negative")
 

@@ -7,7 +7,11 @@ the other's signal first, so both see interference-free rates.
 
 Gain naming: gij is the linear gain from RRH j's transmission to user i,
 i.e. g11 = |h(user1, r1)|^2, g12 = |h(user1, r2)|^2, g21 = |h(user2, r1)|^2,
-g22 = |h(user2, r2)|^2.
+g22 = |h(user2, r2)|^2. Every function takes the gains as the tuple
+(g11, g12, g21, g22) of scalars or broadcasting arrays.
+
+opad_cases is the one joint (p1, p2) optimizer: MutSIC-OPAd runs it on
+every candidate row and MutSIC-SOPAd on its selected row alone.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import NoRoot, solve_scalar
-from .waterfill import POWER_ATOL, CandidateRejected
+from .waterfill import POWER_ATOL, admits_waterline_decrease
 
 
 @dataclass(frozen=True)
@@ -30,87 +33,50 @@ class PairGains:
     g22: float
 
 
-@dataclass(frozen=True)
-class PairPowers:
-    """Powers of a pair plus the pre-pairing state needed for deltas.
-
-    p1_initial_w is the incumbent's waterfilled power on the subcarrier
-    before pairing; waterline1_w/waterline2_w are both users' sole-set
-    waterlines at that moment.
-    """
-
-    p1_w: float
-    p2_w: float
-    p1_initial_w: float
-    waterline1_w: float
-    waterline2_w: float
-
-
-@dataclass(frozen=True)
-class OpadSolution:
-    """Optimal pair powers and the resulting per-user power deltas."""
-
-    p1_w: float
-    p2_w: float
-    dp1_w: float
-    dp2_w: float
-    case: int  # 1 unconstrained, 2 lower window edge, 3 upper window edge
-
-    @property
-    def dp_total_w(self):
-        return self.dp1_w + self.dp2_w
-
-
-def mutual_sic_feasible(gains: PairGains) -> bool:
+def mutual_sic_feasible(gains):
     """Noise-free feasibility of mutual cancellation: g11*g22 <= g21*g12.
 
     Equivalent to the existence of a non-empty admissible power ratio
     window; boundaries count as feasible.
     """
-    return bool(gains.g11 * gains.g22 <= gains.g21 * gains.g12)
+    g11, g12, g21, g22 = gains
+    return g11 * g22 <= g21 * g12
 
 
-def rate_condition_terms(gains: PairGains, powers: PairPowers, sigma2_w):
-    """Exact decodability margins of the two cross-SIC steps.
+def rate_condition_terms(gains, p1_w, p2_w, sigma2_w):
+    """Exact decodability margins of the two cross-SIC steps, and their scale.
 
-    Both must be >= 0 at the operating powers for user 1 to decode user 2's
-    signal (first term) and vice versa (second term). The feasibility test
-    mutual_sic_feasible is the sigma2-free approximation of these signs.
+    Both margins must be >= 0 at the operating powers for user 1 to decode
+    user 2's signal (first term) and vice versa (second term); the
+    allocator and the audit accept a margin down to -1e-9 * scale, where
+    scale sums the margins' terms with every sign made positive. The
+    feasibility test mutual_sic_feasible is the sigma2-free approximation
+    of these signs.
     """
-    p1, p2 = powers.p1_w, powers.p2_w
-    cross = gains.g12 * gains.g21 - gains.g22 * gains.g11
-    x_minus_y = p1 * p2 * cross + sigma2_w * p2 * (gains.g12 - gains.g22)
-    z_minus_t = p1 * p2 * cross + sigma2_w * p1 * (gains.g21 - gains.g11)
-    return x_minus_y, z_minus_t
+    g11, g12, g21, g22 = gains
+    cross = g12 * g21 - g22 * g11
+    x_minus_y = p1_w * p2_w * cross + sigma2_w * p2_w * (g12 - g22)
+    z_minus_t = p1_w * p2_w * cross + sigma2_w * p1_w * (g21 - g11)
+    scale = p1_w * p2_w * (g12 * g21 + g22 * g11) \
+        + sigma2_w * (p2_w * (g12 + g22) + p1_w * (g21 + g11))
+    return x_minus_y, z_minus_t, scale
 
 
-def power_window(gains: PairGains, p1_w):
+def power_window(gains, p1_w):
     """Admissible interval for p2 given p1: both SIC orders must decode."""
-    return p1_w * gains.g11 / gains.g12, p1_w * gains.g21 / gains.g22
+    g11, g12, g21, g22 = gains
+    return p1_w * g11 / g12, p1_w * g21 / g22
 
 
-def dpa_adjust(p2_w, gains: PairGains, p1_w, mu):
-    """Clamp a tentative p2 into the power window with safety margin mu.
+def dpa_adjust(p2_w, gains, p1_w, mu):
+    """Clip a tentative p2 into the power window margined by mu.
 
-    Values inside the window pass through unchanged; values outside are
-    pinned just inside the violated edge. Rejects candidates whose window is
-    too narrow to hold both margined edges.
+    Returns (p2, ok): p2 clipped to [(1 + mu) * lo, (1 - mu) * hi], and ok
+    False where the window is too narrow to hold both margined edges.
     """
     lo, hi = power_window(gains, p1_w)
-    if (1.0 + mu) * lo > (1.0 - mu) * hi + POWER_ATOL:
-        raise CandidateRejected("power window narrower than the margins")
-    if p2_w < lo:
-        return (1.0 + mu) * lo
-    if p2_w > hi:
-        return (1.0 - mu) * hi
-    return p2_w
-
-
-def mutual_rates(powers: PairPowers, gains: PairGains, sigma2_w, sc_bw_hz):
-    """Both users' rates on the paired subcarrier, interference-free."""
-    r1 = sc_bw_hz * np.log2(1.0 + powers.p1_w * gains.g11 / sigma2_w)
-    r2 = sc_bw_hz * np.log2(1.0 + powers.p2_w * gains.g22 / sigma2_w)
-    return r1, r2
+    ok = (1.0 + mu) * lo <= (1.0 - mu) * hi + POWER_ATOL
+    return np.clip(p2_w, (1.0 + mu) * lo, (1.0 - mu) * hi), ok
 
 
 def _dp1(p1, g11, sigma2_w, w1, p1i, n1):
@@ -127,25 +93,6 @@ def _dp2(p2, g22, sigma2_w, w2, n2):
     """Joiner's total-power delta from adding the pair at power p2."""
     shrink = (1.0 + p2 * g22 / sigma2_w) ** (-1.0 / n2)
     return n2 * w2 * (shrink - 1.0) + p2
-
-
-def sopa_deltas(powers: PairPowers, gains: PairGains, sigma2_w,
-                n_sole1: int, n_sole2: int):
-    """Per-user total-power deltas of a mutual pair at given powers.
-
-    Closed forms assuming both users re-waterfill their sole sets after the
-    pair is frozen. The incumbent must keep at least one sole subcarrier
-    (n_sole1 >= 2) and the joiner needs a sole set to offload (n_sole2 >= 1).
-    """
-    if n_sole1 < 2:
-        raise CandidateRejected("incumbent has no sole subcarrier left to "
-                                "absorb its rate change")
-    if n_sole2 < 1:
-        raise CandidateRejected("joiner has no sole set to offload rate from")
-    dp1 = _dp1(powers.p1_w, gains.g11, sigma2_w, powers.waterline1_w,
-               powers.p1_initial_w, n_sole1)
-    dp2 = _dp2(powers.p2_w, gains.g22, sigma2_w, powers.waterline2_w, n_sole2)
-    return dp1, dp2
 
 
 def _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
@@ -173,31 +120,11 @@ def _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
     return (1.0 + c) - phi
 
 
-def opad_stationarity(p1_w, gains: PairGains, powers: PairPowers, sigma2_w,
-                      n_sole1: int, n_sole2: int, mu, case: int):
-    """Residual of the edge-case stationarity equation at p1_w.
-
-    case 2 pins p2 to the margined lower window edge, case 3 to the upper
-    one. Used by tests to confirm opad_optimize solved the right equation.
-    """
-    if case == 2:
-        c = (1.0 + mu) * gains.g11 / gains.g12
-    elif case == 3:
-        c = (1.0 - mu) * gains.g21 / gains.g22
-    else:
-        raise ValueError("stationarity is defined for the edge cases 2 and 3")
-    return float(_stationarity(
-        p1_w, c, (gains.g11, gains.g12, gains.g21, gains.g22), sigma2_w,
-        powers.waterline1_w, powers.waterline2_w, powers.p1_initial_w,
-        n_sole1, n_sole2))
-
-
 def _case1(gains_arrays, sigma2_w, w2, p1i, n2):
     """Unconstrained optimum: keep p1, waterfill p2 onto the joiner's set."""
-    g11, g12, g21, g22 = gains_arrays
+    g22 = gains_arrays[3]
     p2 = (sigma2_w / g22) * ((w2 * g22 / sigma2_w) ** (n2 / (n2 + 1.0)) - 1.0)
-    lo = p1i * g11 / g12
-    hi = p1i * g21 / g22
+    lo, hi = power_window(gains_arrays, p1i)
     ok = (p2 >= lo - POWER_ATOL) & (p2 <= hi + POWER_ATOL) & (p2 > 0.0)
     return p2, ok
 
@@ -268,7 +195,13 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
 
 
 def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
-    """Evaluate all three window cases for (arrays of) pair candidates.
+    """Jointly optimal (p1, p2) of (arrays of) mutual pair candidates.
+
+    The one OPAd solver: MutSIC-OPAd calls it on all candidate rows,
+    MutSIC-SOPAd on the one row it selected with DPA deltas. Case 1 keeps
+    p1 and waterfills p2 onto the joiner's sole set; cases 2 and 3 pin p2
+    to the lower or upper margined window edge and solve the stationarity
+    for p1. The feasible case with the lowest joint delta wins.
 
     gains_arrays is the tuple (g11, g12, g21, g22); every argument
     broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0 and zero
@@ -285,7 +218,8 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     shape = np.broadcast(g11, g12, g21, g22, w1, w2, p1i, n1, n2).shape
     garr = (g11, g12, g21, g22)
 
-    admissible = (w2 * g22 > sigma2_w) & (n1 >= 2) & (n2 >= 1) & (p1i > 0.0)
+    admissible = admits_waterline_decrease(g22, w2, sigma2_w) & (n1 >= 2) \
+        & (n2 >= 1) & (p1i > 0.0)
 
     best_dp = np.full(shape, np.inf)
     best = {"p1": np.zeros(shape), "p2": np.zeros(shape),
@@ -310,76 +244,15 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
         p2_1, ok1 = _case1(garr, sigma2_w, w2, p1i, n2)
         consider(1, np.broadcast_to(p1i, shape).astype(float), p2_1, ok1)
 
-        c2 = (1.0 + mu) * g11 / g12
-        ray2_ok = c2 <= g21 / g22 * (1.0 + POWER_ATOL)
-        p1_2, ok2 = _edge_case_roots(c2, garr, sigma2_w, w1, w2, p1i, n1,
-                                     n2, admissible)
-        consider(2, p1_2, c2 * p1_2, ok2 & ray2_ok)
-
-        c3 = (1.0 - mu) * g21 / g22
-        ray3_ok = c3 >= g11 / g12 * (1.0 - POWER_ATOL)
-        p1_3, ok3 = _edge_case_roots(c3, garr, sigma2_w, w1, w2, p1i, n1,
-                                     n2, admissible)
-        consider(3, p1_3, c3 * p1_3, ok3 & ray3_ok)
+        # both edges in one root call, p2 = c * p1 on the lower (case 2)
+        # and the upper (case 3) margined edge; a row whose margined ray
+        # leaves the window is never bracketed
+        c = np.stack([(1.0 + mu) * g11 / g12, (1.0 - mu) * g21 / g22])
+        ray_ok = np.stack([c[0] <= g21 / g22 * (1.0 + POWER_ATOL),
+                           c[1] >= g11 / g12 * (1.0 - POWER_ATOL)])
+        p1_edge, ok_edge = _edge_case_roots(c, garr, sigma2_w, w1, w2, p1i,
+                                            n1, n2, admissible & ray_ok)
+        for case_id, c_e, p1_e, ok_e in zip((2, 3), c, p1_edge, ok_edge):
+            consider(case_id, p1_e, c_e * p1_e, ok_e)
 
     return best["p1"], best["p2"], best["dp1"], best["dp2"], best["case"]
-
-
-def opad_optimize(gains: PairGains, powers: PairPowers, sigma2_w,
-                  n_sole1: int, n_sole2: int, mu) -> OpadSolution:
-    """Jointly optimal (p1, p2) of a mutual pair under the power window.
-
-    Case 1 keeps the incumbent's power and waterfills the joiner; when its
-    p2 falls outside the window, the optimum sits on a margined window edge
-    and the corresponding stationarity equation is solved for p1. The
-    feasible case with the lowest joint delta wins; CandidateRejected if no
-    case yields positive powers.
-    """
-    if n_sole1 < 2 or n_sole2 < 1:
-        raise CandidateRejected("sole sets too small to re-optimize the pair")
-    if not powers.waterline2_w * gains.g22 > sigma2_w:
-        raise CandidateRejected("joiner waterline at or below the "
-                                "candidate's noise floor")
-    garr = (gains.g11, gains.g12, gains.g21, gains.g22)
-    w1, w2 = powers.waterline1_w, powers.waterline2_w
-    p1i = powers.p1_initial_w
-    candidates = []
-
-    p2_1, ok1 = _case1(garr, sigma2_w, w2, p1i, n_sole2)
-    if ok1:
-        candidates.append((1, p1i, float(p2_1)))
-
-    for case_id, c, ray_ok in (
-            (2, (1.0 + mu) * gains.g11 / gains.g12,
-             (1.0 + mu) * gains.g11 / gains.g12
-             <= gains.g21 / gains.g22 * (1.0 + POWER_ATOL)),
-            (3, (1.0 - mu) * gains.g21 / gains.g22,
-             (1.0 - mu) * gains.g21 / gains.g22
-             >= gains.g11 / gains.g12 * (1.0 - POWER_ATOL))):
-        if not ray_ok:
-            continue
-
-        def g_of(p1, c=c):
-            return _stationarity(p1, c, garr, sigma2_w, w1, w2, p1i,
-                                 float(n_sole1), float(n_sole2))
-
-        try:
-            report = solve_scalar(g_of, (p1i * 1e-9, p1i * 8.0),
-                                  tol=1e-10, positive=True)
-        except NoRoot:
-            continue
-        if report.converged and report.solution > 0.0:
-            candidates.append((case_id, float(report.solution),
-                               float(c * report.solution)))
-
-    best = None
-    for case_id, p1, p2 in candidates:
-        if p1 <= 0.0 or p2 <= 0.0:
-            continue
-        dp1 = float(_dp1(p1, gains.g11, sigma2_w, w1, p1i, float(n_sole1)))
-        dp2 = float(_dp2(p2, gains.g22, sigma2_w, w2, float(n_sole2)))
-        if best is None or dp1 + dp2 < best.dp_total_w:
-            best = OpadSolution(p1, p2, dp1, dp2, case_id)
-    if best is None:
-        raise CandidateRejected("no window case yields positive powers")
-    return best

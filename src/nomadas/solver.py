@@ -1,9 +1,8 @@
-"""Scalar and small-system root finding used by the power optimizers.
+"""Damped Newton root finding for the optimal power allocation systems.
 
-solve_scalar brackets a sign change and mixes bisection with secant steps;
-solve_system is a damped Newton iteration that takes the caller's Jacobian
-when one is given and falls back to central differences otherwise.
-Both report the residual actually achieved instead of trusting step size.
+solve_system takes the caller's Jacobian when one is given and falls back
+to central differences otherwise. It reports the residual actually
+achieved instead of trusting step size.
 """
 
 from __future__ import annotations
@@ -13,15 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class NoRoot(RuntimeError):
-    """Raised when no sign change can be bracketed for solve_scalar."""
-
-
 @dataclass
 class SolveReport:
     """Outcome of a root solve.
 
-    solution is a float for solve_scalar and an ndarray for solve_system;
     residuals holds the max-norm history of accepted steps.
     """
 
@@ -30,64 +24,6 @@ class SolveReport:
     iterations: int
     converged: bool
     residuals: tuple = field(default_factory=tuple)
-
-
-def solve_scalar(f, bracket, tol=1e-10, max_iter=200, positive=False):
-    """Find x with |f(x)| <= tol inside (an expansion of) `bracket`.
-
-    The bracket is widened geometrically until f changes sign; NoRoot is
-    raised if that fails. Secant steps are tried on even iterations and
-    bisection keeps worst-case convergence. `positive=True` keeps the
-    expansion on (0, inf) for functions only defined there.
-    """
-    lo, hi = float(min(bracket)), float(max(bracket))
-    flo, fhi = float(f(lo)), float(f(hi))
-    if abs(flo) <= tol:
-        return SolveReport(lo, abs(flo), 0, True, (abs(flo),))
-    if abs(fhi) <= tol:
-        return SolveReport(hi, abs(fhi), 0, True, (abs(fhi),))
-
-    expansions = 0
-    while not (np.isfinite(flo) and np.isfinite(fhi) and flo * fhi < 0.0):
-        if expansions >= 64:
-            raise NoRoot("no sign change after geometric bracket expansion")
-        width = hi - lo
-        lo = lo / 2.0 if positive else lo - width
-        hi = hi + width
-        flo, fhi = float(f(lo)), float(f(hi))
-        if abs(flo) <= tol:
-            return SolveReport(lo, abs(flo), 0, True, (abs(flo),))
-        if abs(fhi) <= tol:
-            return SolveReport(hi, abs(fhi), 0, True, (abs(fhi),))
-        expansions += 1
-
-    best_x, best_f = (lo, flo) if abs(flo) < abs(fhi) else (hi, fhi)
-    history = []
-    it = 0
-    for it in range(1, max_iter + 1):
-        width = hi - lo
-        x = 0.5 * (lo + hi)
-        if it % 2 == 0 and fhi != flo:
-            secant = hi - fhi * (hi - lo) / (fhi - flo)
-            # only inside the bracket and with real progress over an endpoint
-            if lo + 1e-3 * width < secant < hi - 1e-3 * width:
-                x = secant
-        fx = float(f(x))
-        if abs(fx) < abs(best_f):
-            best_x, best_f = x, fx
-        history.append(abs(best_f))
-        if abs(fx) <= tol:
-            return SolveReport(x, abs(fx), it, True, tuple(history))
-        if fx * flo < 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        # bracket exhausted at float resolution; the scale must come from
-        # the endpoints themselves or roots far below 1.0 stop early
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)):
-            break
-    return SolveReport(best_x, abs(best_f), it, abs(best_f) <= tol,
-                       tuple(history))
 
 
 def _jacobian(f, x, fx):

@@ -22,10 +22,6 @@ class InfeasibleWaterline(RuntimeError):
     """A waterline update would drive some sole-subcarrier power negative."""
 
 
-class CandidateRejected(RuntimeError):
-    """A pairing candidate cannot reduce power and is dropped."""
-
-
 def rate_single(power_w, gain, sigma2_w, sc_bw_hz):
     """Interference-free subcarrier rate in bit/s.
 
@@ -65,18 +61,13 @@ def waterline_from_rate(gains, rate_bps, sigma2_w, sc_bw_hz):
     return w
 
 
-def sole_powers(waterline_w, gains, sigma2_w):
-    """Per-subcarrier powers w - sigma2/g for a waterfilled sole set."""
-    return waterline_w - sigma2_w / np.asarray(gains, dtype=float)
-
-
 def admits_waterline_decrease(gain, waterline_w, sigma2_w):
     """True when adding this gain to the sole set lowers the waterline.
 
     Strict comparison: a gain exactly at the noise floor sigma2/w changes
     nothing and is not admitted.
     """
-    return bool(gain * waterline_w > sigma2_w)
+    return gain * waterline_w > sigma2_w
 
 
 def waterline_add(waterline_w, n_current, gain, sigma2_w):
@@ -85,8 +76,8 @@ def waterline_add(waterline_w, n_current, gain, sigma2_w):
     Geometric mean of the old waterline (n_current times) and sigma2/gain
     (once); rate is conserved by construction.
     """
-    return float(np.exp((n_current * np.log(waterline_w)
-                         + np.log(sigma2_w / gain)) / (n_current + 1)))
+    return np.exp((n_current * np.log(waterline_w) + np.log(sigma2_w / gain))
+                  / (n_current + 1))
 
 
 def delta_power_oma(waterline_w, waterline_new_w, n_current, gain, sigma2_w):
@@ -106,15 +97,15 @@ def waterline_rate_shift(waterline_w, delta_rate_bps, n_sole, sc_bw_hz,
     the waterline. When sole_gains and sigma2_w are supplied the shifted
     waterline is validated against every sole subcarrier's noise floor.
     """
-    if n_sole < 1:
+    if np.asarray(n_sole).min() < 1:
         raise InfeasibleWaterline("rate shift needs a non-empty sole set")
     w = waterline_w * 2.0 ** (delta_rate_bps / (sc_bw_hz * n_sole))
     if sole_gains is not None:
         g = np.asarray(sole_gains, dtype=float)
-        if w < sigma2_w / g.min():
+        if np.any(w < sigma2_w / g.min()):
             raise InfeasibleWaterline(
                 "shifted waterline below a sole subcarrier's noise floor")
-    return float(w)
+    return w
 
 
 def delta_power_noma(waterline_w, waterline_new_w, n_sole, p2_w):
@@ -136,10 +127,13 @@ def ftpa_power(p1_w, gain1, gain2, alpha):
 
 
 def _lpo_core(waterline_w, p1_w, gain2, sigma2_w, n_sole, mu):
-    """Vector core of the local power optimum; see lpo_power.
+    """Power for the second user minimizing the beneficiary's total power.
 
-    Returns (p2, reject) arrays; rejected entries cannot reduce power at any
-    p2 > 0 because the beneficiary's waterline already sits at or below the
+    The unconstrained minimizer of delta_power_noma over p2 has a closed
+    form; when it falls below p1 the multiplexing constraint binds and p2 is
+    clamped just above p1 by the safety margin mu. Returns (p2, reject)
+    arrays; rejected entries cannot reduce power at any p2 > 0 because the
+    beneficiary's waterline already sits at or below the
     interference-plus-noise floor of the candidate.
     """
     ratio = waterline_w * gain2 / (p1_w * gain2 + sigma2_w)
@@ -148,19 +142,3 @@ def _lpo_core(waterline_w, p1_w, gain2, sigma2_w, n_sole, mu):
     p_star = (safe ** (n_sole / (n_sole + 1.0)) - 1.0) * (p1_w + sigma2_w / gain2)
     p2 = np.where(p_star >= p1_w, p_star, p1_w * (1.0 + mu))
     return p2, reject
-
-
-def lpo_power(waterline_w, p1_w, gain2, sigma2_w, n_sole, mu):
-    """Power for the second user minimizing the beneficiary's total power.
-
-    The unconstrained minimizer of delta_power_noma over p2 has a closed
-    form; when it falls below p1 the multiplexing constraint binds and p2 is
-    clamped just above p1 by the safety margin mu. Raises CandidateRejected
-    when no positive p2 can reduce power.
-    """
-    p2, reject = _lpo_core(float(waterline_w), float(p1_w), float(gain2),
-                           float(sigma2_w), int(n_sole), float(mu))
-    if reject:
-        raise CandidateRejected("beneficiary waterline at or below the "
-                                "candidate's interference floor")
-    return float(p2)

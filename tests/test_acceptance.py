@@ -8,20 +8,20 @@ module finishes in about three minutes on one core.
 """
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from nomadas import (ALGORITHMS, AlgorithmConfig, CandidateRejected,
-                     InfeasibleWaterline, Scenario, generate_channel,
-                     run_algorithm)
+from nomadas import (ALGORITHMS, AlgorithmConfig, InfeasibleWaterline,
+                     Scenario, generate_channel, run_algorithm)
 from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
-from nomadas.mutual_sic import (PairPowers, dpa_adjust, opad_optimize,
-                                opad_stationarity, sopa_deltas)
+from nomadas.mutual_sic import (_dp1, _dp2, _stationarity, dpa_adjust,
+                                opad_cases)
 from nomadas.optimal_pa import (constrained_mutual_pa_oracle, opa_kkt_residual,
                                 optimal_power_allocation)
-from nomadas.waterfill import (delta_power_noma, delta_power_oma, lpo_power,
+from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
                                rate_second, waterline_add, waterline_from_rate,
                                waterline_rate_shift)
 
@@ -311,8 +311,9 @@ def test_c6b_deltas_match_recomputation():
         g1rest = max(gains.g11, s2 / w1_new) \
             * 10.0 ** rng.uniform(0.05, 2.0, n1 - 1)
         g2set = (s2 / w2_new) * 10.0 ** rng.uniform(0.05, 2.0, n2)
-        dp1, dp2 = sopa_deltas(PairPowers(p1, p2, p1i, w1, w2), gains, s2,
-                               n1, n2)
+        dp1 = float(_dp1(np.array([p1]), gains.g11, s2, w1, np.array([p1i]),
+                         n1)[0])
+        dp2 = float(_dp2(np.array([p2]), gains.g22, s2, w2, n2)[0])
         g1all = np.append(g1rest, gains.g11)
         r1_total = float(np.sum(SC_BW * np.log2(w1 * g1all / s2)))
         before1 = total_power_at_rate(g1all, r1_total, s2, SC_BW)
@@ -336,21 +337,23 @@ def test_c6c_local_power_optimum_vs_grid():
     rng = np.random.default_rng(107)
     mu = 0.01
     s2 = SIGMA2_REF
-    unclamped = 0
+    unclamped = rejected = 0
     worst = -math.inf
     for _ in range(300):
         g2 = 10.0 ** rng.uniform(-11.0, -6.0)
         p1 = 10.0 ** rng.uniform(-9.0, -5.0)
         n = int(rng.integers(1, 10))
         w = (p1 + s2 / g2) * 10.0 ** rng.uniform(0.05, 3.0)
-        p2 = lpo_power(w, p1, g2, s2, n, mu)
+        p2, reject = _lpo_core(w, np.array([p1]), np.array([g2]), s2, n, mu)
+        p2 = float(p2[0])
+        rejected += bool(reject[0])
         clamped = p2 == p1 * (1.0 + mu)
         lo = p1 * (1.0 + mu) if clamped else p1
         _, grid_dp = grid_best_second_power(w, p1, g2, s2, n, lo=lo)
         dp = pairing_delta_closed_over_grid(w, p1, g2, s2, n, p2)
         worst = max(worst, (dp - grid_dp) / (abs(grid_dp) + 1e-24))
         unclamped += not clamped
-    ok = worst <= 1e-9 and unclamped >= 150
+    ok = worst <= 1e-9 and unclamped >= 150 and rejected == 0
     _check("criterion 6c", ok,
            f"closed-form second power vs 10^4-point grid on 300 instances "
            f"({unclamped} interior optima), worst normalized excess "
@@ -367,29 +370,30 @@ def test_c6d_joint_pair_optimum():
         draws += 1
         assert draws < 20000, "sampler starved"
         inst = sample_pair_instance(rng)
-        gains, s2 = inst["gains"], inst["sigma2_w"]
-        try:
-            w_add = waterline_add(inst["w2"], inst["n2"], gains.g22, s2)
-            p2_ref = dpa_adjust(w_add - s2 / gains.g22, gains, inst["p1i"],
-                                inst["mu"])
-            ref = PairPowers(inst["p1i"], p2_ref, inst["p1i"], inst["w1"],
-                             inst["w2"])
-            dp_ref = sum(sopa_deltas(ref, gains, s2, inst["n1"],
-                                     inst["n2"]))
-            sol = opad_optimize(gains, ref, s2, inst["n1"], inst["n2"],
-                                inst["mu"])
-        except CandidateRejected:
+        gains, s2, mu = inst["gains"], inst["sigma2_w"], inst["mu"]
+        garr = tuple(np.array([g]) for g in astuple(gains))
+        w1, w2 = np.array([inst["w1"]]), np.array([inst["w2"]])
+        p1i = np.array([inst["p1i"]])
+        n1, n2 = inst["n1"], inst["n2"]
+        w_add = waterline_add(w2, n2, gains.g22, s2)
+        p2_ref, window_ok = dpa_adjust(w_add - s2 / gains.g22, garr, p1i, mu)
+        p1, p2, dp1, dp2, case = opad_cases(garr, s2, w1, w2, p1i, n1, n2,
+                                            mu)
+        if not window_ok[0] or case[0] == 0:
             continue
+        dp_ref = float(_dp1(p1i, gains.g11, s2, w1, p1i, n1)[0]
+                       + _dp2(p2_ref, gains.g22, s2, w2, n2)[0])
         checked += 1
-        scale = abs(dp_ref) + inst["p1i"] + p2_ref
-        worst_excess = max(worst_excess, (sol.dp_total_w - dp_ref) / scale)
-        if sol.case in (2, 3):
+        scale = abs(dp_ref) + inst["p1i"] + float(p2_ref[0])
+        worst_excess = max(worst_excess,
+                           (float(dp1[0] + dp2[0]) - dp_ref) / scale)
+        if case[0] in (2, 3):
             edges += 1
-            at = PairPowers(sol.p1_w, sol.p2_w, inst["p1i"], inst["w1"],
-                            inst["w2"])
-            worst_resid = max(worst_resid, abs(opad_stationarity(
-                sol.p1_w, gains, at, s2, inst["n1"], inst["n2"],
-                inst["mu"], sol.case)))
+            c = (1.0 + mu) * gains.g11 / gains.g12 if case[0] == 2 \
+                else (1.0 - mu) * gains.g21 / gains.g22
+            worst_resid = max(worst_resid, abs(float(_stationarity(
+                p1[0], c, astuple(gains), s2, inst["w1"], inst["w2"],
+                inst["p1i"], n1, n2))))
     ok = worst_excess <= 1e-9 and worst_resid < 1e-8
     _check("criterion 6d", ok,
            f"joint pair optimum never above clamped waterfill on {checked} "

@@ -1,27 +1,31 @@
 """Cross-RRH pairing math: feasibility, windows, deltas, joint optimum."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomadas import (CandidateRejected, PairGains, PairPowers, dpa_adjust,
-                     mutual_rates, mutual_sic_feasible, opad_optimize,
-                     power_window, rate_condition_terms, rate_second,
-                     sopa_deltas)
+from nomadas import (dpa_adjust, mutual_sic_feasible, power_window,
+                     rate_condition_terms, rate_second, rate_single)
 from nomadas import mutual_sic
-from nomadas.mutual_sic import opad_cases, opad_stationarity
-from nomadas.waterfill import waterline_add
+from nomadas.mutual_sic import _dp1, _dp2, opad_cases
+from nomadas.waterfill import POWER_ATOL, waterline_add
 
 from oracles import (SIGMA2_REF, bisection_waterline, edge_root_bisection,
                      sample_pair_instance, total_power_at_rate)
 
 gains_st = st.floats(min_value=1e-9, max_value=1e3)
 
-FEASIBLE = PairGains(1.0, 4.0, 4.0, 1.0)
-INFEASIBLE = PairGains(4.0, 1.0, 2.0, 2.0)
+# gains as the kernels take them: (g11, g12, g21, g22)
+FEASIBLE = (1.0, 4.0, 4.0, 1.0)
+INFEASIBLE = (4.0, 1.0, 2.0, 2.0)
+
+
+def _one(x):
+    return np.array([x], dtype=float)
 
 
 # -- feasibility and the power window ------------------------------------------
@@ -36,14 +40,14 @@ def test_infeasible_example():
 
 def test_single_rrh_degenerate_boundary():
     # both "RRHs" identical: cross products tie, boundary counts as feasible
-    assert mutual_sic_feasible(PairGains(3.0, 3.0, 0.7, 0.7))
+    assert mutual_sic_feasible((3.0, 3.0, 0.7, 0.7))
 
 
 @settings(max_examples=300, deadline=None)
 @given(g11=gains_st, g12=gains_st, g21=gains_st, g22=gains_st,
        p1=st.floats(min_value=1e-6, max_value=1e3))
 def test_window_nonempty_iff_feasible(g11, g12, g21, g22, p1):
-    gains = PairGains(g11, g12, g21, g22)
+    gains = (g11, g12, g21, g22)
     own, cross = g11 * g22, g21 * g12
     if abs(own - cross) <= 1e-9 * (own + cross):
         return  # float rounding owns the boundary
@@ -62,22 +66,21 @@ def test_window_empty_when_infeasible():
 
 
 def test_window_boundary_gains_degenerate():
-    lo, hi = power_window(PairGains(2.0, 4.0, 3.0, 6.0), 1.0)
+    lo, hi = power_window((2.0, 4.0, 3.0, 6.0), 1.0)
     assert lo == pytest.approx(hi)
 
 
 # -- exact decodability margins --------------------------------------------------
 
 def test_margin_hand_values():
-    powers = PairPowers(1.0, 1.0, 1.0, 0.0, 0.0)
-    xy, zt = rate_condition_terms(FEASIBLE, powers, 1.0)
-    assert xy == pytest.approx(18.0)
-    assert zt == pytest.approx(18.0)
+    xy, zt, scale = rate_condition_terms(FEASIBLE, _one(1.0), _one(1.0), 1.0)
+    assert xy == pytest.approx([18.0])
+    assert zt == pytest.approx([18.0])
+    assert scale == pytest.approx([27.0])
 
 
 def test_margins_zero_at_zero_powers():
-    powers = PairPowers(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert rate_condition_terms(FEASIBLE, powers, 1.0) == (0.0, 0.0)
+    assert rate_condition_terms(FEASIBLE, 0.0, 0.0, 1.0) == (0.0, 0.0, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,9 +89,7 @@ def test_margins_zero_at_zero_powers():
        p2=st.floats(min_value=1e-6, max_value=1e3))
 def test_margins_same_rrh_never_both_positive(g1, g2, p1, p2):
     """With one shared RRH, at most one decoding order can work."""
-    gains = PairGains(g1, g1, g2, g2)
-    xy, zt = rate_condition_terms(gains, PairPowers(p1, p2, p1, 0.0, 0.0),
-                                  1.0)
+    xy, zt, _ = rate_condition_terms((g1, g1, g2, g2), p1, p2, 1.0)
     assert not (xy > 0.0 and zt > 0.0)
     if g1 != g2:
         assert xy * zt < 0.0 or (xy == 0.0 and zt == 0.0)
@@ -105,17 +106,18 @@ def test_margins_match_sinr_comparison(g11, g12, g21, g22, p1, p2, s2):
     Each user must see the other's signal at least as cleanly (own signal
     still unresolved, so counted as interference) as the intended receiver
     does. The stored margin is that SINR difference times its positive
-    denominators, so the numerators must agree exactly.
+    denominators, so the numerators must agree exactly. The scale bounds
+    both margins, since it sums their terms' magnitudes.
     """
-    gains = PairGains(g11, g12, g21, g22)
-    xy, zt = rate_condition_terms(gains, PairPowers(p1, p2, p1, 0.0, 0.0),
-                                  s2)
+    xy, zt, scale = rate_condition_terms((g11, g12, g21, g22), p1, p2, s2)
     xy_hi = p2 * g12 * (p1 * g21 + s2)
     xy_lo = p2 * g22 * (p1 * g11 + s2)
     zt_hi = p1 * g21 * (p2 * g12 + s2)
     zt_lo = p1 * g11 * (p2 * g22 + s2)
     assert abs(xy - (xy_hi - xy_lo)) <= 1e-9 * (xy_hi + xy_lo)
     assert abs(zt - (zt_hi - zt_lo)) <= 1e-9 * (zt_hi + zt_lo)
+    assert abs(xy) <= scale * (1.0 + 1e-12)
+    assert abs(zt) <= scale * (1.0 + 1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,94 +127,111 @@ def test_margins_match_sinr_comparison(g11, g12, g21, g22, p1, p2, s2):
 def test_margin_signs_reduce_to_feasibility_without_noise(g11, g12, g21,
                                                           g22, p1, p2):
     """In the zero-noise limit both margins carry the feasibility sign."""
-    gains = PairGains(g11, g12, g21, g22)
-    xy, zt = rate_condition_terms(gains, PairPowers(p1, p2, p1, 0.0, 0.0),
-                                  0.0)
+    gains = (g11, g12, g21, g22)
+    xy, zt, _ = rate_condition_terms(gains, p1, p2, 0.0)
     if mutual_sic_feasible(gains):
         assert xy >= 0.0 and zt >= 0.0
     else:
         assert xy < 0.0 and zt < 0.0
 
 
-# -- DPA window clamping ----------------------------------------------------------
+# -- DPA window clipping ----------------------------------------------------------
+
+def _dpa(p2, gains, p1, mu):
+    """dpa_adjust on one-element rows; returns (p2, ok) as scalars."""
+    out, ok = dpa_adjust(_one(p2), gains, _one(p1), mu)
+    return float(out[0]), bool(ok[0])
+
 
 def test_dpa_inside_window_passthrough():
-    assert dpa_adjust(2.0, FEASIBLE, 1.0, 0.01) == 2.0
+    assert _dpa(2.0, FEASIBLE, 1.0, 0.01) == (2.0, True)
+
+
+def test_dpa_inside_window_below_margin_clipped():
+    # inside the window [0.25, 4] but under its margined edge 0.2525
+    assert _dpa(0.251, FEASIBLE, 1.0, 0.01) == (pytest.approx(0.2525), True)
 
 
 def test_dpa_clamps_high():
-    assert dpa_adjust(5.0, FEASIBLE, 1.0, 0.01) == pytest.approx(3.96)
+    assert _dpa(5.0, FEASIBLE, 1.0, 0.01) == (pytest.approx(3.96), True)
 
 
 def test_dpa_clamps_low():
-    assert dpa_adjust(0.1, FEASIBLE, 1.0, 0.01) == pytest.approx(0.2525)
+    assert _dpa(0.1, FEASIBLE, 1.0, 0.01) == (pytest.approx(0.2525), True)
 
 
 def test_dpa_narrow_window_rejected():
-    near_degenerate = PairGains(2.0, 4.0, 3.001, 6.0)
-    with pytest.raises(CandidateRejected):
-        dpa_adjust(1.0, near_degenerate, 1.0, 0.05)
+    near_degenerate = (2.0, 4.0, 3.001, 6.0)
+    assert not _dpa(1.0, near_degenerate, 1.0, 0.05)[1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_dpa_idempotent(data):
     g = [data.draw(gains_st, label=n) for n in ("g11", "g12", "g21", "g22")]
-    gains = PairGains(*g)
+    gains = tuple(g)
     if not mutual_sic_feasible(gains):
-        gains = PairGains(g[0], g[2], g[1], g[3])
+        gains = (g[0], g[2], g[1], g[3])
     p1 = data.draw(st.floats(min_value=1e-6, max_value=1e3), label="p1")
     cand = data.draw(st.floats(min_value=1e-9, max_value=1e6), label="p2")
     lo, hi = power_window(gains, p1)
     if min(lo, hi) <= 1e-10:
         return  # window below the clamp's resolution floor
-    try:
-        once = dpa_adjust(cand, gains, p1, 0.01)
-    except CandidateRejected:
+    once, ok = _dpa(cand, gains, p1, 0.01)
+    if not ok:
         return
-    assert dpa_adjust(once, gains, p1, 0.01) == once
+    assert _dpa(once, gains, p1, 0.01) == (once, True)
 
 
 # -- interference-free pair rates -------------------------------------------------
+#
+# Under mutual SIC each user decodes and removes the other's signal, so each
+# pair rate is rate_single at the user's own gain.
 
 def test_mutual_rates_zero_powers():
-    powers = PairPowers(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert mutual_rates(powers, FEASIBLE, 1.0, 1.0) == (0.0, 0.0)
+    g11, _, _, g22 = FEASIBLE
+    assert rate_single(0.0, g11, 1.0, 1.0) == 0.0
+    assert rate_single(0.0, g22, 1.0, 1.0) == 0.0
 
 
 def test_mutual_rates_hand_value():
-    powers = PairPowers(3.0, 0.0, 3.0, 0.0, 0.0)
-    r1, _ = mutual_rates(powers, PairGains(1.0, 2.0, 2.0, 1.0), 1.0, 1.0)
-    assert r1 == pytest.approx(2.0)
+    # gains (1, 2, 2, 1) at p1 = 3, p2 = 1: both orders decode (margins
+    # 10 and 12), so r1 = log2(1 + 3) and r2 = log2(1 + 1)
+    gains = (1.0, 2.0, 2.0, 1.0)
+    xy, zt, _ = rate_condition_terms(gains, 3.0, 1.0, 1.0)
+    assert (xy, zt) == (pytest.approx(10.0), pytest.approx(12.0))
+    assert rate_single(3.0, gains[0], 1.0, 1.0) == pytest.approx(2.0)
+    assert rate_single(1.0, gains[3], 1.0, 1.0) == pytest.approx(1.0)
 
 
 def test_mutual_rates_beat_interference_limited():
-    powers = PairPowers(2.0, 3.0, 2.0, 0.0, 0.0)
-    r1, r2 = mutual_rates(powers, FEASIBLE, 1.0, 1.0)
-    assert r2 > rate_second(3.0, 2.0, FEASIBLE.g22, 1.0, 1.0)
-    assert r1 > rate_second(2.0, 3.0, FEASIBLE.g11, 1.0, 1.0)
+    g11, _, _, g22 = FEASIBLE
+    r1 = rate_single(2.0, g11, 1.0, 1.0)
+    r2 = rate_single(3.0, g22, 1.0, 1.0)
+    assert r2 > rate_second(3.0, 2.0, g22, 1.0, 1.0)
+    assert r1 > rate_second(2.0, 3.0, g11, 1.0, 1.0)
 
 
 # -- per-user deltas of a frozen pair ---------------------------------------------
 
 def test_sopa_deltas_unchanged_first_user():
-    powers = PairPowers(0.5, 0.8, 0.5, 4.0, 3.0)
-    dp1, _ = sopa_deltas(powers, FEASIBLE, 1.0, 3, 2)
-    assert dp1 == pytest.approx(0.0)
+    assert _dp1(_one(0.5), 1.0, 1.0, 4.0, _one(0.5), 3) == pytest.approx(0.0)
 
 
 def test_sopa_deltas_zero_second_power():
-    powers = PairPowers(0.5, 0.0, 0.5, 4.0, 3.0)
-    _, dp2 = sopa_deltas(powers, FEASIBLE, 1.0, 3, 2)
-    assert dp2 == pytest.approx(0.0)
+    assert _dp2(_one(0.0), 1.0, 1.0, 3.0, 2) == pytest.approx(0.0)
 
 
 def test_sopa_deltas_need_remaining_sole_set():
-    powers = PairPowers(0.5, 0.8, 0.5, 4.0, 3.0)
-    with pytest.raises(CandidateRejected):
-        sopa_deltas(powers, FEASIBLE, 1.0, 1, 2)
-    with pytest.raises(CandidateRejected):
-        sopa_deltas(powers, FEASIBLE, 1.0, 3, 0)
+    """No case is solved without a spare incumbent sole subcarrier (n1 >= 2)
+    or a joiner sole set (n2 >= 1)."""
+    gains = tuple(_one(g) for g in FEASIBLE)
+    for n1, n2 in ((1, 2), (3, 0)):
+        case = opad_cases(gains, 1.0, _one(4.0), _one(3.0), _one(0.5),
+                          _one(n1), _one(n2), 0.01)[4]
+        assert case.tolist() == [0]
+    assert opad_cases(gains, 1.0, _one(4.0), _one(3.0), _one(0.5), _one(3),
+                      _one(2), 0.01)[4].tolist() != [0]
 
 
 def test_sopa_deltas_match_recomputation():
@@ -224,7 +243,7 @@ def test_sopa_deltas_match_recomputation():
         gains, n1, n2 = inst["gains"], inst["n1"], inst["n2"]
         w1, w2, p1i = inst["w1"], inst["w2"], inst["p1i"]
         p1 = p1i * rng.uniform(0.5, 2.0)
-        lo, hi = power_window(gains, p1)
+        lo, hi = power_window(astuple(gains), p1)
         p2 = rng.uniform(lo, hi)
 
         rate1_old = sc_bw * math.log2(1.0 + p1i * gains.g11 / s2)
@@ -240,8 +259,8 @@ def test_sopa_deltas_match_recomputation():
             * 10.0 ** rng.uniform(0.05, 2.0, n1 - 1)
         g2set = (s2 / w2_new) * 10.0 ** rng.uniform(0.05, 2.0, n2)
 
-        powers = PairPowers(p1, p2, p1i, w1, w2)
-        dp1, dp2 = sopa_deltas(powers, gains, s2, n1, n2)
+        dp1 = float(_dp1(_one(p1), gains.g11, s2, w1, _one(p1i), n1)[0])
+        dp2 = float(_dp2(_one(p2), gains.g22, s2, w2, n2)[0])
 
         g1all = np.append(g1rest, gains.g11)
         r1_total = float(np.sum(sc_bw * np.log2(w1 * g1all / s2)))
@@ -259,15 +278,53 @@ def test_sopa_deltas_match_recomputation():
 
 # -- joint per-pair optimization ---------------------------------------------------
 
+def _cases_args(insts):
+    """opad_cases arguments for a batch of sampled pair instances."""
+    def col(key):
+        return np.array([inst[key] for inst in insts])
+    gains = tuple(np.array([getattr(inst["gains"], f) for inst in insts])
+                  for f in ("g11", "g12", "g21", "g22"))
+    return (gains, insts[0]["sigma2_w"], col("w1"), col("w2"), col("p1i"),
+            col("n1"), col("n2"), insts[0]["mu"])
+
+
+def _opad(inst):
+    """opad_cases on one instance's one-element row, as scalars."""
+    p1, p2, dp1, dp2, case = opad_cases(*_cases_args([inst]))
+    return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0]), int(case[0])
+
+
+def _edge_ratio(inst, case):
+    """p2 / p1 on the margined window edge of case 2 (lower) or 3 (upper)."""
+    g, mu = inst["gains"], inst["mu"]
+    if case == 2:
+        return (1.0 + mu) * g.g11 / g.g12
+    return (1.0 - mu) * g.g21 / g.g22
+
+
+def _edge_residual(inst, p1, case):
+    """Edge-case stationarity at p1; zero at the case's optimum."""
+    g = inst["gains"]
+    return float(mutual_sic._stationarity(
+        p1, _edge_ratio(inst, case), astuple(g), inst["sigma2_w"],
+        inst["w1"], inst["w2"], inst["p1i"], inst["n1"], inst["n2"]))
+
+
 def _dpa_reference(inst):
-    """The clamped-waterfill operating point and its joint delta."""
+    """The clipped-waterfill operating point and its joint delta.
+
+    Returns None where the margined window cannot hold p2.
+    """
     gains, s2 = inst["gains"], inst["sigma2_w"]
     w_add = waterline_add(inst["w2"], inst["n2"], gains.g22, s2)
-    p2 = dpa_adjust(w_add - s2 / gains.g22, gains, inst["p1i"], inst["mu"])
-    powers = PairPowers(inst["p1i"], p2, inst["p1i"], inst["w1"],
-                        inst["w2"])
-    dp1, dp2 = sopa_deltas(powers, gains, s2, inst["n1"], inst["n2"])
-    return p2, dp1 + dp2
+    p2, ok = _dpa(w_add - s2 / gains.g22, astuple(gains), inst["p1i"],
+                  inst["mu"])
+    if not ok:
+        return None
+    dp1 = _dp1(_one(inst["p1i"]), gains.g11, s2, inst["w1"],
+               _one(inst["p1i"]), inst["n1"])
+    dp2 = _dp2(_one(p2), gains.g22, s2, inst["w2"], inst["n2"])
+    return p2, float(dp1[0] + dp2[0])
 
 
 def test_opad_case1_when_window_inactive():
@@ -281,15 +338,13 @@ def test_opad_case1_when_window_inactive():
         gains, s2 = inst["gains"], inst["sigma2_w"]
         w_add = waterline_add(inst["w2"], inst["n2"], gains.g22, s2)
         p2_wf = w_add - s2 / gains.g22
-        lo, hi = power_window(gains, inst["p1i"])
+        lo, hi = power_window(astuple(gains), inst["p1i"])
         if not lo < p2_wf < hi:
             continue
-        sol = opad_optimize(gains, PairPowers(inst["p1i"], 0.0, inst["p1i"],
-                                              inst["w1"], inst["w2"]),
-                            s2, inst["n1"], inst["n2"], inst["mu"])
-        assert sol.case == 1
-        assert sol.p1_w == pytest.approx(inst["p1i"])
-        assert sol.p2_w == pytest.approx(p2_wf, rel=1e-9)
+        p1, p2, _, case = _opad(inst)
+        assert case == 1
+        assert p1 == pytest.approx(inst["p1i"])
+        assert p2 == pytest.approx(p2_wf, rel=1e-9)
         seen += 1
     assert seen >= 20
 
@@ -300,19 +355,10 @@ def test_opad_edge_solutions_are_stationary():
     seen = 0
     for _ in range(2000):
         inst = sample_pair_instance(rng)
-        gains, s2 = inst["gains"], inst["sigma2_w"]
-        powers = PairPowers(inst["p1i"], 0.0, inst["p1i"], inst["w1"],
-                            inst["w2"])
-        try:
-            sol = opad_optimize(gains, powers, s2, inst["n1"], inst["n2"],
-                                inst["mu"])
-        except CandidateRejected:
+        p1, _, _, case = _opad(inst)
+        if case in (0, 1):
             continue
-        if sol.case == 1:
-            continue
-        resid = opad_stationarity(sol.p1_w, gains, powers, s2, inst["n1"],
-                                  inst["n2"], inst["mu"], sol.case)
-        assert abs(resid) < 1e-8
+        assert abs(_edge_residual(inst, p1, case)) < 1e-8
         seen += 1
         if seen >= 50:
             break
@@ -320,24 +366,21 @@ def test_opad_edge_solutions_are_stationary():
 
 
 def test_opad_never_worse_than_dpa():
-    """The joint optimum beats the clamped-waterfill point (sample)."""
+    """The joint optimum beats the clipped-waterfill point (sample)."""
     rng = np.random.default_rng(31)
     checked = 0
     for _ in range(1000):
         if checked >= 200:
             break
         inst = sample_pair_instance(rng)
-        try:
-            p2_dpa, dp_dpa = _dpa_reference(inst)
-        except CandidateRejected:
+        ref = _dpa_reference(inst)
+        if ref is None:
             continue
-        sol = opad_optimize(inst["gains"],
-                            PairPowers(inst["p1i"], 0.0, inst["p1i"],
-                                       inst["w1"], inst["w2"]),
-                            inst["sigma2_w"], inst["n1"], inst["n2"],
-                            inst["mu"])
+        p2_dpa, dp_dpa = ref
+        _, _, dp_total, case = _opad(inst)
+        assert case > 0
         tol = 1e-9 * (abs(dp_dpa) + inst["p1i"] + p2_dpa)
-        assert sol.dp_total_w <= dp_dpa + tol
+        assert dp_total <= dp_dpa + tol
         checked += 1
     assert checked >= 200
 
@@ -348,33 +391,19 @@ def test_opad_scaling_invariance():
     c = 1e6
     for _ in range(20):
         inst = sample_pair_instance(rng)
-        g, s2 = inst["gains"], inst["sigma2_w"]
-        base = opad_optimize(g, PairPowers(inst["p1i"], 0.0, inst["p1i"],
-                                           inst["w1"], inst["w2"]),
-                             s2, inst["n1"], inst["n2"], inst["mu"])
-        scaled = opad_optimize(
-            PairGains(c * g.g11, c * g.g12, c * g.g21, c * g.g22),
-            PairPowers(inst["p1i"] / c, 0.0, inst["p1i"] / c,
-                       inst["w1"] / c, inst["w2"] / c),
-            s2, inst["n1"], inst["n2"], inst["mu"])
-        assert scaled.case == base.case
-        assert scaled.p1_w == pytest.approx(base.p1_w / c, rel=1e-7)
-        assert scaled.p2_w == pytest.approx(base.p2_w / c, rel=1e-7)
-        assert scaled.dp_total_w == pytest.approx(base.dp_total_w / c,
-                                                  rel=1e-6)
+        g = inst["gains"]
+        scaled = dict(inst, gains=type(g)(*(c * x for x in astuple(g))))
+        for key in ("w1", "w2", "p1i"):
+            scaled[key] = inst[key] / c
+        base = _opad(inst)
+        got = _opad(scaled)
+        assert got[3] == base[3]
+        assert got[0] == pytest.approx(base[0] / c, rel=1e-7)
+        assert got[1] == pytest.approx(base[1] / c, rel=1e-7)
+        assert got[2] == pytest.approx(base[2] / c, rel=1e-6)
 
 
 # -- the vectorized window-case kernel -----------------------------------------------
-
-def _cases_args(insts):
-    """opad_cases arguments for a batch of sampled pair instances."""
-    def col(key):
-        return np.array([inst[key] for inst in insts])
-    gains = tuple(np.array([getattr(inst["gains"], f) for inst in insts])
-                  for f in ("g11", "g12", "g21", "g22"))
-    return (gains, insts[0]["sigma2_w"], col("w1"), col("w2"), col("p1i"),
-            col("n1"), col("n2"), insts[0]["mu"])
-
 
 @pytest.fixture(scope="module")
 def case_batch():
@@ -395,24 +424,40 @@ def test_opad_cases_rows_independent_of_batch(case_batch):
 
 
 def test_opad_cases_matches_scalar_optimizer(case_batch):
-    """Case and joint delta agree with opad_optimize where both solve."""
+    """Case and edge roots agree with a per-row scalar optimizer.
+
+    The optimizer is built from the bisection oracle: every edge-case p1
+    equals oracles.edge_root_bisection at the same ratio c to 1e-12
+    relative, and the chosen case is the argmin of dp1 + dp2 over the case-1 point (p1i and the waterfilled p2, where it
+    lies in the window) and the two oracle roots (where the margined edge
+    ray stays inside the window).
+    """
     insts, (p1, p2, dp1, dp2, case) = case_batch
-    compared = 0
     for j, inst in enumerate(insts):
-        try:
-            sol = opad_optimize(inst["gains"],
-                                PairPowers(inst["p1i"], 0.0, inst["p1i"],
-                                           inst["w1"], inst["w2"]),
-                                inst["sigma2_w"], inst["n1"], inst["n2"],
-                                inst["mu"])
-        except CandidateRejected:
-            continue
-        if case[j] == 0:
-            continue
-        assert case[j] == sol.case
-        assert dp1[j] + dp2[j] == pytest.approx(sol.dp_total_w, rel=1e-9)
-        compared += 1
-    assert compared >= 200
+        g, s2 = inst["gains"], inst["sigma2_w"]
+        w1, w2, p1i = inst["w1"], inst["w2"], inst["p1i"]
+        n1, n2 = inst["n1"], inst["n2"]
+        lo, hi = power_window(astuple(g), p1i)
+        p2_wf = waterline_add(w2, n2, g.g22, s2) - s2 / g.g22
+        points = {}
+        if lo - POWER_ATOL <= p2_wf <= hi + POWER_ATOL:
+            points[1] = (p1i, p2_wf)
+        ray_ok = {
+            2: _edge_ratio(inst, 2) <= g.g21 / g.g22 * (1.0 + POWER_ATOL),
+            3: _edge_ratio(inst, 3) >= g.g11 / g.g12 * (1.0 - POWER_ATOL)}
+        for k in (2, 3):
+            if ray_ok[k]:
+                c = _edge_ratio(inst, k)
+                root = edge_root_bisection(c, g.g11, g.g22, s2, w2, p1i, n1,
+                                           n2)
+                points[k] = (root, c * root)
+        totals = {k: float(_dp1(_one(a), g.g11, s2, w1, _one(p1i), n1)[0]
+                           + _dp2(_one(b), g.g22, s2, w2, n2)[0])
+                  for k, (a, b) in points.items()}
+        want = min(totals, key=totals.get) if totals else 0
+        assert case[j] == want
+        if want >= 2:
+            assert p1[j] == pytest.approx(points[want][0], rel=1e-12, abs=0.0)
     assert {1, 2, 3} <= set(case.tolist())
 
 
@@ -421,51 +466,70 @@ def test_opad_cases_edge_powers_are_stationary(case_batch):
     edges = np.flatnonzero(case >= 2)
     assert edges.size >= 50
     for j in edges:
-        inst = insts[j]
-        powers = PairPowers(inst["p1i"], 0.0, inst["p1i"], inst["w1"],
-                            inst["w2"])
-        resid = opad_stationarity(p1[j], inst["gains"], powers,
-                                  inst["sigma2_w"], inst["n1"], inst["n2"],
-                                  inst["mu"], int(case[j]))
-        assert abs(resid) < 1e-8
+        assert abs(_edge_residual(insts[j], p1[j], int(case[j]))) < 1e-8
+
+
+def _ray_miss(rng):
+    """A sampled instance whose margined edge rays both leave the window."""
+    while True:
+        inst = sample_pair_instance(rng, require_window=False)
+        g = inst["gains"]
+        if _edge_ratio(inst, 2) > g.g21 / g.g22 * (1.0 + POWER_ATOL) \
+                and _edge_ratio(inst, 3) < g.g11 / g.g12 * (1.0 - POWER_ATOL):
+            return inst
 
 
 def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
-    """Inadmissible rows change no output and add no root-finding work.
+    """Rows without an edge problem change no output and add no root work.
 
-    Half the mixed-in rows lose the incumbent's last spare sole
-    subcarrier (n1 = 1), half put the joiner's waterline under the
-    candidate's noise floor (w2 * g22 <= sigma2); both are rows that
-    opad_cases masks out, and neither may be bracketed.
+    Of the mixed-in rows, a third lose the incumbent's last spare sole
+    subcarrier (n1 = 1) and a third put the joiner's waterline under the
+    candidate's noise floor (w2 * g22 <= sigma2); opad_cases masks both
+    out. The last third are admissible, but both margined edge rays leave
+    the power window, so neither edge case can hold. None of them may be
+    bracketed or Newton-solved.
     """
     rng = np.random.default_rng(47)
     good = [sample_pair_instance(rng) for _ in range(60)]
     bad = []
-    for i in range(40):
+    for i in range(60):
+        if i % 3 == 2:
+            bad.append(_ray_miss(rng))
+            continue
         inst = dict(sample_pair_instance(rng))
-        if i % 2:
+        if i % 3:
             inst["n1"] = 1
         else:
             inst["w2"] = 0.5 * inst["sigma2_w"] / inst["gains"].g22
         bad.append(inst)
     mixed = good[:30] + bad + good[30:]
-    is_good = np.array([True] * 30 + [False] * 40 + [True] * 30)
+    is_good = np.array([True] * 30 + [False] * 60 + [True] * 30)
 
-    calls = {"n": 0}
-    stationarity = mutual_sic._stationarity
+    calls = {"stationarity": 0, "phi": 0}
+    stationarity, phi = mutual_sic._stationarity, mutual_sic._phi
 
-    def counted(*args):
-        calls["n"] += 1
+    def counted_stationarity(*args):
+        calls["stationarity"] += 1
         return stationarity(*args)
 
-    monkeypatch.setattr(mutual_sic, "_stationarity", counted)
+    def counted_phi(*args):
+        calls["phi"] += 1
+        return phi(*args)
+
+    monkeypatch.setattr(mutual_sic, "_stationarity", counted_stationarity)
+    monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
     alone = opad_cases(*_cases_args(good))
-    calls_alone, calls["n"] = calls["n"], 0
+    calls_alone = dict(calls)
+    calls.update(stationarity=0, phi=0)
     out = opad_cases(*_cases_args(mixed))
-    assert calls["n"] <= calls_alone
+    assert calls["stationarity"] <= calls_alone["stationarity"]
+    assert calls["phi"] <= calls_alone["phi"]
     for mixed_col, alone_col in zip(out, alone):
         assert np.array_equal(mixed_col[is_good], alone_col)
-    assert (out[4][~is_good] == 0).all()
+    bad_case = out[4][~is_good]
+    ray_miss = np.arange(60) % 3 == 2
+    assert (bad_case[~ray_miss] == 0).all()
+    assert (bad_case[ray_miss] <= 1).all()
 
 
 # -- edge roots against a scalar bisection oracle --------------------------------------

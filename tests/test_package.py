@@ -1,0 +1,52 @@
+"""Static guards on the package: one implementation per formula.
+
+A public function of a kernel module that no other package module calls
+is a twin that only tests exercise; it can drift from the code the
+allocator actually runs, so it fails here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nomadas
+
+PKG = Path(nomadas.__file__).resolve().parent
+KERNEL_MODULES = ("waterfill", "mutual_sic", "solver")
+
+
+def _tree(module):
+    return ast.parse((PKG / f"{module}.py").read_text())
+
+
+def _public_functions(module):
+    return [node.name for node in _tree(module).body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+def _names_used(module):
+    """Every name a module reads, bare or as an attribute."""
+    used = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+@pytest.mark.parametrize("module", KERNEL_MODULES)
+def test_public_kernels_have_a_package_caller(module):
+    others = [p.stem for p in PKG.glob("*.py")
+              if p.stem not in (module, "__init__")]
+    used = set().union(*(_names_used(m) for m in others))
+    unused = [f for f in _public_functions(module) if f not in used]
+    assert not unused, f"{module}: only tests call {unused}"
+
+
+def test_exported_names_resolve():
+    assert len(set(nomadas.__all__)) == len(nomadas.__all__)
+    missing = [n for n in nomadas.__all__ if not hasattr(nomadas, n)]
+    assert not missing

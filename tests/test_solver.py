@@ -1,53 +1,51 @@
-"""Root-finder behavior: bracketing, convergence reporting, damping."""
+"""Newton system solver: convergence reporting, damping, caller Jacobians."""
 
 import math
 
 import numpy as np
 import pytest
 
-from nomadas import NoRoot, solve_scalar, solve_system, solver
+from nomadas import solve_system, solver
 
+
+# -- one unknown: scalar equations as 1-element systems -----------------------------
 
 def test_scalar_linear_root():
-    report = solve_scalar(lambda x: x - 1.0, (0.0, 2.0))
+    report = solve_system(lambda x: x - 1.0, np.array([0.0]), tol=1e-12)
     assert report.converged
-    assert report.solution == pytest.approx(1.0, abs=1e-10)
+    assert report.solution[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scalar_sqrt2():
-    report = solve_scalar(lambda x: x * x - 2.0, (0.0, 2.0))
+    report = solve_system(lambda x: x * x - 2.0, np.array([1.0]))
     assert report.converged
-    assert report.solution == pytest.approx(math.sqrt(2.0), abs=1e-9)
-
-
-def test_scalar_no_sign_change_raises():
-    with pytest.raises(NoRoot):
-        solve_scalar(lambda x: x * x + 1.0, (0.0, 2.0))
-
-
-def test_scalar_expands_bracket():
-    # root at 40, far outside the initial bracket
-    report = solve_scalar(lambda x: x - 40.0, (0.0, 1.0))
-    assert report.converged
-    assert report.solution == pytest.approx(40.0, abs=1e-8)
+    assert report.solution[0] == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
 def test_scalar_positive_expansion_stays_positive():
-    # f undefined (nan) for x <= 0; positive mode must never step there
-    def f(x):
-        if x <= 0.0:
-            return float("nan")
-        return math.log(x)
+    # f undefined (nan) for x <= 0; the full first Newton step from 5 lands
+    # at about -3, so the line search must reject it and stay positive
+    tried = []
 
-    report = solve_scalar(f, (0.5, 2.0), positive=True)
+    def f(x):
+        tried.append(float(x[0]))
+        if x[0] <= 0.0:
+            return np.array([np.nan])
+        return np.log(x)
+
+    report = solve_system(f, np.array([5.0]))
     assert report.converged
-    assert report.solution == pytest.approx(1.0, abs=1e-9)
+    assert report.solution[0] == pytest.approx(1.0, abs=1e-9)
+    assert min(tried) <= 0.0
+    assert np.all(np.isfinite(report.residuals))
 
 
 def test_scalar_result_inside_bracket():
     lo, hi = 0.0, 2.0
-    report = solve_scalar(lambda x: math.cos(x), (lo, hi))
-    assert lo <= report.solution <= hi
+    report = solve_system(lambda x: np.cos(x), np.array([1.0]))
+    assert report.converged
+    assert lo <= report.solution[0] <= hi
+    assert report.solution[0] == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
 def test_system_identity():

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomadas import (CandidateRejected, InfeasibleWaterline, ftpa_power,
-                     lpo_power, rate_second, rate_single, sole_powers,
-                     waterline_add, waterline_from_rate,
+from nomadas import (InfeasibleWaterline, ftpa_power, rate_second,
+                     rate_single, waterline_add, waterline_from_rate,
                      waterline_rate_shift)
-from nomadas.waterfill import (admits_waterline_decrease, delta_power_noma,
-                               delta_power_oma)
+from nomadas.waterfill import (_lpo_core, admits_waterline_decrease,
+                               delta_power_noma, delta_power_oma)
 
 from oracles import (bisection_waterline, grid_best_second_power,
                      pairing_delta_closed_over_grid,
@@ -61,7 +60,7 @@ def test_rate_second_zero_power():
 def test_waterline_symmetric_two_subcarriers():
     w = waterline_from_rate([1.0, 1.0], 2.0, 1.0, 1.0)
     assert w == pytest.approx(2.0)
-    np.testing.assert_allclose(sole_powers(w, [1.0, 1.0], 1.0), [1.0, 1.0])
+    np.testing.assert_allclose(w - 1.0 / np.array([1.0, 1.0]), [1.0, 1.0])
 
 
 def test_waterline_zero_rate():
@@ -71,7 +70,7 @@ def test_waterline_zero_rate():
 def test_waterline_single_subcarrier():
     w = waterline_from_rate([1.0], 2.0, 1.0, 1.0)
     assert w == pytest.approx(4.0)
-    assert sole_powers(w, [1.0], 1.0)[0] == pytest.approx(3.0)
+    assert w - 1.0 / 1.0 == pytest.approx(3.0)
 
 
 def test_waterline_infeasible_set_raises():
@@ -92,7 +91,7 @@ def test_waterline_rate_round_trip(g, bits):
         w = waterline_from_rate(g, rate, sigma2, sc_bw)
     except InfeasibleWaterline:
         return
-    p = sole_powers(w, g, sigma2)
+    p = w - sigma2 / np.asarray(g)
     assert (p >= 0.0).all()
     got = float(np.sum(rate_single(p, np.asarray(g), sigma2, sc_bw)))
     assert got == pytest.approx(rate, rel=1e-9)
@@ -240,8 +239,7 @@ def test_rate_shift_conserves_rate():
     w = waterline_from_rate(g, rate, sigma2, sc_bw)
     delta = -1.7 * sc_bw
     w2 = waterline_rate_shift(w, delta, 3, sc_bw)
-    got = float(np.sum(rate_single(sole_powers(w2, g, sigma2), g, sigma2,
-                                   sc_bw)))
+    got = float(np.sum(rate_single(w2 - sigma2 / g, g, sigma2, sc_bw)))
     assert got == pytest.approx(rate + delta, rel=1e-6)
 
 
@@ -298,18 +296,23 @@ def test_ftpa_alpha_zero():
     assert ftpa_power(1.3, 9.0, 1.0, 0.0) == pytest.approx(1.3)
 
 
+def _lpo(w, p1, g2, sigma2, n, mu):
+    """_lpo_core on one-element p1 and g2 rows, as the allocator calls it."""
+    p2, reject = _lpo_core(w, np.array([p1]), np.array([g2]), sigma2, n, mu)
+    return float(p2[0]), bool(reject[0])
+
+
 def test_lpo_hand_value():
-    assert lpo_power(8.0, 1.0, 1.0, 1.0, 1, 0.01) == pytest.approx(2.0)
+    assert _lpo(8.0, 1.0, 1.0, 1.0, 1, 0.01) == (pytest.approx(2.0), False)
 
 
 def test_lpo_clamps_at_unit_ratio():
     # waterline exactly at the interference floor: optimum is 0, clamped
-    assert lpo_power(2.0, 1.0, 1.0, 1.0, 1, 0.01) == pytest.approx(1.01)
+    assert _lpo(2.0, 1.0, 1.0, 1.0, 1, 0.01) == (pytest.approx(1.01), False)
 
 
 def test_lpo_rejects_below_unit_ratio():
-    with pytest.raises(CandidateRejected):
-        lpo_power(1.0, 1.0, 1.0, 1.0, 1, 0.01)
+    assert _lpo(1.0, 1.0, 1.0, 1.0, 1, 0.01)[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,7 +324,8 @@ def test_lpo_at_least_first_power(w_mult, p1, g2, n):
     """Returned second power never undercuts the first user's power."""
     sigma2 = 6.25e-16
     w = w_mult * (p1 + sigma2 / g2)   # keeps the candidate acceptable
-    p2 = lpo_power(w, p1, g2, sigma2, n, 0.01)
+    p2, reject = _lpo(w, p1, g2, sigma2, n, 0.01)
+    assert not reject
     assert p2 >= p1
 
 
@@ -340,7 +344,8 @@ def test_lpo_beats_dense_grid():
         p1 = 10.0 ** rng.uniform(-9, -5)
         n = int(rng.integers(1, 10))
         w = (p1 + sigma2 / g2) * 10.0 ** rng.uniform(0.05, 3.0)
-        p2 = lpo_power(w, p1, g2, sigma2, n, mu)
+        p2, reject = _lpo(w, p1, g2, sigma2, n, mu)
+        assert not reject
         clamped = p2 == p1 * (1.0 + mu)
         lo = p1 * (1.0 + mu) if clamped else p1
         _, grid_dp = grid_best_second_power(w, p1, g2, sigma2, n, lo=lo)
@@ -348,6 +353,37 @@ def test_lpo_beats_dense_grid():
         assert dp <= grid_dp + 1e-9 * abs(grid_dp) + 1e-24
         unclamped += not clamped
     assert unclamped >= 100
+
+
+def test_kernels_rows_independent_of_batch():
+    """Each row of a batched kernel call equals the same row called alone.
+
+    The allocator calls these kernels on whole candidate arrays and the
+    tests on one-element rows; numpy's array loops (not its scalar math)
+    run in both cases.
+    """
+    rng = np.random.default_rng(19)
+    sigma2, sc_bw, n, w = 6.25e-16, 156250.0, 3, 1e-6
+    gains = 10.0 ** rng.uniform(-11, -6, 40)
+    rates = rng.uniform(0.1, 2.0, 40) * sc_bw
+    sole = rng.integers(1, 6, 40)
+    p2 = 10.0 ** rng.uniform(-9, -6, 40)
+
+    def kernels(g, r, k, p):
+        w_new = waterline_add(w, n, g, sigma2)
+        shifted = waterline_rate_shift(w, -r, k, sc_bw)
+        return (admits_waterline_decrease(g, w, sigma2), w_new,
+                delta_power_oma(w, w_new, n, g, sigma2), shifted,
+                delta_power_noma(w, shifted, k, p))
+
+    batch = kernels(gains, rates, sole, p2)
+    for i in range(gains.size):
+        row = slice(i, i + 1)
+        alone = kernels(gains[row], rates[row], sole[row], p2[row])
+        for batched, single in zip(batch, alone):
+            assert np.array_equal(batched[row], single)
+    with pytest.raises(InfeasibleWaterline):
+        waterline_rate_shift(w, -rates, sole - 1, sc_bw)
 
 
 def test_waterline_bisection_oracle_sample():

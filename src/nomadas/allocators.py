@@ -3,9 +3,15 @@
 All algorithms share the same skeleton: an initial round that hands every
 user its best subcarrier (worst-served user picks first), an OMA round that
 keeps giving the most power-hungry user extra subcarriers while that lowers
-total power, and an optional pairing round that multiplexes a second user
-onto already-assigned subcarriers, either through classic power-domain SIC
-on the same RRH or through mutual SIC across RRHs.
+total power, and up to two pairing rounds that multiplex a second user onto
+already-assigned subcarriers, either through classic power-domain SIC on
+the same RRH or through mutual SIC across RRHs (or the unconstrained UC
+bound), optionally followed by a joint power optimization. PLANS maps each
+algorithm to its antenna set, its rounds after OMA and that last step.
+
+Every round after the first runs the same greedy descent (_descend): the
+most power-hungry active user proposes its best step, which is taken while
+it lowers total power by more than rho_w; otherwise the user retires.
 
 State bookkeeping: a subcarrier is "free" until assigned, then carried by
 its first user's sole set (power floats on the user's waterline) until a
@@ -28,14 +34,32 @@ from .waterfill import (POWER_ATOL, _lpo_core, admits_waterline_decrease,
                         rate_second, rate_single, waterline_add,
                         waterline_rate_shift)
 
-ALGORITHMS = (
-    "OMA-CAS", "NOMA-CAS", "OMA-DAS", "SRRH", "SRRH-LPO", "SRRH-OPA",
-    "MutSIC-UC", "MutSIC-DPA", "MutSIC-OPAd", "MutSIC-SOPAd",
-    "MutAndSingSIC",
-)
 
-# algorithms that only ever use the central RRH
-_CAS = {"OMA-CAS", "NOMA-CAS"}
+def _single(mode: str):
+    return lambda state: single_sic_pairing(state, mode)
+
+
+def _mutual(mode: str):
+    return lambda state: mutual_sic_pairing(state, mode)
+
+
+# algorithm -> (central RRH only, phases after oma_phase, joint power
+# optimization after the phases). The phases look their functions up when
+# they run, so a phase function replaced by name reaches every plan.
+PLANS = {
+    "OMA-CAS": (True, (), False),
+    "NOMA-CAS": (True, (_single("ftpa"),), False),
+    "OMA-DAS": (False, (), False),
+    "SRRH": (False, (_single("ftpa"),), False),
+    "SRRH-LPO": (False, (_single("lpo"),), False),
+    "SRRH-OPA": (False, (_single("lpo"),), True),
+    "MutSIC-UC": (False, (lambda state: uc_extension_phase(state),), False),
+    "MutSIC-DPA": (False, (_mutual("dpa"),), False),
+    "MutSIC-OPAd": (False, (_mutual("opad"),), False),
+    "MutSIC-SOPAd": (False, (_mutual("sopad"),), False),
+    "MutAndSingSIC": (False, (_mutual("sopad"), _single("lpo")), False),
+}
+ALGORITHMS = tuple(PLANS)
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,8 @@ class AllocationState:
         self.sc_bw_hz = scen.sc_bw_hz
         self.num_users = scen.num_users
         self.num_subcarriers = scen.num_subcarriers
-        if config.algorithm in _CAS:
-            self.rrhs = np.array([0])
-        else:
-            self.rrhs = np.arange(scen.num_rrhs)
+        central = PLANS[config.algorithm][0]
+        self.rrhs = np.array([0]) if central else np.arange(scen.num_rrhs)
         self.demands = np.full(scen.num_users, float(scen.rate_demand_bps))
 
         K = self.num_users
@@ -238,6 +260,47 @@ def worst_best_h(state: AllocationState) -> None:
         state._log("wbh", best_k, n, True, state.user_power(best_k), before)
 
 
+# -- the greedy descent every growth and pairing phase runs ------------------
+
+def _descend(state: AllocationState, tag: str, limit: int, more,
+             propose) -> None:
+    """Let the most power-hungry active user step while that saves power.
+
+    While more() holds and a user is active, the active user with the
+    largest power (lowest index on ties) proposes one step: propose(k)
+    returns (subcarrier, dp, commit). A step that lowers total power by
+    more than rho_w is taken: commit() applies it and returns the
+    (subcarrier, dp) to log. Otherwise the user retires from the phase and
+    the proposal's subcarrier and dp are logged. The iteration count and
+    its bound `limit` add up in state.phase_iterations[tag].
+    """
+    rho = state.config.rho_w
+    active = set(range(state.num_users))
+    iters = 0
+    while more() and active:
+        iters += 1
+        powers = state.user_powers()
+        k = min(active, key=lambda kk: (-powers[kk], kk))
+        before = state.total_power()
+        n, dp, commit = propose(k)
+        accepted = bool(dp < -rho)
+        if accepted:
+            n, dp = commit()
+        else:
+            active.discard(k)
+        state._log(tag, k, n, accepted, dp, before)
+    prev = state.phase_iterations.get(tag, (0, 0))
+    state.phase_iterations[tag] = (prev[0] + iters, prev[1] + limit)
+
+
+def _incumbents(state: AllocationState, k2: int):
+    """(n, k1, r) arrays of the subcarriers a user other than k2 holds
+    alone, by ascending n: the pairing candidates of beneficiary k2."""
+    rows = [(n, k1, r) for n, (k1, r) in sorted(state.first.items())
+            if k1 != k2]
+    return np.array(rows, dtype=int).reshape(-1, 3).T
+
+
 # -- phase 2: grow sole sets while total power drops -------------------------
 
 def oma_phase(state: AllocationState) -> None:
@@ -249,23 +312,14 @@ def oma_phase(state: AllocationState) -> None:
     longer saves more than rho_w are retired from this phase.
     """
     G, s2 = state.gains, state.sigma2_w
-    rho = state.config.rho_w
-    active = set(range(state.num_users))
-    limit = len(state.free) + state.num_users
-    iters = 0
-    while state.free and active:
-        iters += 1
-        powers = state.user_powers()
-        k = min((kk for kk in active), key=lambda kk: (-powers[kk], kk))
+
+    def propose(k):
         w = state.waterline[k]
         free_arr = np.array(state.free)
         cand = G[k, free_arr[:, None], state.rrhs[None, :]]
         admissible = admits_waterline_decrease(cand, w, s2)
-        before = state.total_power()
         if not admissible.any():
-            active.discard(k)
-            state._log("oma", k, -1, False, math.nan, before)
-            continue
+            return -1, math.nan, None
         flat = int(np.argmax(np.where(admissible, cand, -math.inf)))
         ni, ri = np.unravel_index(flat, cand.shape)
         n, r = int(free_arr[ni]), int(state.rrhs[ri])
@@ -273,16 +327,17 @@ def oma_phase(state: AllocationState) -> None:
         n_cur = len(state.sole[k])
         w_new = waterline_add(w, n_cur, gain, s2)
         dp = delta_power_oma(w, w_new, n_cur, gain, s2)
-        if dp < -rho:
+
+        def commit():
             state.waterline[k] = w_new
             state.free.remove(n)
             state._add_sole(k, n, r, gain)
             state.first[n] = (k, r)
-            state._log("oma", k, n, True, dp, before)
-        else:
-            active.discard(k)
-            state._log("oma", k, n, False, dp, before)
-    state.phase_iterations["oma"] = (iters, limit)
+            return n, dp
+        return n, dp, commit
+
+    _descend(state, "oma", len(state.free) + state.num_users,
+             lambda: state.free, propose)
 
 
 # -- unconstrained benchmark: waterfill onto occupied subcarriers -------------
@@ -298,19 +353,13 @@ def uc_extension_phase(state: AllocationState) -> None:
     constrained mutual-SIC methods, not a deployable allocation.
     """
     G, s2 = state.gains, state.sigma2_w
-    rho = state.config.rho_w
     occupants: dict[int, list[tuple[int, int]]] = {}
     for k in range(state.num_users):
         for n, r, _ in state.sole[k]:
             occupants.setdefault(n, []).append((k, r))
-    active = set(range(state.num_users))
-    limit = 2 * state.num_subcarriers + state.num_users
-    iters = 0
     n_rrh = len(state.rrhs)
-    while active:
-        iters += 1
-        powers = state.user_powers()
-        k = min((kk for kk in active), key=lambda kk: (-powers[kk], kk))
+
+    def propose(k):
         w = state.waterline[k]
         n_cur = len(state.sole[k])
         floor = s2 / state.sole_gains(k).min() if n_cur else 0.0
@@ -323,23 +372,21 @@ def uc_extension_phase(state: AllocationState) -> None:
                 # same-RRH reuse is single-SIC territory, not covered here
                 allow[n, np.flatnonzero(state.rrhs == occ[0][1])] = False
         cand = G[k][:, state.rrhs]
-        before = state.total_power()
         with np.errstate(divide="ignore"):
             w_new = waterline_add(w, n_cur, cand, s2)
         # shared candidates can outrank existing gains, so unlike the free
         # phase the shrunk waterline must be checked against the floor
         ok = allow & admits_waterline_decrease(cand, w, s2) & (w_new >= floor)
         if not ok.any():
-            active.discard(k)
-            state._log("uc", k, -1, False, math.nan, before)
-            continue
+            return -1, math.nan, None
         flat = int(np.argmax(np.where(ok, cand, -math.inf)))
         ni, ri = np.unravel_index(flat, cand.shape)
         n, r = int(ni), int(state.rrhs[ri])
         gain = float(G[k, n, r])
         wn = float(w_new[ni, ri])
         dp = delta_power_oma(w, wn, n_cur, gain, s2)
-        if dp < -rho:
+
+        def commit():
             state.waterline[k] = wn
             if n in state.free:
                 state.free.remove(n)
@@ -348,11 +395,11 @@ def uc_extension_phase(state: AllocationState) -> None:
                 state.first.pop(n, None)
             state._add_sole(k, n, r, gain)
             occupants.setdefault(n, []).append((k, r))
-            state._log("uc", k, n, True, dp, before)
-        else:
-            active.discard(k)
-            state._log("uc", k, n, False, dp, before)
-    state.phase_iterations["uc"] = (iters, limit)
+            return n, dp
+        return n, dp, commit
+
+    _descend(state, "uc", 2 * state.num_subcarriers + state.num_users,
+             lambda: True, propose)
 
 
 # -- phase 3: same-RRH power-domain pairing ----------------------------------
@@ -369,39 +416,18 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
         raise ValueError(f"unknown single-SIC mode {mode!r}")
     G, s2 = state.gains, state.sigma2_w
     sc_bw = state.sc_bw_hz
-    rho = state.config.rho_w
     mu = state.config.mu
     alpha = state.config.ftpa_alpha
-    active = set(range(state.num_users))
-    limit = len(state.first) + state.num_users
-    iters = 0
-    while state.first and active:
-        iters += 1
-        powers = state.user_powers()
-        k2 = min((kk for kk in active), key=lambda kk: (-powers[kk], kk))
-        before = state.total_power()
+
+    def propose(k2):
         n2 = len(state.sole[k2])
         if n2 == 0:
-            active.discard(k2)
-            state._log("single", k2, -1, False, math.nan, before)
-            continue
+            return -1, math.nan, None
         w2 = state.waterline[k2]
         g2_floor = s2 / state.sole_gains(k2).min()
-
-        ns, k1s, rs = [], [], []
-        for n in sorted(state.first):
-            k1, r = state.first[n]
-            if k1 != k2:
-                ns.append(n)
-                k1s.append(k1)
-                rs.append(r)
-        if not ns:
-            active.discard(k2)
-            state._log("single", k2, -1, False, math.nan, before)
-            continue
-        ns = np.array(ns)
-        k1s = np.array(k1s)
-        rs = np.array(rs)
+        ns, k1s, rs = _incumbents(state, k2)
+        if not ns.size:
+            return -1, math.nan, None
         g1 = G[k1s, ns, rs]
         g2 = G[k2, ns, rs]
         p1 = state.waterline[k1s] - s2 / g1
@@ -419,26 +445,26 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
             valid &= w2_new >= g2_floor
             dp = np.where(valid, delta_power_noma(w2, w2_new, n2, p2), np.inf)
         best = int(np.argmin(dp))
-        if not valid[best] or not dp[best] < -rho:
-            active.discard(k2)
-            state._log("single", k2, int(ns[best]) if valid.any() else -1,
-                       False, float(dp[best]), before)
-            continue
-        n, k1, r = int(ns[best]), int(k1s[best]), int(rs[best])
-        p1_f, p2_f = float(p1[best]), float(p2[best])
-        rate1 = float(rate_single(p1_f, g1[best], s2, sc_bw))
-        state._remove_sole(k1, n)
-        state.frozen_rate[k1] += rate1
-        state.frozen_power[k1] += p1_f
-        state.frozen_rate[k2] += float(rate2[best])
-        state.frozen_power[k2] += p2_f
-        state.waterline[k2] = float(w2_new[best])
-        del state.first[n]
-        state.singles.append(SinglePair(n, k1, r, p1_f, rate1, k2, p2_f,
-                                        float(rate2[best])))
-        state._log("single", k2, n, True, float(dp[best]), before)
-    prev = state.phase_iterations.get("single", (0, 0))
-    state.phase_iterations["single"] = (prev[0] + iters, prev[1] + limit)
+        dp_best = float(dp[best])
+
+        def commit():
+            n, k1, r = int(ns[best]), int(k1s[best]), int(rs[best])
+            p1_f, p2_f = float(p1[best]), float(p2[best])
+            rate1 = float(rate_single(p1_f, g1[best], s2, sc_bw))
+            state._remove_sole(k1, n)
+            state.frozen_rate[k1] += rate1
+            state.frozen_power[k1] += p1_f
+            state.frozen_rate[k2] += float(rate2[best])
+            state.frozen_power[k2] += p2_f
+            state.waterline[k2] = float(w2_new[best])
+            del state.first[n]
+            state.singles.append(SinglePair(n, k1, r, p1_f, rate1, k2, p2_f,
+                                            float(rate2[best])))
+            return n, dp_best
+        return int(ns[best]) if valid.any() else -1, dp_best, commit
+
+    _descend(state, "single", len(state.first) + state.num_users,
+             lambda: state.first, propose)
 
 
 # -- mutual-SIC pairing across RRHs -------------------------------------------
@@ -453,12 +479,10 @@ def _mutual_candidates(state: AllocationState, k2: int):
     noise floor once n leaves it (0 when nothing is left).
     """
     G, s2 = state.gains, state.sigma2_w
-    firsts = [(n, k1, r1) for n, (k1, r1) in sorted(state.first.items())
-              if k1 != k2]
-    ns, k1s, r1s = np.array(firsts, dtype=int).reshape(-1, 3).T
+    ns, k1s, r1s = _incumbents(state, k2)
     rrhs = state.rrhs
+    r2s = np.tile(rrhs, ns.size)
     ns, k1s, r1s = (np.repeat(a, len(rrhs)) for a in (ns, k1s, r1s))
-    r2s = np.tile(rrhs, len(firsts))
     keep = r2s != r1s
     ns, k1s, r1s, r2s = ns[keep], k1s[keep], r1s[keep], r2s[keep]
 
@@ -487,32 +511,20 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     """
     if mode not in ("dpa", "opad", "sopad"):
         raise ValueError(f"unknown mutual-SIC mode {mode!r}")
-    G, s2 = state.gains, state.sigma2_w
-    sc_bw = state.sc_bw_hz
-    rho = state.config.rho_w
+    s2 = state.sigma2_w
     mu = state.config.mu
-    active = set(range(state.num_users))
-    limit = len(state.first) + state.num_users
-    iters = 0
-    while state.first and active:
-        iters += 1
-        powers = state.user_powers()
-        k2 = min((kk for kk in active), key=lambda kk: (-powers[kk], kk))
-        before = state.total_power()
+
+    def propose(k2):
         n2 = len(state.sole[k2])
         if n2 == 0:
-            active.discard(k2)
-            state._log("mutual", k2, -1, False, math.nan, before)
-            continue
+            return -1, math.nan, None
         w2 = state.waterline[k2]
         g2_floor = s2 / state.sole_gains(k2).min()
 
         ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = \
             _mutual_candidates(state, k2)
         if not ns.size:
-            active.discard(k2)
-            state._log("mutual", k2, -1, False, math.nan, before)
-            continue
+            return -1, math.nan, None
         g11, g12, g21, g22 = gains
         p1i = w1 - s2 / g11
 
@@ -539,31 +551,27 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
                 dp2 = delta_power_noma(w2, w2_new, n2, p2)
         dp_total = np.where(valid, dp1 + dp2, np.inf)
         best = int(np.argmin(dp_total))
-        if not valid[best] or not dp_total[best] < -rho:
-            active.discard(k2)
-            state._log("mutual", k2, -1, False, float(dp_total[best]),
-                       before)
-            continue
 
-        n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
-        gains_b = PairGains(float(g11[best]), float(g12[best]),
-                            float(g21[best]), float(g22[best]))
-        p1_f, p2_f = float(p1[best]), float(p2[best])
-        dp_f = float(dp_total[best])
+        def commit():
+            n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
+            gains_b = PairGains(float(g11[best]), float(g12[best]),
+                                float(g21[best]), float(g22[best]))
+            p1_f, p2_f = float(p1[best]), float(p2[best])
+            dp_f = float(dp_total[best])
+            if mode == "sopad":
+                row = slice(best, best + 1)
+                refined = _refine_with_opad(
+                    state, tuple(g[row] for g in gains), p1i[row], w1[row],
+                    n1[row], w2, n2, g2_floor, rest_floor[row])
+                if refined is not None:
+                    p1_f, p2_f, dp_f = refined
+            _freeze_mutual(state, n, k1, r1, r2, k2, gains_b, p1_f, p2_f,
+                           float(p1i[best]), int(n1[best]))
+            return n, dp_f
+        return -1, float(dp_total[best]), commit
 
-        if mode == "sopad":
-            row = slice(best, best + 1)
-            refined = _refine_with_opad(
-                state, tuple(g[row] for g in gains), p1i[row], w1[row],
-                n1[row], w2, n2, g2_floor, rest_floor[row])
-            if refined is not None:
-                p1_f, p2_f, dp_f = refined
-
-        _freeze_mutual(state, n, k1, r1, r2, k2, gains_b, p1_f, p2_f,
-                       float(p1i[best]), int(n1[best]))
-        state._log("mutual", k2, n, True, dp_f, before)
-    prev = state.phase_iterations.get("mutual", (0, 0))
-    state.phase_iterations["mutual"] = (prev[0] + iters, prev[1] + limit)
+    _descend(state, "mutual", len(state.first) + state.num_users,
+             lambda: state.first, propose)
 
 
 def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
@@ -649,23 +657,44 @@ def _freeze_mutual(state: AllocationState, n, k1, r1, r2, k2,
                                     k2, r2, p2_f, rate2))
 
 
-# -- dispatch -----------------------------------------------------------------
+# -- the algorithms -----------------------------------------------------------
 
-def _finalize(state: AllocationState, algorithm: str,
-              warnings=()) -> AllocationResult:
-    P = state.power_tensor()
+def run_algorithm(channel: ChannelTensor,
+                  config: AlgorithmConfig) -> AllocationResult:
+    """Run one complete allocation algorithm on a channel realization.
+
+    Every algorithm runs worst_best_h and oma_phase, then the phases of its
+    PLANS entry in order, then optionally the joint power optimization.
+    """
+    _, phases, reoptimize = PLANS[config.algorithm]
+    state = AllocationState(channel, config)
+    worst_best_h(state)
+    oma_phase(state)
+    for phase in phases:
+        phase(state)
+    warnings = ()
+    if reoptimize:
+        opa = optimal_pa.optimal_power_allocation(state)
+        P = opa.power_w     # the waterfilled powers when not converged
+        if not opa.converged:
+            warnings = (
+                f"optimal power allocation did not converge "
+                f"({opa.iterations} Newton iterations, KKT residual "
+                f"{opa.residual_norm:.1e}); keeping waterfilled powers",)
+    else:
+        P = state.power_tensor()
     per_user = P.sum(axis=(1, 2))
     S = state.num_subcarriers
     occ = np.zeros(S, dtype=int)
-    for k in range(state.num_users):
-        for n, _, _ in state.sole[k]:
+    for sole in state.sole:
+        for n, _, _ in sole:
             occ[n] += 1
     # subcarriers shared by two floating users (uc benchmark) count as
     # mutually multiplexed alongside the frozen pairs
     mut = len(state.mutuals) + int((occ == 2).sum())
     sing = len(state.singles)
     return AllocationResult(
-        algorithm=algorithm,
+        algorithm=config.algorithm,
         total_power_w=float(per_user.sum()),
         per_user_power_w=per_user,
         power_w=P,
@@ -673,51 +702,5 @@ def _finalize(state: AllocationState, algorithm: str,
         mutsic_sc=mut,
         singsic_sc=sing,
         state=state,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )
-
-
-def run_algorithm(channel: ChannelTensor,
-                  config: AlgorithmConfig) -> AllocationResult:
-    """Run one complete allocation algorithm on a channel realization."""
-    state = AllocationState(channel, config)
-    worst_best_h(state)
-    oma_phase(state)
-    alg = config.algorithm
-    warnings = []
-
-    if alg in ("SRRH", "NOMA-CAS"):
-        single_sic_pairing(state, "ftpa")
-    elif alg in ("SRRH-LPO", "SRRH-OPA"):
-        single_sic_pairing(state, "lpo")
-    elif alg == "MutSIC-UC":
-        uc_extension_phase(state)
-    elif alg.startswith("MutSIC-"):
-        mutual_sic_pairing(state, alg.split("-", 1)[1].lower())
-    elif alg == "MutAndSingSIC":
-        mutual_sic_pairing(state, "sopad")
-        single_sic_pairing(state, "lpo")
-
-    result = _finalize(state, alg, warnings)
-    if alg == "SRRH-OPA":
-        opa = optimal_pa.optimal_power_allocation(state)
-        if not opa.converged:
-            warnings.append(
-                f"optimal power allocation did not converge "
-                f"({opa.iterations} Newton iterations, KKT residual "
-                f"{opa.residual_norm:.1e}); keeping waterfilled powers")
-            result = _finalize(state, alg, warnings)
-        else:
-            per_user = opa.power_w.sum(axis=(1, 2))
-            result = AllocationResult(
-                algorithm=alg,
-                total_power_w=float(per_user.sum()),
-                per_user_power_w=per_user,
-                power_w=opa.power_w,
-                nonmux_sc=result.nonmux_sc,
-                mutsic_sc=result.mutsic_sc,
-                singsic_sc=result.singsic_sc,
-                state=state,
-                warnings=tuple(warnings),
-            )
-    return result

@@ -21,7 +21,7 @@ import numpy as np
 from .allocators import ALGORITHMS, AlgorithmConfig, run_algorithm
 from .audit import run_invariant_audit
 from .channel import generate_channel
-from .harness import (RunConfig, aggregate, run_monte_carlo,
+from .harness import (SWEEP_AXES, RunConfig, aggregate, run_monte_carlo,
                       write_aggregate_csv, write_trial_csv)
 from .optimal_pa import (OracleInfeasible, constrained_mutual_pa_oracle,
                          optimal_power_allocation)
@@ -55,11 +55,14 @@ def _add_common(p):
     p.add_argument("--workers", type=int, default=1)
 
 
-def _cmd_simulate(args) -> int:
-    scen = _scenario_from(args)
-    config = RunConfig(scenario=scen,
+def _cmd_run(args) -> int:
+    """simulate and sweep; simulate sweeps the scenario's own rate."""
+    values = args.values.split(",") if args.values else ()
+    config = RunConfig(scenario=_scenario_from(args),
                        algorithms=_parse_algorithms(args.algorithms),
                        trials=args.trials, base_seed=args.seed,
+                       sweep_axis=args.axis,
+                       sweep_values=tuple(float(v) for v in values),
                        workers=args.workers)
     records = run_monte_carlo(config)
     write_trial_csv(records, args.out)
@@ -67,27 +70,9 @@ def _cmd_simulate(args) -> int:
     if args.aggregate_out:
         write_aggregate_csv(rows, args.aggregate_out)
     for row in rows:
-        print(f"{row.algorithm:>14s}  mean {row.mean_power_w:.6e} W  "
-              f"over {row.n_trials} trials ({row.n_failed} failed)")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    scen = _scenario_from(args)
-    values = tuple(float(v) for v in args.values.split(","))
-    config = RunConfig(scenario=scen,
-                       algorithms=_parse_algorithms(args.algorithms),
-                       trials=args.trials, base_seed=args.seed,
-                       sweep_axis=args.axis, sweep_values=values,
-                       workers=args.workers)
-    records = run_monte_carlo(config)
-    write_trial_csv(records, args.out)
-    rows = aggregate(records)
-    if args.aggregate_out:
-        write_aggregate_csv(rows, args.aggregate_out)
-    for row in rows:
-        print(f"{row.algorithm:>14s}  {args.axis}={row.sweep_value:g}  "
-              f"mean {row.mean_power_w:.6e} W  ({row.n_trials} trials)")
+        print(f"{row.algorithm:>14s}  {row.sweep_axis}={row.sweep_value:g}  "
+              f"mean {row.mean_power_w:.6e} W  over {row.n_trials} trials "
+              f"({row.n_failed} failed)")
     return 0
 
 
@@ -150,17 +135,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, help="override rate demand (bit/s)")
     p.add_argument("--out", required=True, help="per-trial CSV path")
     p.add_argument("--aggregate-out", help="aggregate CSV path")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_run, axis="rate", values=None)
 
     p = sub.add_parser("sweep", help="Monte Carlo across a parameter axis")
     _add_common(p)
-    p.add_argument("--axis", required=True,
-                   choices=("rate", "users", "rrhs", "subcarriers"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")
     p.add_argument("--out", required=True, help="per-trial CSV path")
     p.add_argument("--aggregate-out", help="aggregate CSV path")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("audit", help="invariant checks on fresh drops")
     _add_common(p)

@@ -18,7 +18,13 @@ from .allocators import ALGORITHMS, AlgorithmConfig, run_algorithm
 from .channel import generate_channel
 from .scenario import Scenario
 
-SWEEP_AXES = ("rate", "users", "rrhs", "subcarriers")
+# sweep axis -> (the Scenario field it replaces, that field's type)
+SWEEP_AXES = {
+    "rate": ("rate_demand_bps", float),
+    "users": ("num_users", int),
+    "rrhs": ("num_rrhs", int),
+    "subcarriers": ("num_subcarriers", int),
+}
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,10 @@ class AggregateRow:
 
 def apply_sweep(scenario: Scenario, axis: str, value) -> Scenario:
     """Scenario with one swept parameter replaced."""
-    if axis == "rate":
-        return scenario.with_(rate_demand_bps=float(value))
-    if axis == "users":
-        return scenario.with_(num_users=int(value))
-    if axis == "rrhs":
-        return scenario.with_(num_rrhs=int(value))
-    if axis == "subcarriers":
-        return scenario.with_(num_subcarriers=int(value))
-    raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    field, kind = SWEEP_AXES[axis]
+    return scenario.with_(**{field: kind(value)})
 
 
 def _run_point(config: RunConfig, value: float, trial: int):
@@ -117,15 +118,10 @@ def _run_point(config: RunConfig, value: float, trial: int):
 
 
 def sweep_points(config: RunConfig) -> tuple:
+    """The swept values, or the scenario's own value of the axis."""
     if config.sweep_values:
         return tuple(config.sweep_values)
-    if config.sweep_axis == "rate":
-        return (config.scenario.rate_demand_bps,)
-    if config.sweep_axis == "users":
-        return (config.scenario.num_users,)
-    if config.sweep_axis == "rrhs":
-        return (config.scenario.num_rrhs,)
-    return (config.scenario.num_subcarriers,)
+    return (getattr(config.scenario, SWEEP_AXES[config.sweep_axis][0]),)
 
 
 def run_monte_carlo(config: RunConfig) -> list:

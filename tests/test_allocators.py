@@ -351,6 +351,51 @@ def test_deterministic_given_channel(small_channel):
         assert np.array_equal(a.power_w, b.power_w)
 
 
+# -- dispatch: which phases each algorithm runs ---------------------------------------
+
+# the calls run_algorithm makes after worst_best_h and oma_phase, in order
+PHASE_CALLS = {
+    "OMA-CAS": [],
+    "NOMA-CAS": [("single_sic_pairing", "ftpa")],
+    "OMA-DAS": [],
+    "SRRH": [("single_sic_pairing", "ftpa")],
+    "SRRH-LPO": [("single_sic_pairing", "lpo")],
+    "SRRH-OPA": [("single_sic_pairing", "lpo"),
+                 ("optimal_power_allocation",)],
+    "MutSIC-UC": [("uc_extension_phase",)],
+    "MutSIC-DPA": [("mutual_sic_pairing", "dpa")],
+    "MutSIC-OPAd": [("mutual_sic_pairing", "opad")],
+    "MutSIC-SOPAd": [("mutual_sic_pairing", "sopad")],
+    "MutAndSingSIC": [("mutual_sic_pairing", "sopad"),
+                      ("single_sic_pairing", "lpo")],
+}
+
+
+def test_phases_reached_through_module_names(tiny_channel, monkeypatch):
+    """Patching a phase by name, as a tracer does, sees every call."""
+    calls = []
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(state, *args):
+            assert isinstance(state, AllocationState)
+            calls.append((name,) + args)
+            return fn(state, *args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("worst_best_h", "oma_phase", "uc_extension_phase",
+                 "single_sic_pairing", "mutual_sic_pairing"):
+        counting(allocators, name)
+    counting(allocators.optimal_pa, "optimal_power_allocation")
+    assert set(PHASE_CALLS) == set(ALGORITHMS)
+    for alg in ALGORITHMS:
+        calls.clear()
+        run_algorithm(tiny_channel, AlgorithmConfig(alg))
+        assert calls == [("worst_best_h",), ("oma_phase",)] \
+            + PHASE_CALLS[alg], alg
+
+
 # -- first phase in isolation ---------------------------------------------------------
 
 def test_first_phase_gives_everyone_one_subcarrier(small_channel):

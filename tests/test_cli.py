@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nomadas import ALGORITHMS
-from nomadas import cli
+from nomadas import cli, harness
 from nomadas.audit import AuditReport
 from nomadas.cli import _parse_algorithms, build_parser, main
 from nomadas.harness import read_aggregate_csv, read_trial_csv
@@ -84,6 +84,28 @@ def test_sweep_covers_all_values(tmp_path, config_json):
     assert {r.sweep_value for r in records} == {4.0, 6.0}
     rows = read_aggregate_csv(agg)
     assert len(rows) == 4
+
+
+def test_summary_names_point_and_failures(tmp_path, config_json, capsys):
+    rc = main(["simulate", "--config", config_json, "--trials", "1",
+               "--algorithms", "OMA-DAS", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert "rate=3e+06" in capsys.readouterr().out
+
+
+def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
+                                    capsys):
+    def boom(channel, config):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(harness, "run_algorithm", boom)
+    rc = main(["sweep", "--config", config_json, "--axis", "rate",
+               "--values", "2e6", "--trials", "2", "--algorithms", "OMA-DAS",
+               "--out", str(tmp_path / "sweep.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "rate=2e+06" in out
+    assert "(2 failed)" in out
 
 
 def test_audit_clean_run_exits_zero(config_json, capsys):

@@ -1,0 +1,92 @@
+"""Pinned greedy trajectories: every algorithm's steps on fixed drops.
+
+trajectory.json holds, per (scenario, drop, algorithm), a digest of the
+step log's (phase, user, subcarrier, accepted) sequence, the per-phase
+iteration counts and the total power. A refactor of the phases or of the
+dispatch must reproduce all three. Only a change meant to alter the greedy
+trajectory rewrites the file:
+
+    PYTHONPATH=src:tests python tests/test_trajectory.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nomadas import ALGORITHMS, AlgorithmConfig, Scenario, run_algorithm
+from nomadas import generate_channel
+
+from conftest import SMALL, TINY
+
+PINNED = Path(__file__).with_name("trajectory.json")
+
+# the desk-scale cells use a zero acceptance threshold so that their
+# pairing phases take steps; the paper's cell keeps the default rho_w
+CASES = {
+    "tiny": (TINY, 3, 0.0),
+    "small": (SMALL, 2, 0.0),
+    "loaded": (SMALL.with_(rate_demand_bps=10e6, num_users=12), 2, 0.0),
+    "paper": (Scenario(), 2, AlgorithmConfig.rho_w),
+}
+
+
+def step_digest(log) -> str:
+    steps = [(s.phase, s.user, s.subcarrier, s.accepted) for s in log]
+    return hashlib.sha256(repr(steps).encode()).hexdigest()[:16]
+
+
+def trajectories() -> dict:
+    out = {}
+    for name, (scen, count, rho_w) in CASES.items():
+        for d in range(count):
+            channel = generate_channel(scen, np.random.default_rng([0, 1, d]))
+            for alg in ALGORITHMS:
+                res = run_algorithm(channel, AlgorithmConfig(alg, rho_w=rho_w))
+                out[f"{name}/{d}/{alg}"] = {
+                    "steps": step_digest(res.state.log),
+                    "phase_iterations": {
+                        tag: list(v)
+                        for tag, v in res.state.phase_iterations.items()},
+                    "total_power_w": res.total_power_w,
+                }
+    return out
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return trajectories()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED.read_text())
+
+
+def test_pinned_cases_cover_every_algorithm(runs, pinned):
+    assert runs.keys() == pinned.keys()
+    assert {key.rsplit("/", 1)[1] for key in pinned} == set(ALGORITHMS)
+
+
+def test_step_logs_match_pinned(runs, pinned):
+    for key, want in pinned.items():
+        assert runs[key]["steps"] == want["steps"], key
+
+
+def test_phase_iterations_match_pinned(runs, pinned):
+    for key, want in pinned.items():
+        assert runs[key]["phase_iterations"] == want["phase_iterations"], key
+
+
+def test_totals_match_pinned(runs, pinned):
+    for key, want in pinned.items():
+        assert runs[key]["total_power_w"] == pytest.approx(
+            want["total_power_w"], rel=1e-10, abs=0.0), key
+
+
+if __name__ == "__main__":
+    lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
+             for k, v in sorted(trajectories().items())]
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

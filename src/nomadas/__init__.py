@@ -12,12 +12,12 @@ from .allocators import (ALGORITHMS, AlgorithmConfig, AllocationResult,
                          run_algorithm)
 from .audit import AuditReport, audit_result, run_invariant_audit
 from .channel import (ChannelTensor, channel_from_csv, channel_to_csv,
-                      generate_channel, noise_power, pathloss_gain)
+                      generate_channel, pathloss_gain)
 from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
-                      apply_sweep, read_aggregate_csv, read_trial_csv,
-                      run_monte_carlo, write_aggregate_csv, write_trial_csv)
-from .mutual_sic import (PairGains, dpa_adjust, mutual_sic_feasible,
-                         power_window, rate_condition_terms)
+                      apply_sweep, read_csv, run_monte_carlo, run_trial,
+                      trial_seed, write_csv)
+from .mutual_sic import (dpa_adjust, mutual_sic_feasible, power_window,
+                         rate_condition_terms)
 from .optimal_pa import (OpaResult, OracleInfeasible, OracleResult,
                          constrained_mutual_pa_oracle,
                          optimal_power_allocation)
@@ -34,15 +34,14 @@ __all__ = [
     "ALGORITHMS", "AlgorithmConfig", "AllocationResult", "AllocationState",
     "AggregateRow", "AuditReport", "ChannelTensor", "InfeasibleWaterline",
     "MutualPair", "OpaResult", "OracleInfeasible", "OracleResult",
-    "PairGains", "RunConfig", "Scenario", "SinglePair", "SolveReport",
-    "TrialRecord", "aggregate", "apply_sweep", "audit_result",
-    "channel_from_csv", "channel_to_csv", "constrained_mutual_pa_oracle",
-    "dpa_adjust", "drop_users", "ftpa_power", "generate_channel",
-    "hexagon_contains", "load_scenario", "mutual_sic_feasible",
-    "noise_power", "optimal_power_allocation", "pathloss_gain",
-    "place_rrhs", "power_window", "rate_condition_terms", "rate_second",
-    "rate_single", "read_aggregate_csv", "read_trial_csv", "run_algorithm",
-    "run_invariant_audit", "run_monte_carlo", "solve_system",
-    "waterline_add", "waterline_from_rate", "waterline_rate_shift",
-    "write_aggregate_csv", "write_trial_csv",
+    "RunConfig", "Scenario", "SinglePair", "SolveReport", "TrialRecord",
+    "aggregate", "apply_sweep", "audit_result", "channel_from_csv",
+    "channel_to_csv", "constrained_mutual_pa_oracle", "dpa_adjust",
+    "drop_users", "ftpa_power", "generate_channel", "hexagon_contains",
+    "load_scenario", "mutual_sic_feasible", "optimal_power_allocation",
+    "pathloss_gain", "place_rrhs", "power_window", "rate_condition_terms",
+    "rate_second", "rate_single", "read_csv", "run_algorithm",
+    "run_invariant_audit", "run_monte_carlo", "run_trial", "solve_system",
+    "trial_seed", "waterline_add", "waterline_from_rate",
+    "waterline_rate_shift", "write_csv",
 ]

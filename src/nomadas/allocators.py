@@ -27,8 +27,8 @@ import numpy as np
 
 from . import optimal_pa
 from .channel import ChannelTensor
-from .mutual_sic import (PairGains, dpa_adjust, mutual_sic_feasible,
-                         opad_cases, rate_condition_terms)
+from .mutual_sic import (dpa_adjust, mutual_sic_feasible, opad_cases,
+                         rate_condition_terms)
 from .waterfill import (POWER_ATOL, _lpo_core, admits_waterline_decrease,
                         delta_power_noma, delta_power_oma, ftpa_power,
                         rate_second, rate_single, waterline_add,
@@ -525,7 +525,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
             _mutual_candidates(state, k2)
         if not ns.size:
             return -1, math.nan, None
-        g11, g12, g21, g22 = gains
+        g11, _, _, g22 = gains
         p1i = w1 - s2 / g11
 
         feasible = mutual_sic_feasible(gains) \
@@ -554,8 +554,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
 
         def commit():
             n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
-            gains_b = PairGains(float(g11[best]), float(g12[best]),
-                                float(g21[best]), float(g22[best]))
+            gains_b = tuple(float(g[best]) for g in gains)
             p1_f, p2_f = float(p1[best]), float(p2[best])
             dp_f = float(dp_total[best])
             if mode == "sopad":
@@ -629,13 +628,14 @@ def _refine_with_opad(state, gains, p1i, w1, n1, w2, n2, g2_floor,
 
 
 def _freeze_mutual(state: AllocationState, n, k1, r1, r2, k2,
-                   gains: PairGains, p1_f, p2_f, p1i, n1):
+                   gains, p1_f, p2_f, p1i, n1):
     """Freeze an accepted mutual pair and re-balance both sole sets."""
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
-    rate1_new = float(rate_single(p1_f, gains.g11, s2, sc_bw))
-    rate1_old = float(rate_single(p1i, gains.g11, s2, sc_bw))
-    rate2 = float(rate_single(p2_f, gains.g22, s2, sc_bw))
+    g11, _, _, g22 = gains
+    rate1_new = float(rate_single(p1_f, g11, s2, sc_bw))
+    rate1_old = float(rate_single(p1i, g11, s2, sc_bw))
+    rate2 = float(rate_single(p2_f, g22, s2, sc_bw))
 
     state._remove_sole(k1, n)
     if len(state.sole[k1]) > 0 and abs(rate1_new - rate1_old) > 0:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocators import AlgorithmConfig, AllocationResult, run_algorithm
-from .channel import generate_channel
+from .allocators import AllocationResult
+from .harness import run_trial
 from .mutual_sic import power_window, rate_condition_terms
 from .scenario import Scenario
 from .waterfill import (InfeasibleWaterline, rate_second, rate_single,
@@ -205,14 +205,10 @@ def run_invariant_audit(scenario: Scenario, algorithms, trials: int,
     bad = []
     checked = 0
     for t in range(trials):
-        rng = np.random.default_rng(base_seed ^ t)
-        channel = generate_channel(scenario, rng)
-        for alg in algorithms:
+        for alg, result in run_trial(scenario, algorithms, base_seed, t)[1]:
             checked += 1
-            try:
-                result = run_algorithm(channel, AlgorithmConfig(alg))
-            except Exception as exc:
-                bad.append((alg, t, f"allocation crashed: {exc!r}"))
+            if isinstance(result, Exception):
+                bad.append((alg, t, f"allocation crashed: {result!r}"))
                 continue
             for msg in audit_result(result):
                 bad.append((alg, t, msg))

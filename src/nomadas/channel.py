@@ -23,11 +23,6 @@ TAP_SPACING_S = 100e-9
 RMS_DELAY_SPREAD_S = 500e-9
 
 
-def noise_power(noise_psd_w_per_hz, bandwidth_hz, num_subcarriers) -> float:
-    """Thermal noise power per subcarrier in watts."""
-    return noise_psd_w_per_hz * bandwidth_hz / num_subcarriers
-
-
 def pathloss_gain(distance_m):
     """Linear path-loss gain at the given distance(s) in meters."""
     d_km = np.asarray(distance_m, dtype=float) / 1000.0

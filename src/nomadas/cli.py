@@ -6,9 +6,10 @@ Subcommands:
   audit      Run algorithms on fresh drops and check every invariant.
   oracle     Compare greedy allocations against the reference optimizers.
 
-simulate and sweep write per-trial CSVs and, optionally, aggregate CSVs.
-audit and oracle exit nonzero when a check fails, so both are usable as
-smoke tests in automation.
+simulate and sweep write per-trial CSVs and, optionally, aggregate CSVs,
+and print each algorithm's saving against the first one in --algorithms.
+Every subcommand exits nonzero when a trial fails or a check does not
+hold, so all four are usable as smoke tests in automation.
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .allocators import ALGORITHMS, AlgorithmConfig, run_algorithm
+from .allocators import ALGORITHMS
 from .audit import run_invariant_audit
-from .channel import generate_channel
-from .harness import (SWEEP_AXES, RunConfig, aggregate, run_monte_carlo,
-                      write_aggregate_csv, write_trial_csv)
+from .harness import (SWEEP_AXES, AggregateRow, RunConfig, TrialRecord,
+                      aggregate, run_monte_carlo, run_trial, write_csv)
 from .optimal_pa import (OracleInfeasible, constrained_mutual_pa_oracle,
                          optimal_power_allocation)
 from .scenario import Scenario, load_scenario
@@ -46,12 +44,18 @@ def _scenario_from(args) -> Scenario:
     return scen
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text}")
+    return int(text)
+
+
 def _add_common(p):
     p.add_argument("--config", help="scenario JSON file (defaults built in)")
     p.add_argument("--algorithms", default="OMA-DAS,SRRH,SRRH-LPO",
                    help="comma-separated algorithm names, or 'all'")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=1)
 
 
@@ -65,15 +69,18 @@ def _cmd_run(args) -> int:
                        sweep_values=tuple(float(v) for v in values),
                        workers=args.workers)
     records = run_monte_carlo(config)
-    write_trial_csv(records, args.out)
+    write_csv(TrialRecord, records, args.out)
     rows = aggregate(records)
     if args.aggregate_out:
-        write_aggregate_csv(rows, args.aggregate_out)
+        write_csv(AggregateRow, rows, args.aggregate_out)
     for row in rows:
         print(f"{row.algorithm:>14s}  {row.sweep_axis}={row.sweep_value:g}  "
-              f"mean {row.mean_power_w:.6e} W  over {row.n_trials} trials "
-              f"({row.n_failed} failed)")
-    return 0
+              f"mean {row.mean_power_w:.6e} W  saving "
+              f"{row.paired_saving:+6.1%} vs {config.algorithms[0]}  "
+              f"plain/mutual/single sc {row.mean_nonmux_sc:.1f}/"
+              f"{row.mean_mutsic_sc:.1f}/{row.mean_singsic_sc:.1f}  "
+              f"over {row.n_trials} trials ({row.n_failed} failed)")
+    return 1 if any(row.n_failed for row in rows) else 0
 
 
 def _cmd_audit(args) -> int:
@@ -94,9 +101,14 @@ def _cmd_oracle(args) -> int:
     scen = Scenario(cell_radius_m=300.0, num_users=3, num_rrhs=3,
                     num_subcarriers=8, rate_demand_bps=2e6)
     for t in range(args.trials):
-        channel = generate_channel(scen, np.random.default_rng(
-            args.seed ^ t))
-        lpo = run_algorithm(channel, AlgorithmConfig("SRRH-LPO"))
+        _, results = run_trial(scen, ("SRRH-LPO", "MutSIC-DPA"), args.seed,
+                               t)
+        (_, lpo), (_, dpa) = results
+        crashed = [r for r in (lpo, dpa) if isinstance(r, Exception)]
+        if crashed:
+            failures += 1
+            print(f"trial {t}: allocation crashed: {crashed[0]!r}")
+            continue
         opa = optimal_power_allocation(lpo.state)
         if opa.converged:
             checked_opa += 1
@@ -105,7 +117,6 @@ def _cmd_oracle(args) -> int:
                 print(f"trial {t}: joint optimum above greedy "
                       f"({opa.total_power_w:.6e} > "
                       f"{lpo.total_power_w:.6e})")
-        dpa = run_algorithm(channel, AlgorithmConfig("MutSIC-DPA"))
         if dpa.state.mutuals and len(dpa.state.mutuals) <= 3:
             try:
                 oracle = constrained_mutual_pa_oracle(dpa.state)
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="greedy vs reference optimizers")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_oracle)
 
     return parser

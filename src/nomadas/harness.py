@@ -1,16 +1,21 @@
 """Monte Carlo harness: many channel drops, many algorithms, CSV output.
 
-Each trial draws one channel realization (seeded as base_seed XOR trial
-index so runs are reproducible and trials are independent) and runs every
-requested algorithm on that same realization, which is what makes the
-per-trial power ratios between algorithms meaningful.
+Trial t of a run with base seed b draws its channel from the seed
+trial_seed(b, t) = (b << 32) | t, so runs are reproducible, base seed 0
+draws trial t from seed t, and two base seeds never share a drop.
+run_trial runs every requested algorithm on that same drop, which is what
+makes the per-trial power ratios between algorithms meaningful; the
+Monte Carlo runs, the invariant audit and the oracle command all draw
+their drops through it. write_csv and read_csv store the record
+dataclasses, one column per field.
 """
 
 from __future__ import annotations
 
 import csv
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,9 +42,6 @@ class RunConfig:
     base_seed: int = 0
     sweep_axis: str = "rate"
     sweep_values: tuple = ()    # empty: single point from the scenario
-    rho_w: float = 1e-3
-    mu: float = 0.01
-    ftpa_alpha: float = 0.5
     workers: int = 1
 
     def __post_init__(self):
@@ -50,6 +52,8 @@ class RunConfig:
                 raise ValueError(f"unknown algorithm {alg!r}")
         if self.trials < 1 or self.workers < 1:
             raise ValueError("trials and workers must be positive")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,7 @@ class AggregateRow:
     mean_nonmux_sc: float
     mean_mutsic_sc: float
     mean_singsic_sc: float
+    paired_saving: float    # against the run's first algorithm (aggregate)
 
 
 def apply_sweep(scenario: Scenario, axis: str, value) -> Scenario:
@@ -94,26 +99,44 @@ def apply_sweep(scenario: Scenario, axis: str, value) -> Scenario:
     return scenario.with_(**{field: kind(value)})
 
 
-def _run_point(config: RunConfig, value: float, trial: int):
-    """All algorithms on the channel drop for one (sweep value, trial)."""
-    scen = apply_sweep(config.scenario, config.sweep_axis, value)
-    seed = config.base_seed ^ trial
-    channel = generate_channel(scen, np.random.default_rng(seed))
+def trial_seed(base_seed: int, trial: int) -> int:
+    """Seed of a trial's channel drop; each base seed owns 2**32 trials."""
+    return (base_seed << 32) | trial
+
+
+def run_trial(scenario: Scenario, algorithms, base_seed: int, trial: int):
+    """Every algorithm on the channel drop of one trial.
+
+    Returns (seed, [(algorithm, AllocationResult or the exception its
+    allocation raised)]), in the order of `algorithms`.
+    """
+    seed = trial_seed(base_seed, trial)
+    channel = generate_channel(scenario, np.random.default_rng(seed))
     out = []
-    for alg in config.algorithms:
-        acfg = AlgorithmConfig(alg, rho_w=config.rho_w, mu=config.mu,
-                               ftpa_alpha=config.ftpa_alpha)
+    for alg in algorithms:
         try:
-            res = run_algorithm(channel, acfg)
-            out.append(TrialRecord(config.sweep_axis, float(value), alg,
-                                   trial, seed, res.total_power_w,
-                                   res.nonmux_sc, res.mutsic_sc,
-                                   res.singsic_sc, False,
+            out.append((alg, run_algorithm(channel, AlgorithmConfig(alg))))
+        except Exception as exc:    # kept as the algorithm's outcome
+            out.append((alg, exc))
+    return seed, out
+
+
+def _run_point(config: RunConfig, value: float, trial: int):
+    """Trial records of all algorithms for one (sweep value, trial)."""
+    scen = apply_sweep(config.scenario, config.sweep_axis, value)
+    seed, results = run_trial(scen, config.algorithms, config.base_seed,
+                              trial)
+    cell = (config.sweep_axis, float(value))
+    out = []
+    for alg, res in results:
+        if isinstance(res, Exception):
+            out.append(TrialRecord(*cell, alg, trial, seed, float("nan"),
+                                   0, 0, 0, True, repr(res)))
+        else:
+            out.append(TrialRecord(*cell, alg, trial, seed,
+                                   res.total_power_w, res.nonmux_sc,
+                                   res.mutsic_sc, res.singsic_sc, False,
                                    warnings="; ".join(res.warnings)))
-        except Exception as exc:
-            out.append(TrialRecord(config.sweep_axis, float(value), alg,
-                                   trial, seed, float("nan"), 0, 0, 0,
-                                   True, repr(exc)))
     return out
 
 
@@ -142,95 +165,75 @@ def run_monte_carlo(config: RunConfig) -> list:
 
 
 def aggregate(records) -> list:
-    """Per-cell means over non-failed trials, insertion-ordered."""
+    """Per-cell means over non-failed trials, insertion-ordered.
+
+    The paired saving of a cell is taken against the first record's
+    algorithm at the same sweep value.
+    """
     groups = {}
     for rec in records:
         groups.setdefault((rec.algorithm, rec.sweep_value), []).append(rec)
+    ref = records[0].algorithm if records else None
     rows = []
     for (alg, value), recs in groups.items():
         ok = [r for r in recs if not r.failed]
         n_failed = len(recs) - len(ok)
-        if ok:
-            powers = np.array([r.total_power_w for r in ok])
-            rows.append(AggregateRow(
-                alg, recs[0].sweep_axis, value, len(ok), n_failed,
-                float(powers.mean()), float(powers.std()),
-                float(np.mean([r.nonmux_sc for r in ok])),
-                float(np.mean([r.mutsic_sc for r in ok])),
-                float(np.mean([r.singsic_sc for r in ok]))))
-        else:
+        if not ok:
             rows.append(AggregateRow(alg, recs[0].sweep_axis, value, 0,
-                                     n_failed, float("nan"), float("nan"),
-                                     float("nan"), float("nan"),
-                                     float("nan")))
+                                     n_failed, *[float("nan")] * 6))
+            continue
+        powers = np.array([r.total_power_w for r in ok])
+        rows.append(AggregateRow(
+            alg, recs[0].sweep_axis, value, len(ok), n_failed,
+            float(powers.mean()), float(powers.std()),
+            float(np.mean([r.nonmux_sc for r in ok])),
+            float(np.mean([r.mutsic_sc for r in ok])),
+            float(np.mean([r.singsic_sc for r in ok])),
+            _paired_saving(ok, groups.get((ref, value), ()))))
     return rows
 
 
-TRIAL_COLUMNS = ("sweep_axis", "sweep_value", "algorithm", "trial", "seed",
-                 "total_power_w", "nonmux_sc", "mutsic_sc", "singsic_sc",
-                 "failed", "error", "warnings")
-AGGREGATE_COLUMNS = ("algorithm", "sweep_axis", "sweep_value", "n_trials",
-                     "n_failed", "mean_power_w", "std_power_w",
-                     "mean_nonmux_sc", "mean_mutsic_sc", "mean_singsic_sc")
+def _paired_saving(ok, ref_recs) -> float:
+    """1 - sum(power) / sum(reference power) on the trials both completed."""
+    ref = {r.trial: r.total_power_w for r in ref_recs if not r.failed}
+    pairs = [(r.total_power_w, ref[r.trial]) for r in ok if r.trial in ref]
+    if not pairs:
+        return float("nan")
+    power, ref_power = np.sum(pairs, axis=0)
+    return float(1.0 - power / ref_power)
 
 
-def write_trial_csv(records, path) -> None:
+# CSV cells: floats as repr(float(x)), which reads back exactly, bools as 0/1
+_FORMAT = {float: lambda x: repr(float(x)), bool: int}
+_PARSE = {bool: lambda text: bool(int(text))}
+
+
+def _columns(kind) -> list:
+    """(name, annotated type) of every field of a record dataclass."""
+    hints = typing.get_type_hints(kind)
+    return [(f.name, hints[f.name]) for f in fields(kind)]
+
+
+def write_csv(kind, rows, path) -> None:
+    """Rows of the dataclass `kind`, one column per field, header first."""
+    columns = _columns(kind)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        for r in records:
-            writer.writerow([r.sweep_axis, repr(float(r.sweep_value)),
-                             r.algorithm, r.trial, r.seed,
-                             repr(float(r.total_power_w)),
-                             r.nonmux_sc, r.mutsic_sc, r.singsic_sc,
-                             int(r.failed), r.error, r.warnings])
+        writer.writerow([name for name, _ in columns])
+        for row in rows:
+            writer.writerow([_FORMAT.get(t, str)(getattr(row, name))
+                             for name, t in columns])
 
 
-def read_trial_csv(path) -> list:
-    records = []
+def read_csv(kind, path) -> list:
+    """Rows written by write_csv; a header other than kind's fields raises."""
+    columns = _columns(kind)
+    parsers = [_PARSE.get(t, t) for _, t in columns]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames) != TRIAL_COLUMNS:
-            raise ValueError(f"unexpected trial CSV header "
-                             f"{reader.fieldnames}")
-        for row in reader:
-            records.append(TrialRecord(
-                row["sweep_axis"], float(row["sweep_value"]),
-                row["algorithm"], int(row["trial"]), int(row["seed"]),
-                float(row["total_power_w"]), int(row["nonmux_sc"]),
-                int(row["mutsic_sc"]), int(row["singsic_sc"]),
-                bool(int(row["failed"])), row["error"], row["warnings"]))
-    return records
-
-
-def write_aggregate_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGGREGATE_COLUMNS)
-        for r in rows:
-            writer.writerow([r.algorithm, r.sweep_axis,
-                             repr(float(r.sweep_value)),
-                             r.n_trials, r.n_failed,
-                             repr(float(r.mean_power_w)),
-                             repr(float(r.std_power_w)),
-                             repr(float(r.mean_nonmux_sc)),
-                             repr(float(r.mean_mutsic_sc)),
-                             repr(float(r.mean_singsic_sc))])
-
-
-def read_aggregate_csv(path) -> list:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames) != AGGREGATE_COLUMNS:
-            raise ValueError(f"unexpected aggregate CSV header "
-                             f"{reader.fieldnames}")
-        for row in reader:
-            rows.append(AggregateRow(
-                row["algorithm"], row["sweep_axis"],
-                float(row["sweep_value"]), int(row["n_trials"]),
-                int(row["n_failed"]), float(row["mean_power_w"]),
-                float(row["std_power_w"]), float(row["mean_nonmux_sc"]),
-                float(row["mean_mutsic_sc"]),
-                float(row["mean_singsic_sc"])))
-    return rows
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != [name for name, _ in columns]:
+            raise ValueError(f"unexpected {kind.__name__} CSV header "
+                             f"{header}")
+        return [kind(*(parse(cell) for parse, cell in zip(parsers, line)))
+                for line in reader]

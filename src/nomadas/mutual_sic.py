@@ -16,21 +16,9 @@ every candidate row and MutSIC-SOPAd on its selected row alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .waterfill import POWER_ATOL, admits_waterline_decrease
-
-
-@dataclass(frozen=True)
-class PairGains:
-    """The four link gains of a candidate cross-RRH pair."""
-
-    g11: float
-    g12: float
-    g21: float
-    g22: float
 
 
 def mutual_sic_feasible(gains):

@@ -8,7 +8,12 @@ from dense grid search. Slow and simple on purpose.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
+
+# the four link gains of a cross-RRH pair, in the kernels' tuple order
+PairGains = namedtuple("PairGains", "g11 g12 g21 g22")
 
 
 def bisection_waterline(gains, rate_bps, sigma2_w, sc_bw_hz,
@@ -104,8 +109,6 @@ def sample_pair_instance(rng, require_window=True, mu=0.01):
     always passes the cross-product feasibility test; with require_window
     the margined power window is non-degenerate as well.
     """
-    from nomadas import PairGains
-
     s2 = SIGMA2_REF
     while True:
         g11, g12, g21, g22 = 10.0 ** rng.uniform(-11.0, -6.0, 4)

@@ -8,7 +8,6 @@ module finishes in about three minutes on one core.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -371,7 +370,7 @@ def test_c6d_joint_pair_optimum():
         assert draws < 20000, "sampler starved"
         inst = sample_pair_instance(rng)
         gains, s2, mu = inst["gains"], inst["sigma2_w"], inst["mu"]
-        garr = tuple(np.array([g]) for g in astuple(gains))
+        garr = tuple(np.array([g]) for g in tuple(gains))
         w1, w2 = np.array([inst["w1"]]), np.array([inst["w2"]])
         p1i = np.array([inst["p1i"]])
         n1, n2 = inst["n1"], inst["n2"]
@@ -392,7 +391,7 @@ def test_c6d_joint_pair_optimum():
             c = (1.0 + mu) * gains.g11 / gains.g12 if case[0] == 2 \
                 else (1.0 - mu) * gains.g21 / gains.g22
             worst_resid = max(worst_resid, abs(float(_stationarity(
-                p1[0], c, astuple(gains), s2, inst["w1"], inst["w2"],
+                p1[0], c, tuple(gains), s2, inst["w1"], inst["w2"],
                 inst["p1i"], n1, n2))))
     ok = worst_excess <= 1e-9 and worst_resid < 1e-8
     _check("criterion 6d", ok,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nomadas import ALGORITHMS, AlgorithmConfig, generate_channel, run_algorithm
-from nomadas import audit
+from nomadas import harness
 from nomadas.allocators import StepRecord
 from nomadas.audit import AuditReport, audit_result, run_invariant_audit
 
@@ -41,7 +41,7 @@ def test_audit_counts_crashes(monkeypatch):
     def boom(channel, acfg):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(audit, "run_algorithm", boom)
+    monkeypatch.setattr(harness, "run_algorithm", boom)
     report = run_invariant_audit(SMALL, ("OMA-DAS",), trials=2)
     assert not report.ok
     assert len(report.violations) == 2

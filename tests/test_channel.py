@@ -6,17 +6,13 @@ import numpy as np
 import pytest
 
 from nomadas import Scenario, generate_channel
-from nomadas.channel import (channel_from_csv, channel_to_csv, noise_power,
+from nomadas.channel import (channel_from_csv, channel_to_csv,
                              pathloss_gain, tap_powers)
 
 FLAT = dict(fading=False, shadowing=False, pathloss=False)
 
 
-# -- noise and path loss ----------------------------------------------------------
-
-def test_noise_power_default_setup():
-    assert noise_power(4e-21, 10e6, 64) == pytest.approx(6.25e-16)
-
+# -- path loss ----------------------------------------------------------------------
 
 def test_pathloss_reference_distance():
     # 128.1 dB at one kilometer

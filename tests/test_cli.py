@@ -10,7 +10,7 @@ from nomadas import ALGORITHMS
 from nomadas import cli, harness
 from nomadas.audit import AuditReport
 from nomadas.cli import _parse_algorithms, build_parser, main
-from nomadas.harness import read_aggregate_csv, read_trial_csv
+from nomadas.harness import AggregateRow, TrialRecord, read_csv
 
 DEFAULT_ALGS = ("OMA-DAS", "SRRH", "SRRH-LPO")
 
@@ -50,7 +50,7 @@ def test_simulate_writes_trials(tmp_path, config_json, capsys):
     rc = main(["simulate", "--config", config_json, "--trials", "2",
                "--out", str(out)])
     assert rc == 0
-    records = read_trial_csv(out)
+    records = read_csv(TrialRecord, out)
     assert len(records) == 2 * len(DEFAULT_ALGS)
     assert {r.algorithm for r in records} == set(DEFAULT_ALGS)
     assert not any(r.failed for r in records)
@@ -64,9 +64,9 @@ def test_simulate_rate_override_and_aggregate(tmp_path, config_json):
                "--rate", "2e6", "--algorithms", "OMA-DAS",
                "--out", str(out), "--aggregate-out", str(agg)])
     assert rc == 0
-    records = read_trial_csv(out)
+    records = read_csv(TrialRecord, out)
     assert all(r.sweep_value == 2e6 for r in records)
-    rows = read_aggregate_csv(agg)
+    rows = read_csv(AggregateRow, agg)
     assert len(rows) == 1
     assert rows[0].n_trials == 2 and rows[0].n_failed == 0
 
@@ -79,10 +79,10 @@ def test_sweep_covers_all_values(tmp_path, config_json):
                "--algorithms", "OMA-DAS,SRRH", "--out", str(out),
                "--aggregate-out", str(agg)])
     assert rc == 0
-    records = read_trial_csv(out)
+    records = read_csv(TrialRecord, out)
     assert len(records) == 2 * 2 * 2
     assert {r.sweep_value for r in records} == {4.0, 6.0}
-    rows = read_aggregate_csv(agg)
+    rows = read_csv(AggregateRow, agg)
     assert len(rows) == 4
 
 
@@ -91,6 +91,21 @@ def test_summary_names_point_and_failures(tmp_path, config_json, capsys):
                "--algorithms", "OMA-DAS", "--out", str(tmp_path / "t.csv")])
     assert rc == 0
     assert "rate=3e+06" in capsys.readouterr().out
+
+
+def test_summary_prints_paired_saving_and_subcarriers(tmp_path, config_json,
+                                                     capsys):
+    agg = tmp_path / "agg.csv"
+    rc = main(["simulate", "--config", config_json, "--trials", "2",
+               "--algorithms", "OMA-DAS,SRRH", "--out",
+               str(tmp_path / "t.csv"), "--aggregate-out", str(agg)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line, row in zip(lines, read_csv(AggregateRow, agg)):
+        assert f"saving {row.paired_saving:+6.1%} vs OMA-DAS" in line
+        assert (f"plain/mutual/single sc {row.mean_nonmux_sc:.1f}/"
+                f"{row.mean_mutsic_sc:.1f}/{row.mean_singsic_sc:.1f}") in line
+    assert "saving  +0.0% vs OMA-DAS" in lines[0]
 
 
 def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
@@ -102,10 +117,19 @@ def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
     rc = main(["sweep", "--config", config_json, "--axis", "rate",
                "--values", "2e6", "--trials", "2", "--algorithms", "OMA-DAS",
                "--out", str(tmp_path / "sweep.csv")])
-    assert rc == 0
+    assert rc == 1
     out = capsys.readouterr().out
     assert "rate=2e+06" in out
     assert "(2 failed)" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "unused.csv"], ["audit"], ["oracle"]])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
 
 
 def test_audit_clean_run_exits_zero(config_json, capsys):
@@ -131,6 +155,17 @@ def test_oracle_exits_zero(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_oracle_counts_allocation_crashes(monkeypatch, capsys):
+    def boom(channel, config):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(harness, "run_algorithm", boom)
+    rc = main(["oracle", "--trials", "2"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "allocation crashed" in out and "2 failures" in out
+
+
 def test_module_entry_point(tmp_path, config_json):
     out = tmp_path / "trials.csv"
     proc = subprocess.run(
@@ -139,4 +174,4 @@ def test_module_entry_point(tmp_path, config_json):
          "--out", str(out)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len(read_trial_csv(out)) == 1
+    assert len(read_csv(TrialRecord, out)) == 1

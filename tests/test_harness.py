@@ -8,11 +8,9 @@ import pytest
 
 from nomadas import AlgorithmConfig, generate_channel, run_algorithm
 from nomadas import harness, optimal_pa
-from nomadas.harness import (AGGREGATE_COLUMNS, TRIAL_COLUMNS, AggregateRow,
-                             RunConfig, TrialRecord, aggregate, apply_sweep,
-                             read_aggregate_csv, read_trial_csv,
-                             run_monte_carlo, sweep_points, write_aggregate_csv,
-                             write_trial_csv)
+from nomadas.harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
+                             apply_sweep, read_csv, run_monte_carlo,
+                             sweep_points, trial_seed, write_csv)
 
 from conftest import SMALL
 
@@ -35,6 +33,21 @@ def test_config_rejects_unknown_algorithm():
 def test_config_rejects_nonpositive_counts(field):
     with pytest.raises(ValueError, match="positive"):
         RunConfig(SMALL, **field)
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="base_seed"):
+        RunConfig(SMALL, base_seed=-1)
+
+
+def test_trial_seed_base_zero_is_trial_index():
+    assert [trial_seed(0, t) for t in range(100)] == list(range(100))
+
+
+def test_trial_seeds_of_distinct_bases_are_disjoint():
+    base0 = {trial_seed(0, t) for t in range(100)}
+    base1 = {trial_seed(1, t) for t in range(100)}
+    assert not base0 & base1
 
 
 @pytest.mark.parametrize("axis,value,attr", [
@@ -81,9 +94,9 @@ def test_record_count_and_order(records):
     assert keys == expect
 
 
-def test_trial_seeds_xor_base(records):
+def test_trial_seeds_follow_trial_seed(records):
     for r in records:
-        assert r.seed == 11 ^ r.trial
+        assert r.seed == trial_seed(11, r.trial)
 
 
 def test_algorithms_share_channel_per_trial(records):
@@ -95,7 +108,7 @@ def test_algorithms_share_channel_per_trial(records):
         assert len({r.seed for r in recs}) == 1
     sample = [r for r in records if r.sweep_value == 3e6 and r.trial == 2]
     scen = apply_sweep(SMALL, "rate", 3e6)
-    ch = generate_channel(scen, np.random.default_rng(11 ^ 2))
+    ch = generate_channel(scen, np.random.default_rng(trial_seed(11, 2)))
     for r in sample:
         res = run_algorithm(ch, AlgorithmConfig(r.algorithm))
         assert res.total_power_w == r.total_power_w
@@ -203,16 +216,97 @@ def test_aggregate_splits_sweep_values(records):
         assert row.mean_power_w == pytest.approx(np.mean(subset), rel=1e-12)
 
 
+def test_paired_saving_is_relative_mean_saving_without_failures(records):
+    assert not any(r.failed for r in records)
+    rows = aggregate(records)
+    ref = {r.sweep_value: r.mean_power_w for r in rows
+           if r.algorithm == ALGS[0]}
+    for row in rows:
+        want = (ref[row.sweep_value] - row.mean_power_w) / ref[row.sweep_value]
+        assert row.paired_saving == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert all(r.paired_saving == 0.0 for r in rows if r.algorithm == ALGS[0])
+
+
+def test_paired_saving_skips_trials_the_reference_failed(monkeypatch):
+    real = run_algorithm
+    calls = []
+
+    def fail_second_reference(channel, acfg):
+        if acfg.algorithm == "OMA-DAS":
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+        return real(channel, acfg)
+
+    monkeypatch.setattr(harness, "run_algorithm", fail_second_reference)
+    recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=3))
+    power = {(r.algorithm, r.trial): r.total_power_w for r in recs}
+    assert [r.trial for r in recs if r.failed] == [1]
+    ref_row, srrh_row = aggregate(recs)
+    paired = sum(power["SRRH", t] for t in (0, 2)) \
+        / sum(power["OMA-DAS", t] for t in (0, 2))
+    assert srrh_row.paired_saving == pytest.approx(1.0 - paired, rel=1e-12)
+    assert srrh_row.n_trials == 3 and ref_row.n_failed == 1
+    assert ref_row.paired_saving == 0.0
+
+
 # -- CSV persistence -------------------------------------------------------------
+
+# one failed NaN row, quoted error and warning text, floats that need all
+# their digits; the expected bytes pin column order, number formats and
+# csv quoting of both files
+GOLDEN_RECORDS = [
+    TrialRecord("rate", 9e6, "OMA-DAS", 0, 0, 0.1 + 0.2, 40, 0, 0, False),
+    TrialRecord("rate", 9e6, "SRRH", 0, 0, 0.25, 30, 0, 10, False, "",
+                'opa did not converge; keeping "waterfilled", powers'),
+    TrialRecord("rate", 9e6, "OMA-DAS", 1, 1, 1e-300, 41, 0, 0, False),
+    TrialRecord("rate", 9e6, "SRRH", 1, 1, float("nan"), 0, 0, 0, True,
+                "RuntimeError('boom, \"quoted\"')"),
+    TrialRecord("rate", 1.2e7, "OMA-DAS", 0, 0, 2.5, 64, 0, 0, False),
+    TrialRecord("rate", 1.2e7, "SRRH", 0, 0, 1.75, 50, 0, 14, False),
+]
+GOLDEN_TRIAL_CSV = (
+    "sweep_axis,sweep_value,algorithm,trial,seed,total_power_w,nonmux_sc,"
+    "mutsic_sc,singsic_sc,failed,error,warnings",
+    "rate,9000000.0,OMA-DAS,0,0,0.30000000000000004,40,0,0,0,,",
+    'rate,9000000.0,SRRH,0,0,0.25,30,0,10,0,,"opa did not converge; '
+    'keeping ""waterfilled"", powers"',
+    "rate,9000000.0,OMA-DAS,1,1,1e-300,41,0,0,0,,",
+    'rate,9000000.0,SRRH,1,1,nan,0,0,0,1,"RuntimeError(\'boom, '
+    '""quoted""\')",',
+    "rate,12000000.0,OMA-DAS,0,0,2.5,64,0,0,0,,",
+    "rate,12000000.0,SRRH,0,0,1.75,50,0,14,0,,",
+)
+GOLDEN_AGGREGATE_CSV = (
+    "algorithm,sweep_axis,sweep_value,n_trials,n_failed,mean_power_w,"
+    "std_power_w,mean_nonmux_sc,mean_mutsic_sc,mean_singsic_sc,paired_saving",
+    "OMA-DAS,rate,9000000.0,2,0,0.15000000000000002,0.15000000000000002,"
+    "40.5,0.0,0.0,0.0",
+    "SRRH,rate,9000000.0,1,1,0.25,0.0,30.0,0.0,10.0,0.16666666666666674",
+    "OMA-DAS,rate,12000000.0,1,0,2.5,0.0,64.0,0.0,0.0,0.0",
+    "SRRH,rate,12000000.0,1,0,1.75,0.0,50.0,0.0,14.0,0.30000000000000004",
+)
+
+
+@pytest.mark.parametrize("kind,rows,lines", [
+    (TrialRecord, GOLDEN_RECORDS, GOLDEN_TRIAL_CSV),
+    (AggregateRow, aggregate(GOLDEN_RECORDS), GOLDEN_AGGREGATE_CSV),
+])
+def test_csv_golden_text(kind, rows, lines, tmp_path):
+    path = tmp_path / "golden.csv"
+    write_csv(kind, rows, path)
+    assert path.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
+    assert repr(read_csv(kind, path)) == repr(rows)
+
 
 def test_trial_csv_roundtrip(records, tmp_path):
     path = tmp_path / "trials.csv"
     mixed = list(records) + [_rec("SRRH", 9e9, 0, float("nan"), failed=True)]
-    write_trial_csv(mixed, path)
-    back = read_trial_csv(path)
+    write_csv(TrialRecord, mixed, path)
+    back = read_csv(TrialRecord, path)
     assert len(back) == len(mixed)
     for a, b in zip(mixed, back):
-        for col in TRIAL_COLUMNS:
+        for col in TrialRecord.__dataclass_fields__:
             va, vb = getattr(a, col), getattr(b, col)
             if isinstance(va, float) and math.isnan(va):
                 assert math.isnan(vb)
@@ -225,32 +319,36 @@ def test_trial_csv_roundtrip_keeps_warnings(tmp_path):
     recs = [replace(_rec("SRRH", 1e6, t, 1.5), warnings=w)
             for t, w in enumerate(["", "one warning",
                                    'quoted "text", comma; and more'])]
-    write_trial_csv(recs, path)
+    write_csv(TrialRecord, recs, path)
     assert path.read_text().splitlines()[0].endswith(",warnings")
-    assert read_trial_csv(path) == recs
+    assert read_csv(TrialRecord, path) == recs
 
 
 def test_aggregate_csv_roundtrip(records, tmp_path):
     path = tmp_path / "agg.csv"
     rows = aggregate(records)
-    write_aggregate_csv(rows, path)
-    assert read_aggregate_csv(path) == rows
+    write_csv(AggregateRow, rows, path)
+    assert read_csv(AggregateRow, path) == rows
 
 
 def test_trial_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("algorithm,total\nSRRH,1.0\n")
     with pytest.raises(ValueError, match="header"):
-        read_trial_csv(path)
+        read_csv(TrialRecord, path)
 
 
 def test_aggregate_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(",".join(TRIAL_COLUMNS) + "\n")
+    path.write_text(",".join(TrialRecord.__dataclass_fields__) + "\n")
     with pytest.raises(ValueError, match="header"):
-        read_aggregate_csv(path)
+        read_csv(AggregateRow, path)
 
 
-def test_aggregate_row_columns_cover_dataclass():
-    assert AGGREGATE_COLUMNS == tuple(AggregateRow.__dataclass_fields__)
-    assert TRIAL_COLUMNS == tuple(TrialRecord.__dataclass_fields__)
+def test_aggregate_row_columns_cover_dataclass(tmp_path):
+    """With no rows the file is the header alone: one column per field."""
+    for kind in (TrialRecord, AggregateRow):
+        path = tmp_path / f"{kind.__name__}.csv"
+        write_csv(kind, [], path)
+        assert path.read_text() == ",".join(kind.__dataclass_fields__) + "\n"
+        assert read_csv(kind, path) == []

@@ -1,7 +1,6 @@
 """Cross-RRH pairing math: feasibility, windows, deltas, joint optimum."""
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -243,7 +242,7 @@ def test_sopa_deltas_match_recomputation():
         gains, n1, n2 = inst["gains"], inst["n1"], inst["n2"]
         w1, w2, p1i = inst["w1"], inst["w2"], inst["p1i"]
         p1 = p1i * rng.uniform(0.5, 2.0)
-        lo, hi = power_window(astuple(gains), p1)
+        lo, hi = power_window(tuple(gains), p1)
         p2 = rng.uniform(lo, hi)
 
         rate1_old = sc_bw * math.log2(1.0 + p1i * gains.g11 / s2)
@@ -306,7 +305,7 @@ def _edge_residual(inst, p1, case):
     """Edge-case stationarity at p1; zero at the case's optimum."""
     g = inst["gains"]
     return float(mutual_sic._stationarity(
-        p1, _edge_ratio(inst, case), astuple(g), inst["sigma2_w"],
+        p1, _edge_ratio(inst, case), tuple(g), inst["sigma2_w"],
         inst["w1"], inst["w2"], inst["p1i"], inst["n1"], inst["n2"]))
 
 
@@ -317,7 +316,7 @@ def _dpa_reference(inst):
     """
     gains, s2 = inst["gains"], inst["sigma2_w"]
     w_add = waterline_add(inst["w2"], inst["n2"], gains.g22, s2)
-    p2, ok = _dpa(w_add - s2 / gains.g22, astuple(gains), inst["p1i"],
+    p2, ok = _dpa(w_add - s2 / gains.g22, tuple(gains), inst["p1i"],
                   inst["mu"])
     if not ok:
         return None
@@ -338,7 +337,7 @@ def test_opad_case1_when_window_inactive():
         gains, s2 = inst["gains"], inst["sigma2_w"]
         w_add = waterline_add(inst["w2"], inst["n2"], gains.g22, s2)
         p2_wf = w_add - s2 / gains.g22
-        lo, hi = power_window(astuple(gains), inst["p1i"])
+        lo, hi = power_window(tuple(gains), inst["p1i"])
         if not lo < p2_wf < hi:
             continue
         p1, p2, _, case = _opad(inst)
@@ -392,7 +391,7 @@ def test_opad_scaling_invariance():
     for _ in range(20):
         inst = sample_pair_instance(rng)
         g = inst["gains"]
-        scaled = dict(inst, gains=type(g)(*(c * x for x in astuple(g))))
+        scaled = dict(inst, gains=type(g)(*(c * x for x in tuple(g))))
         for key in ("w1", "w2", "p1i"):
             scaled[key] = inst[key] / c
         base = _opad(inst)
@@ -437,7 +436,7 @@ def test_opad_cases_matches_scalar_optimizer(case_batch):
         g, s2 = inst["gains"], inst["sigma2_w"]
         w1, w2, p1i = inst["w1"], inst["w2"], inst["p1i"]
         n1, n2 = inst["n1"], inst["n2"]
-        lo, hi = power_window(astuple(g), p1i)
+        lo, hi = power_window(tuple(g), p1i)
         p2_wf = waterline_add(w2, n2, g.g22, s2) - s2 / g.g22
         points = {}
         if lo - POWER_ATOL <= p2_wf <= hi + POWER_ATOL:

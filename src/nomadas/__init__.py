@@ -11,8 +11,7 @@ from .allocators import (ALGORITHMS, AlgorithmConfig, AllocationResult,
                          AllocationState, MutualPair, SinglePair,
                          run_algorithm)
 from .audit import AuditReport, audit_result, run_invariant_audit
-from .channel import (ChannelTensor, channel_from_csv, channel_to_csv,
-                      generate_channel, pathloss_gain)
+from .channel import ChannelTensor, generate_channel, pathloss_gain
 from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                       apply_sweep, read_csv, run_monte_carlo, run_trial,
                       trial_seed, write_csv)
@@ -35,8 +34,8 @@ __all__ = [
     "AggregateRow", "AuditReport", "ChannelTensor", "InfeasibleWaterline",
     "MutualPair", "OpaResult", "OracleInfeasible", "OracleResult",
     "RunConfig", "Scenario", "SinglePair", "SolveReport", "TrialRecord",
-    "aggregate", "apply_sweep", "audit_result", "channel_from_csv",
-    "channel_to_csv", "constrained_mutual_pa_oracle", "dpa_adjust",
+    "aggregate", "apply_sweep", "audit_result",
+    "constrained_mutual_pa_oracle", "dpa_adjust",
     "drop_users", "ftpa_power", "generate_channel", "hexagon_contains",
     "load_scenario", "mutual_sic_feasible", "optimal_power_allocation",
     "pathloss_gain", "place_rrhs", "power_window", "rate_condition_terms",

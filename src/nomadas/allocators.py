@@ -13,9 +13,11 @@ Every round after the first runs the same greedy descent (_descend): the
 most power-hungry active user proposes its best step, which is taken while
 it lowers total power by more than rho_w; otherwise the user retires.
 
-State bookkeeping: a subcarrier is "free" until assigned, then carried by
-its first user's sole set (power floats on the user's waterline) until a
-pairing freezes it. Frozen powers and rates never change afterwards.
+State bookkeeping: a subcarrier is free until assigned. Then owner[n, r]
+names the user that holds it alone through RRH r, its power floating on
+that user's waterline, until a pairing freezes it and clears the entry.
+Only the MutSIC-UC bound lets a second user hold an owned subcarrier,
+through another RRH. Frozen powers and rates never change afterwards.
 """
 
 from __future__ import annotations
@@ -137,14 +139,15 @@ class AllocationState:
         self.rrhs = np.array([0]) if central else np.arange(scen.num_rrhs)
         self.demands = np.full(scen.num_users, float(scen.rate_demand_bps))
 
-        K = self.num_users
-        self.sole = [[] for _ in range(K)]        # per user: [(n, r, gain)]
-        self.floor_sum = np.zeros(K)              # sum of sigma2/gain over sole
+        K, S = self.num_users, self.num_subcarriers
+        # owner[n, r]: the user holding n alone through RRH r, else -1
+        self.owner = np.full((S, scen.num_rrhs), -1)
+        self.n_sole = np.zeros(K, dtype=int)      # holdings per user
+        self.floor_sum = np.zeros(K)              # sum of sigma2/gain over them
         self.waterline = np.full(K, np.nan)
         self.frozen_rate = np.zeros(K)
         self.frozen_power = np.zeros(K)
-        self.free = list(range(scen.num_subcarriers))   # unassigned
-        self.first = {}                            # n -> (k, r); no second user
+        self.free = np.ones(S, dtype=bool)        # no holder, no frozen pair
         self.singles: list[SinglePair] = []
         self.mutuals: list[MutualPair] = []
         self.log: list[StepRecord] = []
@@ -152,44 +155,44 @@ class AllocationState:
 
     # -- bookkeeping helpers -------------------------------------------------
 
-    def user_power(self, k: int) -> float:
-        n = len(self.sole[k])
-        if n == 0:
-            return float(self.frozen_power[k])
-        return float(n * self.waterline[k] - self.floor_sum[k]
-                     + self.frozen_power[k])
-
-    def sole_counts(self) -> np.ndarray:
-        return np.fromiter(map(len, self.sole), dtype=int,
-                           count=self.num_users)
-
     def user_powers(self) -> np.ndarray:
-        """Every user_power(k) at once, with the same float operations."""
-        counts = self.sole_counts()
-        return np.where(counts == 0, self.frozen_power,
-                        counts * self.waterline - self.floor_sum
+        """Per-user power: frozen powers plus the waterfill of the sole
+        holdings, n_sole * waterline - floor_sum (none without any)."""
+        return np.where(self.n_sole == 0, self.frozen_power,
+                        self.n_sole * self.waterline - self.floor_sum
                         + self.frozen_power)
 
     def total_power(self) -> float:
         return float(self.user_powers().sum())
 
+    def holders(self) -> np.ndarray:
+        """Sole holders per subcarrier (two only under MutSIC-UC)."""
+        return np.count_nonzero(self.owner >= 0, axis=1)
+
+    def sole_slots(self):
+        """(user, subcarrier, RRH) arrays of the sole holdings, ordered by
+        user, then subcarrier, then RRH."""
+        ns, rs = np.nonzero(self.owner >= 0)
+        ks = self.owner[ns, rs]
+        order = np.argsort(ks, kind="stable")
+        return ks[order], ns[order], rs[order]
+
     def sole_gains(self, k: int) -> np.ndarray:
-        return np.array([g for _, _, g in self.sole[k]])
+        return self.gains[k][self.owner == k]
 
     def sole_rate_bps(self, k: int) -> float:
         return float(self.demands[k] - self.frozen_rate[k])
 
-    def _add_sole(self, k: int, n: int, r: int, gain: float):
-        self.sole[k].append((n, int(r), float(gain)))
-        self.floor_sum[k] += self.sigma2_w / gain
+    def _add_sole(self, k: int, n: int, r: int):
+        self.owner[n, r] = k
+        self.n_sole[k] += 1
+        self.floor_sum[k] += self.sigma2_w / self.gains[k, n, r]
+        self.free[n] = False
 
-    def _remove_sole(self, k: int, n: int):
-        for i, (sn, sr, sg) in enumerate(self.sole[k]):
-            if sn == n:
-                del self.sole[k][i]
-                self.floor_sum[k] -= self.sigma2_w / sg
-                return sr, sg
-        raise KeyError(f"subcarrier {n} not in user {k}'s sole set")
+    def _remove_sole(self, k: int, n: int, r: int):
+        self.owner[n, r] = -1
+        self.n_sole[k] -= 1
+        self.floor_sum[k] -= self.sigma2_w / self.gains[k, n, r]
 
     def _log(self, phase, user, n, accepted, dp, before):
         self.log.append(StepRecord(phase, user, n, accepted, dp, before,
@@ -200,9 +203,9 @@ class AllocationState:
     def power_tensor(self) -> np.ndarray:
         """Dense (users, subcarriers, RRHs) transmit powers."""
         P = np.zeros_like(self.gains)
-        for k in range(self.num_users):
-            for n, r, g in self.sole[k]:
-                P[k, n, r] = self.waterline[k] - self.sigma2_w / g
+        ks, ns, rs = self.sole_slots()
+        g = self.gains[ks, ns, rs]
+        P[ks, ns, rs] = self.waterline[ks] - self.sigma2_w / g
         for sp in self.singles:
             P[sp.k1, sp.n, sp.r] = sp.p1_w
             P[sp.k2, sp.n, sp.r] = sp.p2_w
@@ -238,7 +241,7 @@ def worst_best_h(state: AllocationState) -> None:
     G, s2 = state.gains, state.sigma2_w
     unassigned = set(range(state.num_users))
     while unassigned:
-        free_arr = np.array(state.free)
+        free_arr = np.flatnonzero(state.free)
         sub = G[:, free_arr[:, None], state.rrhs[None, :]]
         best_k, best_gain = -1, math.inf
         for k in sorted(unassigned):
@@ -253,11 +256,10 @@ def worst_best_h(state: AllocationState) -> None:
         state.waterline[best_k] = math.exp(q * math.log(2.0)
                                            + math.log(s2 / gain))
         before = state.total_power()
-        state.free.remove(n)
-        state._add_sole(best_k, n, r, gain)
-        state.first[n] = (best_k, r)
+        state._add_sole(best_k, n, r)
         unassigned.discard(best_k)
-        state._log("wbh", best_k, n, True, state.user_power(best_k), before)
+        state._log("wbh", best_k, n, True, state.user_powers()[best_k],
+                   before)
 
 
 # -- the greedy descent every growth and pairing phase runs ------------------
@@ -296,9 +298,11 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
 def _incumbents(state: AllocationState, k2: int):
     """(n, k1, r) arrays of the subcarriers a user other than k2 holds
     alone, by ascending n: the pairing candidates of beneficiary k2."""
-    rows = [(n, k1, r) for n, (k1, r) in sorted(state.first.items())
-            if k1 != k2]
-    return np.array(rows, dtype=int).reshape(-1, 3).T
+    ns = np.flatnonzero(state.holders() == 1)
+    rs = np.argmax(state.owner[ns] >= 0, axis=1)
+    k1s = state.owner[ns, rs]
+    keep = k1s != k2
+    return ns[keep], k1s[keep], rs[keep]
 
 
 # -- phase 2: grow sole sets while total power drops -------------------------
@@ -315,7 +319,7 @@ def oma_phase(state: AllocationState) -> None:
 
     def propose(k):
         w = state.waterline[k]
-        free_arr = np.array(state.free)
+        free_arr = np.flatnonzero(state.free)
         cand = G[k, free_arr[:, None], state.rrhs[None, :]]
         admissible = admits_waterline_decrease(cand, w, s2)
         if not admissible.any():
@@ -324,20 +328,18 @@ def oma_phase(state: AllocationState) -> None:
         ni, ri = np.unravel_index(flat, cand.shape)
         n, r = int(free_arr[ni]), int(state.rrhs[ri])
         gain = float(G[k, n, r])
-        n_cur = len(state.sole[k])
+        n_cur = state.n_sole[k]
         w_new = waterline_add(w, n_cur, gain, s2)
         dp = delta_power_oma(w, w_new, n_cur, gain, s2)
 
         def commit():
             state.waterline[k] = w_new
-            state.free.remove(n)
-            state._add_sole(k, n, r, gain)
-            state.first[n] = (k, r)
+            state._add_sole(k, n, r)
             return n, dp
         return n, dp, commit
 
-    _descend(state, "oma", len(state.free) + state.num_users,
-             lambda: state.free, propose)
+    _descend(state, "oma", int(state.free.sum()) + state.num_users,
+             state.free.any, propose)
 
 
 # -- unconstrained benchmark: waterfill onto occupied subcarriers -------------
@@ -353,24 +355,17 @@ def uc_extension_phase(state: AllocationState) -> None:
     constrained mutual-SIC methods, not a deployable allocation.
     """
     G, s2 = state.gains, state.sigma2_w
-    occupants: dict[int, list[tuple[int, int]]] = {}
-    for k in range(state.num_users):
-        for n, r, _ in state.sole[k]:
-            occupants.setdefault(n, []).append((k, r))
-    n_rrh = len(state.rrhs)
 
     def propose(k):
         w = state.waterline[k]
-        n_cur = len(state.sole[k])
+        n_cur = state.n_sole[k]
         floor = s2 / state.sole_gains(k).min() if n_cur else 0.0
-        allow = np.zeros((state.num_subcarriers, n_rrh), dtype=bool)
-        for n in state.free:
-            allow[n, :] = True
-        for n, occ in occupants.items():
-            if len(occ) == 1 and occ[0][0] != k:
-                allow[n, :] = True
-                # same-RRH reuse is single-SIC territory, not covered here
-                allow[n, np.flatnonzero(state.rrhs == occ[0][1])] = False
+        own = state.owner[:, state.rrhs]
+        held = own >= 0
+        # a subcarrier one other user holds is open on every other RRH;
+        # same-RRH reuse is single-SIC territory, not covered here
+        other = (held.sum(axis=1) == 1) & (own.max(axis=1) != k)
+        allow = state.free[:, None] | (other[:, None] & ~held)
         cand = G[k][:, state.rrhs]
         with np.errstate(divide="ignore"):
             w_new = waterline_add(w, n_cur, cand, s2)
@@ -388,13 +383,7 @@ def uc_extension_phase(state: AllocationState) -> None:
 
         def commit():
             state.waterline[k] = wn
-            if n in state.free:
-                state.free.remove(n)
-                state.first[n] = (k, r)
-            else:
-                state.first.pop(n, None)
-            state._add_sole(k, n, r, gain)
-            occupants.setdefault(n, []).append((k, r))
+            state._add_sole(k, n, r)
             return n, dp
         return n, dp, commit
 
@@ -420,7 +409,7 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
     alpha = state.config.ftpa_alpha
 
     def propose(k2):
-        n2 = len(state.sole[k2])
+        n2 = state.n_sole[k2]
         if n2 == 0:
             return -1, math.nan, None
         w2 = state.waterline[k2]
@@ -451,20 +440,19 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
             n, k1, r = int(ns[best]), int(k1s[best]), int(rs[best])
             p1_f, p2_f = float(p1[best]), float(p2[best])
             rate1 = float(rate_single(p1_f, g1[best], s2, sc_bw))
-            state._remove_sole(k1, n)
+            state._remove_sole(k1, n, r)
             state.frozen_rate[k1] += rate1
             state.frozen_power[k1] += p1_f
             state.frozen_rate[k2] += float(rate2[best])
             state.frozen_power[k2] += p2_f
             state.waterline[k2] = float(w2_new[best])
-            del state.first[n]
             state.singles.append(SinglePair(n, k1, r, p1_f, rate1, k2, p2_f,
                                             float(rate2[best])))
             return n, dp_best
         return int(ns[best]) if valid.any() else -1, dp_best, commit
 
-    _descend(state, "single", len(state.first) + state.num_users,
-             lambda: state.first, propose)
+    _descend(state, "single", int((state.holders() == 1).sum())
+             + state.num_users, lambda: (state.holders() == 1).any(), propose)
 
 
 # -- mutual-SIC pairing across RRHs -------------------------------------------
@@ -488,16 +476,21 @@ def _mutual_candidates(state: AllocationState, k2: int):
 
     # each incumbent's two weakest sole gains: dropping n from the sole set
     # leaves the weakest one unless n carries it
+    hk, hn, hr = state.sole_slots()
+    hg = G[hk, hn, hr]
+    order = np.lexsort((hg, hk))                # by user, then by gain
+    hk, hg = hk[order], hg[order]
+    lead = np.r_[True, hk[1:] != hk[:-1]]       # each user's weakest
+    runner = np.r_[False, lead[:-1]] & ~lead    # and its second weakest
     weakest = np.full((state.num_users, 2), np.inf)
-    for k, sole in enumerate(state.sole):
-        low = sorted(g for _, _, g in sole)[:2]
-        weakest[k, :len(low)] = low
+    weakest[hk[lead], 0] = hg[lead]
+    weakest[hk[runner], 1] = hg[runner]
     g11 = G[k1s, ns, r1s]
     rest_min = np.where(g11 == weakest[k1s, 0], weakest[k1s, 1],
                         weakest[k1s, 0])
     gains = (g11, G[k1s, ns, r2s], G[k2, ns, r1s], G[k2, ns, r2s])
     return (ns, k1s, r1s, r2s, gains, state.waterline[k1s],
-            state.sole_counts()[k1s], s2 / rest_min)
+            state.n_sole[k1s], s2 / rest_min)
 
 
 def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -515,7 +508,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     mu = state.config.mu
 
     def propose(k2):
-        n2 = len(state.sole[k2])
+        n2 = state.n_sole[k2]
         if n2 == 0:
             return -1, math.nan, None
         w2 = state.waterline[k2]
@@ -569,8 +562,8 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
             return n, dp_f
         return -1, float(dp_total[best]), commit
 
-    _descend(state, "mutual", len(state.first) + state.num_users,
-             lambda: state.first, propose)
+    _descend(state, "mutual", int((state.holders() == 1).sum())
+             + state.num_users, lambda: (state.holders() == 1).any(), propose)
 
 
 def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
@@ -637,22 +630,20 @@ def _freeze_mutual(state: AllocationState, n, k1, r1, r2, k2,
     rate1_old = float(rate_single(p1i, g11, s2, sc_bw))
     rate2 = float(rate_single(p2_f, g22, s2, sc_bw))
 
-    state._remove_sole(k1, n)
-    if len(state.sole[k1]) > 0 and abs(rate1_new - rate1_old) > 0:
+    state._remove_sole(k1, n, r1)
+    if state.n_sole[k1] > 0 and abs(rate1_new - rate1_old) > 0:
         state.waterline[k1] = waterline_rate_shift(
-            state.waterline[k1], rate1_old - rate1_new,
-            len(state.sole[k1]), sc_bw)
+            state.waterline[k1], rate1_old - rate1_new, state.n_sole[k1],
+            sc_bw)
     state.frozen_rate[k1] += rate1_new
     state.frozen_power[k1] += p1_f
 
-    n2 = len(state.sole[k2])
     state.waterline[k2] = waterline_rate_shift(
-        state.waterline[k2], -rate2, n2, sc_bw,
+        state.waterline[k2], -rate2, state.n_sole[k2], sc_bw,
         sole_gains=state.sole_gains(k2), sigma2_w=s2)
     state.frozen_rate[k2] += rate2
     state.frozen_power[k2] += p2_f
 
-    del state.first[n]
     state.mutuals.append(MutualPair(n, k1, r1, p1_f, rate1_new, p1i,
                                     k2, r2, p2_f, rate2))
 
@@ -685,13 +676,9 @@ def run_algorithm(channel: ChannelTensor,
         P = state.power_tensor()
     per_user = P.sum(axis=(1, 2))
     S = state.num_subcarriers
-    occ = np.zeros(S, dtype=int)
-    for sole in state.sole:
-        for n, _, _ in sole:
-            occ[n] += 1
     # subcarriers shared by two floating users (uc benchmark) count as
     # mutually multiplexed alongside the frozen pairs
-    mut = len(state.mutuals) + int((occ == 2).sum())
+    mut = len(state.mutuals) + int((state.holders() == 2).sum())
     sing = len(state.singles)
     return AllocationResult(
         algorithm=config.algorithm,

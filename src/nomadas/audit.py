@@ -27,9 +27,8 @@ def _role_map(state):
     """Subcarrier occupancy: n -> list of (role, user, rrh, gain)."""
     roles = {}
     G = state.gains
-    for k in range(state.num_users):
-        for n, r, g in state.sole[k]:
-            roles.setdefault(n, []).append(("sole", k, r, g))
+    for k, n, r in zip(*state.sole_slots()):
+        roles.setdefault(n, []).append(("sole", k, r, float(G[k, n, r])))
     for sp in state.singles:
         g1 = float(G[sp.k1, sp.n, sp.r])
         g2 = float(G[sp.k2, sp.n, sp.r])
@@ -142,7 +141,7 @@ def audit_result(result: AllocationResult) -> list[str]:
     # demand exactly (not meaningful once powers were re-optimized)
     if alg != "SRRH-OPA":
         for k in range(state.num_users):
-            if not state.sole[k]:
+            if not state.n_sole[k]:
                 continue
             gains = state.sole_gains(k)
             want = state.sole_rate_bps(k)

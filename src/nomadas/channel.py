@@ -8,7 +8,6 @@ loss and shadowing, in a dense (users, subcarriers, RRHs) tensor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,6 @@ class ChannelTensor:
     sigma2_w: float
     user_xy: np.ndarray
     rrh_xy: np.ndarray
-
-    def checksum(self) -> float:
-        """Cheap content fingerprint used to confirm paired trials."""
-        return float(np.log(self.gains).sum())
 
 
 def generate_channel(scenario: Scenario, rng: np.random.Generator = None, *,
@@ -103,31 +98,3 @@ def generate_channel(scenario: Scenario, rng: np.random.Generator = None, *,
                          sigma2_w=scenario.sigma2_w,
                          user_xy=user_xy, rrh_xy=rrh_xy)
 
-
-def channel_to_csv(tensor: ChannelTensor, path) -> None:
-    """Dump the gain tensor as one row per (user, subcarrier, RRH)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "subcarrier", "rrh", "gain"])
-        K, S, R = tensor.gains.shape
-        for k in range(K):
-            for n in range(S):
-                for r in range(R):
-                    writer.writerow([k, n, r,
-                                     repr(float(tensor.gains[k, n, r]))])
-
-
-def channel_from_csv(path) -> np.ndarray:
-    """Read back a gain tensor written by channel_to_csv."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append((int(rec["user"]), int(rec["subcarrier"]),
-                         int(rec["rrh"]), float(rec["gain"])))
-    K = 1 + max(r[0] for r in rows)
-    S = 1 + max(r[1] for r in rows)
-    R = 1 + max(r[2] for r in rows)
-    gains = np.empty((K, S, R))
-    for k, n, r, g in rows:
-        gains[k, n, r] = g
-    return gains

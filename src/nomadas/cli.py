@@ -56,7 +56,6 @@ def _add_common(p):
                    help="comma-separated algorithm names, or 'all'")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _cmd_run(args) -> int:
@@ -98,8 +97,9 @@ def _cmd_oracle(args) -> int:
     """Greedy allocations must never beat the reference optimizers."""
     failures = 0
     checked_opa = checked_mut = 0
-    scen = Scenario(cell_radius_m=300.0, num_users=3, num_rrhs=3,
-                    num_subcarriers=8, rate_demand_bps=2e6)
+    # dense enough that MutSIC-DPA pairs users for the window oracle
+    scen = Scenario(cell_radius_m=300.0, num_users=6, num_rrhs=4,
+                    num_subcarriers=8, rate_demand_bps=12e6)
     for t in range(args.trials):
         _, results = run_trial(scen, ("SRRH-LPO", "MutSIC-DPA"), args.seed,
                                t)
@@ -143,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo at one operating point")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--rate", type=float, help="override rate demand (bit/s)")
     p.add_argument("--out", required=True, help="per-trial CSV path")
     p.add_argument("--aggregate-out", help="aggregate CSV path")
@@ -150,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte Carlo across a parameter axis")
     _add_common(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")

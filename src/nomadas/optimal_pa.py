@@ -73,13 +73,12 @@ def _collect_slots(state):
     """Flatten a state's assignment into slot and pair index arrays.
 
     A slot is any subcarrier decoded interference-free by its first user:
-    all sole entries plus the first position of every single-SIC pair.
+    all sole holdings, by user, then subcarrier, then RRH, plus the first
+    position of every single-SIC pair.
     """
-    slots = []      # (user, n, r, gain)
+    slots = [(k, n, r, float(state.gains[k, n, r]))     # (user, n, r, gain)
+             for k, n, r in zip(*state.sole_slots())]
     pairs = []      # (slot_index, user2, gain2)
-    for k in range(state.num_users):
-        for n, r, g in state.sole[k]:
-            slots.append((k, n, r, g))
     for sp in state.singles:
         g1 = float(state.gains[sp.k1, sp.n, sp.r])
         g2 = float(state.gains[sp.k2, sp.n, sp.r])
@@ -370,10 +369,7 @@ def constrained_mutual_pa_oracle(state, tol: float = 1e-9) -> OracleResult:
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
     K = state.num_users
-    soles = []
-    for k in range(state.num_users):
-        for n, r, g in state.sole[k]:
-            soles.append((k, n, r, g))
+    soles, _ = _collect_slots(state)    # no single-SIC pairs: sole slots
     mp = state.mutuals
     m = len(mp)
     ns = len(soles)

@@ -42,9 +42,8 @@ def achieved_rates(result):
                                     G[mp.k1, mp.n, mp.r1], s2, bw)
         rates[mp.k2] += rate_single(P[mp.k2, mp.n, mp.r2],
                                     G[mp.k2, mp.n, mp.r2], s2, bw)
-    for k in range(st.num_users):
-        for n, r, g in st.sole[k]:
-            rates[k] += rate_single(P[k, n, r], g, s2, bw)
+    for k, n, r in zip(*st.sole_slots()):
+        rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
 
 
@@ -105,16 +104,27 @@ def test_accepted_steps_decrease_total(batch, alg):
 
 
 def _scalar_user_powers(state):
-    return np.array([state.user_power(k) for k in range(state.num_users)])
+    """Each user's power from its sole holdings in owner, one at a time:
+    n * waterline - floor_sum + frozen power, the frozen power alone when
+    the user holds nothing alone."""
+    out = []
+    for k in range(state.num_users):
+        n = int(np.count_nonzero(state.owner == k))
+        p = float(state.frozen_power[k])
+        if n:
+            p = float(n * state.waterline[k] - state.floor_sum[k]
+                      + state.frozen_power[k])
+        out.append(p)
+    return np.array(out)
 
 
 def test_user_powers_equal_scalar_loop(batch):
-    """The vectorized user_powers repeats user_power(k) bit for bit."""
+    """The vectorized user_powers repeats the scalar formula bit for bit."""
     emptied = 0
     for res in batch.values():
         st = res.state
         assert np.array_equal(st.user_powers(), _scalar_user_powers(st))
-        emptied += sum(not sole for sole in st.sole)
+        emptied += int(np.count_nonzero(st.n_sole == 0))
     assert emptied > 0     # users whose sole set a pairing phase emptied
 
 
@@ -122,7 +132,7 @@ def test_user_powers_equal_scalar_loop_at_every_step(monkeypatch):
     """Same check after every logged step, NaN waterlines included.
 
     Before the first phase has reached a user, its sole set is empty and
-    its waterline NaN; user_power(k) then returns the frozen power alone.
+    its waterline NaN; its power is then the frozen power alone.
     """
     ch = next(drops(LOADED, 1, base_seed=17))
     fresh = AllocationState(ch, AlgorithmConfig("OMA-DAS"))
@@ -144,21 +154,67 @@ def test_user_powers_equal_scalar_loop_at_every_step(monkeypatch):
     assert seen_nan > 0
 
 
+def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
+    """owner, n_sole, free and floor_sum agree after every logged step.
+
+    n_sole counts each user's entries in owner; a subcarrier is free
+    exactly when nobody holds it and no frozen pair sits on it; floor_sum
+    matches a from-scratch sum over the holdings to 1e-12 of the largest
+    one; two users hold one subcarrier only under MutSIC-UC, and then
+    through different RRHs (owner has one entry per RRH).
+    """
+    ch = next(drops(LOADED, 1, base_seed=17))
+    log = AllocationState._log
+    checked = shared = 0
+
+    def checked_log(state, *args):
+        nonlocal checked, shared
+        own, K = state.owner, state.num_users
+        assert np.array_equal(state.n_sole,
+                              np.bincount(own[own >= 0], minlength=K))
+        frozen = {p.n for p in state.singles + state.mutuals}
+        for n in range(state.num_subcarriers):
+            assert state.free[n] == ((own[n] < 0).all() and n not in frozen)
+            users = own[n][own[n] >= 0]
+            assert users.size <= 2
+            if users.size == 2:
+                shared += 1
+                assert state.config.algorithm == "MutSIC-UC"
+                assert users[0] != users[1]
+        ks, ns, rs = np.nonzero(own[None] == np.arange(K)[:, None, None])
+        scratch = np.bincount(ks, weights=state.sigma2_w
+                              / state.gains[ks, ns, rs], minlength=K)
+        assert np.abs(state.floor_sum - scratch).max() \
+            <= 1e-12 * scratch.max()
+        checked += 1
+        log(state, *args)
+
+    monkeypatch.setattr(AllocationState, "_log", checked_log)
+    for alg in ALGORITHMS:
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    assert checked > 0 and shared > 0
+
+
 def _candidate_rows(state, k2):
     """Reference candidate builder: one Python tuple per (n, r2) row."""
     G, s2 = state.gains, state.sigma2_w
+    S, R = state.owner.shape
+    held = [(n, r, int(state.owner[n, r])) for n in range(S)
+            for r in range(R) if state.owner[n, r] >= 0]
     rows = []
-    for n in sorted(state.first):
-        k1, r1 = state.first[n]
-        if k1 == k2:
+    for n in range(S):
+        on_n = [(k, r) for (m, r, k) in held if m == n]
+        if len(on_n) != 1 or on_n[0][0] == k2:
             continue
-        rest = [g for (sn, _, g) in state.sole[k1] if sn != n]
+        k1, r1 = on_n[0]
+        mine = [G[k, m, r] for (m, r, k) in held if k == k1]
+        rest = [G[k, m, r] for (m, r, k) in held if k == k1 and m != n]
         rest_floor = s2 / min(rest) if rest else 0.0
         for r2 in state.rrhs:
             if r2 != r1:
                 rows.append((n, k1, r1, r2, G[k1, n, r1], G[k1, n, r2],
                              G[k2, n, r1], G[k2, n, r2], state.waterline[k1],
-                             len(state.sole[k1]), rest_floor))
+                             len(mine), rest_floor))
     return rows
 
 
@@ -277,9 +333,8 @@ def test_uc_shares_cross_rrh_only(batch):
     for i in range(N_DROPS):
         st = batch["MutSIC-UC", i].state
         holders = {}
-        for k in range(st.num_users):
-            for n, r, _ in st.sole[k]:
-                holders.setdefault(n, []).append((k, r))
+        for k, n, r in zip(*st.sole_slots()):
+            holders.setdefault(n, []).append((k, r))
         for n, occ in holders.items():
             assert len(occ) <= 2
             if len(occ) == 2:
@@ -306,7 +361,7 @@ def test_huge_threshold_collapses_to_first_phase():
         res = run_algorithm(ch, AlgorithmConfig(alg, rho_w=1e9))
         totals[alg] = res.total_power_w
         if alg == "OMA-DAS":
-            assert all(len(s) == 1 for s in res.state.sole)
+            assert all(n == 1 for n in res.state.n_sole)
     # every DAS algorithm degenerates to the same one-subcarrier-per-user
     # assignment; CAS variants agree with each other on the center RRH
     ref = totals["OMA-DAS"]
@@ -402,11 +457,11 @@ def test_first_phase_gives_everyone_one_subcarrier(small_channel):
     state = AllocationState(small_channel, AlgorithmConfig("OMA-DAS"))
     worst_best_h(state)
     sc = small_channel.scenario
-    assert all(len(s) == 1 for s in state.sole)
-    assert len(state.free) == sc.num_subcarriers - sc.num_users
-    assert len(state.first) == sc.num_users
+    assert all(n == 1 for n in state.n_sole)
+    assert state.free.sum() == sc.num_subcarriers - sc.num_users
+    assert (state.holders() == 1).sum() == sc.num_users
     for k in range(sc.num_users):
-        n, r, g = state.sole[k][0]
+        g, = state.sole_gains(k)
         p = state.waterline[k] - state.sigma2_w / g
         assert rate_single(p, g, state.sigma2_w, state.sc_bw_hz) \
             == pytest.approx(sc.rate_demand_bps, rel=1e-9)
@@ -419,7 +474,7 @@ def test_first_phase_weakest_user_picks_first(small_channel):
     best_links = small_channel.gains.max(axis=(1, 2))
     assert first_user == int(np.argmin(best_links))
     # and it received its own best link
-    n, r, g = state.sole[first_user][0]
+    g, = state.sole_gains(first_user)
     assert g == best_links[first_user]
 
 

@@ -51,10 +51,8 @@ def test_audit_counts_crashes(monkeypatch):
 # -- tampering is detected -------------------------------------------------------
 
 def _assigned_slot(result):
-    k = next(k for k in range(result.state.num_users)
-             if result.state.sole[k])
-    n, r, _ = result.state.sole[k][0]
-    return k, n, r
+    ks, ns, rs = result.state.sole_slots()
+    return ks[0], ns[0], rs[0]
 
 
 def test_detects_negative_power():
@@ -142,11 +140,7 @@ def test_detects_mutual_pair_outside_window():
 def test_uc_shared_subcarriers_tolerated_only_for_uc():
     for seed in range(17, 80):
         res = fresh("MutSIC-UC", seed)
-        owners = {}
-        for k in range(res.state.num_users):
-            for n, _, _ in res.state.sole[k]:
-                owners[n] = owners.get(n, 0) + 1
-        if any(c == 2 for c in owners.values()):
+        if (res.state.holders() == 2).any():
             break
     else:
         pytest.fail("no drop produced a shared subcarrier")

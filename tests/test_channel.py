@@ -1,4 +1,4 @@
-"""Link gain generation: path loss, shadowing, fading, serialization."""
+"""Link gain generation: path loss, shadowing, fading."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from nomadas import Scenario, generate_channel
-from nomadas.channel import (channel_from_csv, channel_to_csv,
-                             pathloss_gain, tap_powers)
+from nomadas.channel import pathloss_gain, tap_powers
 
 FLAT = dict(fading=False, shadowing=False, pathloss=False)
 
@@ -118,17 +117,3 @@ def test_shadowing_variance_mode_std():
         samples.append(10.0 * np.log10(t.gains[:, 0, :]).ravel())
     std = float(np.std(np.concatenate(samples)))
     assert std == pytest.approx(math.sqrt(8.0), abs=0.3)
-
-
-def test_checksum_tracks_content(tiny_channel):
-    assert tiny_channel.checksum() == pytest.approx(
-        float(np.log(tiny_channel.gains).sum()))
-
-
-# -- serialization ----------------------------------------------------------------
-
-def test_csv_roundtrip_exact(tmp_path, tiny_channel):
-    path = tmp_path / "gains.csv"
-    channel_to_csv(tiny_channel, path)
-    back = channel_from_csv(path)
-    assert np.array_equal(back, tiny_channel.gains)

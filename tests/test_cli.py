@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, CSV outputs, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,21 @@ def test_oracle_exits_zero(capsys):
     rc = main(["oracle", "--trials", "3"])
     assert rc == 0
     assert "0 failures" in capsys.readouterr().out
+
+
+def test_oracle_checks_window_constrained_optimum(capsys):
+    rc = main(["oracle", "--trials", "20"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    checked = re.search(r"window-constrained optimum on (\d+) drops", out)
+    assert int(checked.group(1)) > 0
+
+
+def test_audit_takes_no_workers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--workers", "7"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_oracle_counts_allocation_crashes(monkeypatch, capsys):

@@ -28,9 +28,8 @@ def rates_from(state, P):
                                     G[mp.k1, mp.n, mp.r1], s2, bw)
         rates[mp.k2] += rate_single(P[mp.k2, mp.n, mp.r2],
                                     G[mp.k2, mp.n, mp.r2], s2, bw)
-    for k in range(state.num_users):
-        for n, r, g in state.sole[k]:
-            rates[k] += rate_single(P[k, n, r], g, s2, bw)
+    for k, n, r in zip(*state.sole_slots()):
+        rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
 
 

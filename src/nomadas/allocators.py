@@ -31,10 +31,13 @@ from . import optimal_pa
 from .channel import ChannelTensor
 from .mutual_sic import (dpa_adjust, mutual_sic_feasible, opad_cases,
                          rate_condition_terms)
-from .waterfill import (POWER_ATOL, _lpo_core, admits_waterline_decrease,
-                        delta_power_noma, delta_power_oma, ftpa_power,
-                        rate_second, rate_single, waterline_add,
-                        waterline_rate_shift)
+from .waterfill import (POWER_ATOL, InfeasibleWaterline, _lpo_core,
+                        admits_waterline_decrease, delta_power_noma,
+                        delta_power_oma, ftpa_power, rate_second, rate_single,
+                        waterline_add, waterline_rate_shift)
+
+SIC_MARGIN = 0.01   # mu: relative safety margin of the SIC power windows
+FTPA_ALPHA = 0.5    # fractional-power exponent for FTPA pairing
 
 
 def _single(mode: str):
@@ -66,18 +69,16 @@ ALGORITHMS = tuple(PLANS)
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """Tuning knobs shared by all algorithms."""
+    """The algorithm to run and its step acceptance threshold."""
 
     algorithm: str
     rho_w: float = 1e-3     # minimum useful power decrease per step (watts)
-    mu: float = 0.01        # SIC decodability safety margin
-    ftpa_alpha: float = 0.5  # fractional-power exponent for FTPA pairing
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.rho_w < 0 or not 0 < self.mu < 1 or self.ftpa_alpha < 0:
-            raise ValueError("invalid algorithm parameters")
+        if self.rho_w < 0:
+            raise ValueError("rho_w must be non-negative")
 
 
 @dataclass
@@ -88,7 +89,6 @@ class SinglePair:
     k1: int
     r: int
     p1_w: float
-    rate1_bps: float
     k2: int
     p2_w: float
     rate2_bps: float
@@ -103,7 +103,6 @@ class MutualPair:
     r1: int
     p1_w: float
     rate1_bps: float
-    p1_initial_w: float
     k2: int
     r2: int
     p2_w: float
@@ -405,8 +404,6 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
         raise ValueError(f"unknown single-SIC mode {mode!r}")
     G, s2 = state.gains, state.sigma2_w
     sc_bw = state.sc_bw_hz
-    mu = state.config.mu
-    alpha = state.config.ftpa_alpha
 
     def propose(k2):
         n2 = state.n_sole[k2]
@@ -423,9 +420,10 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
         valid = g2 < g1
         if mode == "ftpa":
             with np.errstate(divide="ignore", over="ignore"):
-                p2 = np.where(valid, ftpa_power(p1, g1, g2, alpha), np.inf)
+                p2 = np.where(valid, ftpa_power(p1, g1, g2, FTPA_ALPHA),
+                              np.inf)
         else:
-            p2, reject = _lpo_core(w2, p1, g2, s2, n2, mu)
+            p2, reject = _lpo_core(w2, p1, g2, s2, n2, SIC_MARGIN)
             valid &= ~reject
         with np.errstate(invalid="ignore", over="ignore"):
             rate2 = rate_second(np.where(p2 < np.inf, p2, 0.0), p1, g2,
@@ -438,16 +436,12 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
 
         def commit():
             n, k1, r = int(ns[best]), int(k1s[best]), int(rs[best])
-            p1_f, p2_f = float(p1[best]), float(p2[best])
+            p1_f = float(p1[best])
             rate1 = float(rate_single(p1_f, g1[best], s2, sc_bw))
-            state._remove_sole(k1, n, r)
-            state.frozen_rate[k1] += rate1
-            state.frozen_power[k1] += p1_f
-            state.frozen_rate[k2] += float(rate2[best])
-            state.frozen_power[k2] += p2_f
-            state.waterline[k2] = float(w2_new[best])
-            state.singles.append(SinglePair(n, k1, r, p1_f, rate1, k2, p2_f,
-                                            float(rate2[best])))
+            # the incumbent keeps its power and rate, hence its waterline
+            _freeze_pair(state, SinglePair(n, k1, r, p1_f, k2, float(p2[best]),
+                                           float(rate2[best])),
+                         r, rate1, state.waterline[k1], float(w2_new[best]))
             return n, dp_best
         return int(ns[best]) if valid.any() else -1, dp_best, commit
 
@@ -496,16 +490,16 @@ def _mutual_candidates(state: AllocationState, k2: int):
 def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     """Pair heavy users across RRHs with mutual interference cancellation.
 
-    mode "dpa" waterfills the joiner and clamps the power into the
+    mode "dpa" waterfills the joiner and clamps its power into the
     decodability window, "opad" re-optimizes both powers jointly per
-    candidate, and "sopad" selects with dpa deltas then runs one joint
-    optimization on the winner. All modes verify the exact decodability
-    margins at the final powers and drop candidates that fail them.
+    candidate (opad_cases), and "sopad" selects with the dpa prices, then
+    runs opad_cases on the winning row alone and keeps that optimum when it
+    passes the screens. Every mode prices its rows with _price_pairs, and
+    the freeze writes the winning row's priced values.
     """
     if mode not in ("dpa", "opad", "sopad"):
         raise ValueError(f"unknown mutual-SIC mode {mode!r}")
     s2 = state.sigma2_w
-    mu = state.config.mu
 
     def propose(k2):
         n2 = state.n_sole[k2]
@@ -518,63 +512,65 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
             _mutual_candidates(state, k2)
         if not ns.size:
             return -1, math.nan, None
-        g11, _, _, g22 = gains
-        p1i = w1 - s2 / g11
-
+        p1i = w1 - s2 / gains[0]
         feasible = mutual_sic_feasible(gains) \
-            & admits_waterline_decrease(g22, w2, s2)
+            & admits_waterline_decrease(gains[3], w2, s2)
 
-        if mode == "opad":
-            p1, p2, dp1, dp2, case = opad_cases(
-                gains, s2, w1, w2, p1i, n1, n2, mu)
-            valid = feasible & (case > 0)
-        else:
-            # waterfill the joiner onto its sole set, clamp into the window
-            with np.errstate(invalid="ignore"):
-                w_add = waterline_add(w2, n2, g22, s2)
-            p1 = p1i.copy()
-            p2, ok = dpa_adjust(w_add - s2 / g22, gains, p1i, mu)
-            dp1 = np.zeros_like(p2)
-            valid = feasible & ok
+        def price(how, rows):
+            """(p1, p2) of the rows under mode `how`, then their prices."""
+            g = tuple(x[rows] for x in gains)
+            if how == "opad":
+                p1, p2, _, _, case = opad_cases(g, s2, w1[rows], w2,
+                                                p1i[rows], n1[rows], n2,
+                                                SIC_MARGIN)
+                ok = case > 0
+            else:
+                # waterfill the joiner onto its sole set, clamp into the window
+                with np.errstate(invalid="ignore"):
+                    w_add = waterline_add(w2, n2, g[3], s2)
+                p1 = p1i[rows]
+                p2, ok = dpa_adjust(w_add - s2 / g[3], g, p1, SIC_MARGIN)
+            return (p1, p2) + _price_pairs(
+                state, g, p1, p2, p1i[rows], w1[rows], n1[rows], w2, n2,
+                g2_floor, rest_floor[rows], feasible[rows] & ok)
 
-        valid, w2_new = _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2,
-                                      n2, g2_floor, rest_floor, valid)
-        if mode != "opad":
-            with np.errstate(invalid="ignore", over="ignore"):
-                dp2 = delta_power_noma(w2, w2_new, n2, p2)
-        dp_total = np.where(valid, dp1 + dp2, np.inf)
-        best = int(np.argmin(dp_total))
+        priced = price("opad" if mode == "opad" else "dpa", slice(None))
+        dp = priced[2]
+        best = int(np.argmin(dp))
 
         def commit():
-            n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
-            gains_b = tuple(float(g[best]) for g in gains)
-            p1_f, p2_f = float(p1[best]), float(p2[best])
-            dp_f = float(dp_total[best])
+            row, i = priced, best
             if mode == "sopad":
-                row = slice(best, best + 1)
-                refined = _refine_with_opad(
-                    state, tuple(g[row] for g in gains), p1i[row], w1[row],
-                    n1[row], w2, n2, g2_floor, rest_floor[row])
-                if refined is not None:
-                    p1_f, p2_f, dp_f = refined
-            _freeze_mutual(state, n, k1, r1, r2, k2, gains_b, p1_f, p2_f,
-                           float(p1i[best]), int(n1[best]))
+                refined = price("opad", slice(best, best + 1))
+                if refined[2][0] < math.inf:
+                    row, i = refined, 0
+            p1, p2, dp_f, rate1, w1_new, rate2, w2_new = (float(a[i])
+                                                          for a in row)
+            n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
+            _freeze_pair(state, MutualPair(n, k1, r1, p1, rate1, k2, r2, p2,
+                                           rate2), r1, rate1, w1_new, w2_new)
             return n, dp_f
-        return -1, float(dp_total[best]), commit
+        return -1, float(dp[best]), commit
 
     _descend(state, "mutual", int((state.holders() == 1).sum())
              + state.num_users, lambda: (state.holders() == 1).any(), propose)
 
 
-def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
-                  rest_floor, valid):
-    """Narrow `valid` to the pair rows that pass every feasibility screen.
+def _price_pairs(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
+                 rest_floor, valid):
+    """Total-power change of every pair row and the values its freeze writes.
 
-    The joiner's waterline after offloading p2's rate must stay at or above
-    its sole-set floor g2_floor; an incumbent whose power moves off p1i
-    needs a remaining sole set whose shifted waterline stays at or above
-    rest_floor; both decode margins must hold at (p1, p2). Returns
-    (valid, w2_new).
+    A row freezes the incumbent at p1 (it held the subcarrier at p1i) and
+    the joiner at p2. The joiner offloads rate2 from its n2 sole
+    subcarriers, whose waterline w2_new must stay at or above g2_floor. The
+    incumbent's n1 - 1 remaining sole subcarriers absorb its rate change
+    on the pair, moving to w1_new; when p1 moved off p1i they must exist
+    and w1_new must stay at or above rest_floor. Both decode margins must
+    hold at (p1, p2). The change is
+    (n1 - 1)(w1_new - w1) + (p1 - p1i) + n2 (w2_new - w2) + p2,
+    inf on rows outside `valid` or failing a screen.
+
+    Returns (dp, rate1, w1_new, rate2, w2_new).
     """
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
@@ -585,15 +581,14 @@ def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
         w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
         valid = valid & (w2_new >= g2_floor) & (p2 > 0)
 
-    # incumbent side: freezing at p1 shifts its remaining sole set
-    rate1_new = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
+    rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
     rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
     moved = np.abs(p1 - p1i) > POWER_ATOL
     valid &= ~moved | (n1 >= 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         w1_new = np.where(
             n1 >= 2,
-            waterline_rate_shift(w1, rate1_old - rate1_new,
+            waterline_rate_shift(w1, rate1_old - rate1,
                                  np.maximum(n1 - 1, 1), sc_bw),
             w1)
     valid &= np.where(moved, w1_new >= rest_floor, True)
@@ -601,51 +596,36 @@ def _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
     # exact decodability margins at the final powers
     xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
     valid &= (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
-    return valid, w2_new
+    with np.errstate(invalid="ignore", over="ignore"):
+        dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) \
+            + delta_power_noma(w2, w2_new, n2, p2)
+    return np.where(valid, dp, np.inf), rate1, w1_new, rate2, w2_new
 
 
-def _refine_with_opad(state, gains, p1i, w1, n1, w2, n2, g2_floor,
-                      rest_floor):
-    """One joint optimization on the selected one-row candidate.
+# -- freezing an accepted pair ------------------------------------------------
 
-    The optimum must pass the same screens as every candidate; returns
-    (p1, p2, joint delta), or None to keep the DPA powers.
+def _freeze_pair(state: AllocationState, pair, r1, rate1, w1_new, w2_new):
+    """Freeze an accepted SinglePair or MutualPair at its priced values.
+
+    The incumbent k1 gives up its sole holding (n, r1) and freezes p1 at
+    rate1, its remaining sole set moving to waterline w1_new; the joiner
+    k2 freezes p2 at the record's rate2 and its sole set moves to w2_new.
+    Raises InfeasibleWaterline when w2_new sits below the noise floor of
+    the joiner's weakest sole subcarrier.
     """
-    p1, p2, dp1, dp2, case = opad_cases(gains, state.sigma2_w, w1, w2, p1i,
-                                        n1, n2, state.config.mu)
-    valid, _ = _pair_screens(state, gains, p1, p2, p1i, w1, n1, w2, n2,
-                             g2_floor, rest_floor, case > 0)
-    if not valid[0]:
-        return None
-    return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0])
-
-
-def _freeze_mutual(state: AllocationState, n, k1, r1, r2, k2,
-                   gains, p1_f, p2_f, p1i, n1):
-    """Freeze an accepted mutual pair and re-balance both sole sets."""
-    s2 = state.sigma2_w
-    sc_bw = state.sc_bw_hz
-    g11, _, _, g22 = gains
-    rate1_new = float(rate_single(p1_f, g11, s2, sc_bw))
-    rate1_old = float(rate_single(p1i, g11, s2, sc_bw))
-    rate2 = float(rate_single(p2_f, g22, s2, sc_bw))
-
-    state._remove_sole(k1, n, r1)
-    if state.n_sole[k1] > 0 and abs(rate1_new - rate1_old) > 0:
-        state.waterline[k1] = waterline_rate_shift(
-            state.waterline[k1], rate1_old - rate1_new, state.n_sole[k1],
-            sc_bw)
-    state.frozen_rate[k1] += rate1_new
-    state.frozen_power[k1] += p1_f
-
-    state.waterline[k2] = waterline_rate_shift(
-        state.waterline[k2], -rate2, state.n_sole[k2], sc_bw,
-        sole_gains=state.sole_gains(k2), sigma2_w=s2)
-    state.frozen_rate[k2] += rate2
-    state.frozen_power[k2] += p2_f
-
-    state.mutuals.append(MutualPair(n, k1, r1, p1_f, rate1_new, p1i,
-                                    k2, r2, p2_f, rate2))
+    k1, k2 = pair.k1, pair.k2
+    if w2_new < state.sigma2_w / state.sole_gains(k2).min():
+        raise InfeasibleWaterline(
+            "joiner's waterline below a sole subcarrier's noise floor")
+    state._remove_sole(k1, pair.n, r1)
+    state.waterline[k1] = w1_new
+    state.frozen_rate[k1] += rate1
+    state.frozen_power[k1] += pair.p1_w
+    state.waterline[k2] = w2_new
+    state.frozen_rate[k2] += pair.rate2_bps
+    state.frozen_power[k2] += pair.p2_w
+    pairs = state.singles if isinstance(pair, SinglePair) else state.mutuals
+    pairs.append(pair)
 
 
 # -- the algorithms -----------------------------------------------------------

@@ -52,18 +52,15 @@ class ChannelTensor:
     rrh_xy: np.ndarray
 
 
-def generate_channel(scenario: Scenario, rng: np.random.Generator = None, *,
+def generate_channel(scenario: Scenario, rng: np.random.Generator, *,
                      fading: bool = True, shadowing: bool = True,
                      pathloss: bool = True) -> ChannelTensor:
-    """Draw geometry and link gains for one trial.
+    """Draw geometry and link gains for one trial from rng.
 
-    The rng defaults to a fresh generator seeded from scenario.seed so the
-    same scenario always yields bit-identical output. The keyword switches
-    disable individual effects for tests (all off gives a flat unit-gain
-    tensor).
+    The same scenario and rng state always yield bit-identical output. The
+    keyword switches disable individual effects for tests (all off gives a
+    flat unit-gain tensor).
     """
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
     K, S, R = (scenario.num_users, scenario.num_subcarriers,
                scenario.num_rrhs)
     rrh_xy = place_rrhs(R, scenario.cell_radius_m)
@@ -78,7 +75,7 @@ def generate_channel(scenario: Scenario, rng: np.random.Generator = None, *,
         link = np.ones((K, R))
 
     if shadowing:
-        shadow_db = rng.normal(0.0, scenario.shadowing_std_db, (K, R))
+        shadow_db = rng.normal(0.0, scenario.shadowing_db, (K, R))
         link = link * 10.0 ** (shadow_db / 10.0)
 
     if fading:

@@ -11,14 +11,17 @@ g22 = |h(user2, r2)|^2. Every function takes the gains as the tuple
 (g11, g12, g21, g22) of scalars or broadcasting arrays.
 
 opad_cases is the one joint (p1, p2) optimizer: MutSIC-OPAd runs it on
-every candidate row and MutSIC-SOPAd on its selected row alone.
+every candidate row and MutSIC-SOPAd on its selected row alone. It picks
+among its three cases with its own deltas (_dp1 + _dp2); the allocator
+then prices the powers it returns the same way as the DPA powers, through
+the rates they carry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .waterfill import POWER_ATOL, admits_waterline_decrease
+from .waterfill import POWER_ATOL, admits_waterline_decrease, waterline_add
 
 
 def mutual_sic_feasible(gains):
@@ -108,17 +111,8 @@ def _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
     return (1.0 + c) - phi
 
 
-def _case1(gains_arrays, sigma2_w, w2, p1i, n2):
-    """Unconstrained optimum: keep p1, waterfill p2 onto the joiner's set."""
-    g22 = gains_arrays[3]
-    p2 = (sigma2_w / g22) * ((w2 * g22 / sigma2_w) ** (n2 / (n2 + 1.0)) - 1.0)
-    lo, hi = power_window(gains_arrays, p1i)
-    ok = (p2 >= lo - POWER_ATOL) & (p2 <= hi + POWER_ATOL) & (p2 > 0.0)
-    return p2, ok
-
-
 def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
-                     admissible, iters=100):
+                     admissible):
     """Vectorized safeguarded Newton for the edge-case stationarity roots.
 
     All arguments broadcast; returns (p1, ok) where ok marks admissible
@@ -134,7 +128,7 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     A row stops once its raw Newton step is at most 4e-16 relative, or once
     the next point would not move it (rounding noise in phi can keep the
     raw step just above that), and the loop ends when every bracketed row
-    has stopped or after iters steps.
+    has stopped or after 100 steps.
     """
 
     def g_of(p1):
@@ -165,7 +159,7 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     target = 1.0 + c
     p1 = hi.copy()
     running = ok.copy()
-    for _ in range(iters):
+    for _ in range(100):
         phi, dphi = _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2)
         below = phi > target
         lo = np.where(below, p1, lo)
@@ -186,10 +180,11 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     """Jointly optimal (p1, p2) of (arrays of) mutual pair candidates.
 
     The one OPAd solver: MutSIC-OPAd calls it on all candidate rows,
-    MutSIC-SOPAd on the one row it selected with DPA deltas. Case 1 keeps
-    p1 and waterfills p2 onto the joiner's sole set; cases 2 and 3 pin p2
-    to the lower or upper margined window edge and solve the stationarity
-    for p1. The feasible case with the lowest joint delta wins.
+    MutSIC-SOPAd on the one row it selected with DPA prices. Case 1 keeps
+    p1 and waterfills p2 onto the joiner's sole set, as DPA does; cases 2
+    and 3 pin p2 to the lower or upper margined window edge and solve the
+    stationarity for p1. The feasible case with the lowest joint delta
+    dp1 + dp2 wins, the lowest case on ties; a NaN delta never wins.
 
     gains_arrays is the tuple (g11, g12, g21, g22); every argument
     broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0 and zero
@@ -209,28 +204,13 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     admissible = admits_waterline_decrease(g22, w2, sigma2_w) & (n1 >= 2) \
         & (n2 >= 1) & (p1i > 0.0)
 
-    best_dp = np.full(shape, np.inf)
-    best = {"p1": np.zeros(shape), "p2": np.zeros(shape),
-            "dp1": np.zeros(shape), "dp2": np.zeros(shape),
-            "case": np.zeros(shape, dtype=int)}
-
-    def consider(case_id, p1, p2, ok):
-        dp1 = np.where(ok, _dp1(p1, g11, sigma2_w, w1, p1i, n1), np.inf)
-        dp2 = np.where(ok, _dp2(p2, g22, sigma2_w, w2, n2), np.inf)
-        total = dp1 + dp2
-        better = ok & admissible & (total < best_dp)
-        best_dp[better] = total[better]
-        best["p1"] = np.where(better, p1, best["p1"])
-        best["p2"] = np.where(better, p2, best["p2"])
-        best["dp1"] = np.where(better, dp1, best["dp1"])
-        best["dp2"] = np.where(better, dp2, best["dp2"])
-        best["case"] = np.where(better, case_id, best["case"])
-
     # inadmissible rows (n1 < 2 in particular) still flow through the
     # closed forms before they are masked, so silence their float noise
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p2_1, ok1 = _case1(garr, sigma2_w, w2, p1i, n2)
-        consider(1, np.broadcast_to(p1i, shape).astype(float), p2_1, ok1)
+        p2_1 = waterline_add(w2, n2, g22, sigma2_w) - sigma2_w / g22
+        lo, hi = power_window(garr, p1i)
+        ok1 = (p2_1 >= lo - POWER_ATOL) & (p2_1 <= hi + POWER_ATOL) \
+            & (p2_1 > 0.0)
 
         # both edges in one root call, p2 = c * p1 on the lower (case 2)
         # and the upper (case 3) margined edge; a row whose margined ray
@@ -240,7 +220,19 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
                            c[1] >= g11 / g12 * (1.0 - POWER_ATOL)])
         p1_edge, ok_edge = _edge_case_roots(c, garr, sigma2_w, w1, w2, p1i,
                                             n1, n2, admissible & ray_ok)
-        for case_id, c_e, p1_e, ok_e in zip((2, 3), c, p1_edge, ok_edge):
-            consider(case_id, p1_e, c_e * p1_e, ok_e)
 
-    return best["p1"], best["p2"], best["dp1"], best["dp2"], best["case"]
+        # the three cases stacked on a leading axis, one argmin picks
+        p1 = np.concatenate([np.broadcast_to(p1i, (1,) + shape), p1_edge])
+        p2 = np.concatenate([np.broadcast_to(p2_1, (1,) + shape),
+                             c * p1_edge])
+        ok = np.concatenate([np.broadcast_to(ok1, (1,) + shape), ok_edge]) \
+            & admissible
+        dp1 = _dp1(p1, g11, sigma2_w, w1, p1i, n1)
+        dp2 = _dp2(p2, g22, sigma2_w, w2, n2)
+        total = dp1 + dp2
+    total = np.where(ok & ~np.isnan(total), total, np.inf)
+    pick = np.argmin(total, axis=0)[None]
+    found = np.take_along_axis(total, pick, 0)[0] < np.inf
+    p1, p2, dp1, dp2 = (np.where(found, np.take_along_axis(a, pick, 0)[0],
+                                 0.0) for a in (p1, p2, dp1, dp2))
+    return p1, p2, dp1, dp2, np.where(found, pick[0] + 1, 0)

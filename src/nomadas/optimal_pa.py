@@ -188,8 +188,7 @@ def _kkt_system(lay, pin_x, pin_y):
     return residual, jacobian
 
 
-def optimal_power_allocation(state, tol: float = 1e-8,
-                             max_iter: int = 80) -> OpaResult:
+def optimal_power_allocation(state) -> OpaResult:
     """Minimum-power rates for a fixed sole + single-SIC assignment.
 
     The rate variables must stay non-negative (a negative rate would mean
@@ -231,8 +230,7 @@ def optimal_power_allocation(state, tol: float = 1e-8,
     report = None
     for _ in range(2 + ns + npair):
         residual, jacobian = _kkt_system(lay, pin_x, pin_y)
-        report = solve_system(residual, z0, tol=tol, max_iter=max_iter,
-                              jac=jacobian)
+        report = solve_system(residual, z0, jac=jacobian)
         if not report.converged:
             return OpaResult(p_now, input_total, False, report.iterations,
                              report.residual_norm)
@@ -289,73 +287,9 @@ def optimal_power_allocation(state, tol: float = 1e-8,
                      report.residual_norm)
 
 
-def opa_kkt_residual(state, result: OpaResult) -> float:
-    """Normalized KKT residual of an OpaResult, recomputed from scratch.
-
-    Rebuilds rates from the result's power tensor and restores multipliers
-    from per-user mean marginals over the transmitting slots. Slots at zero
-    power are treated as pinned: they contribute their dual-infeasibility
-    max(0, lambda - marginal at zero) instead of a stationarity row.
-    """
-    s2 = state.sigma2_w
-    slots, pairs = _collect_slots(state)
-    K = state.num_users
-    P = result.power_w
-    x = np.array([math.log2(1.0 + P[k, n, r] * g / s2)
-                  for (k, n, r, g) in slots])
-    pair_of_slot = {p[0]: j for j, p in enumerate(pairs)}
-    y = np.empty(len(pairs))
-    marg_pair = np.empty(len(pairs))
-    for j, (i, k2, g2) in enumerate(pairs):
-        k1, n, r, g1 = slots[i]
-        y[j] = math.log2(1.0 + P[k2, n, r] * g2
-                         / (P[k1, n, r] * g2 + s2))
-        marg_pair[j] = LN2 * 2.0 ** y[j] * ((2.0 ** x[i] - 1.0) * s2 / g1
-                                            + s2 / g2)
-    marg_slot = np.empty(len(slots))
-    for i, (k, n, r, g) in enumerate(slots):
-        j = pair_of_slot.get(i)
-        yv = y[j] if j is not None else 0.0
-        marg_slot[i] = LN2 * 2.0 ** (x[i] + yv) * s2 / g
-
-    free_x = x > 1e-12
-    free_y = y > 1e-12
-    lam = np.zeros(K)
-    cnt = np.zeros(K)
-    for i, (k, n, r, g) in enumerate(slots):
-        if free_x[i]:
-            lam[k] += marg_slot[i]
-            cnt[k] += 1.0
-    for j, (i, k2, g2) in enumerate(pairs):
-        if free_y[j]:
-            lam[k2] += marg_pair[j]
-            cnt[k2] += 1.0
-    lam /= np.maximum(cnt, 1.0)
-
-    res = []
-    rates = np.zeros(K)
-    for i, (k, n, r, g) in enumerate(slots):
-        rates[k] += x[i]
-        if free_x[i]:
-            res.append((marg_slot[i] - lam[k]) / (1.0 + abs(lam[k])))
-        else:
-            res.append(max(0.0, lam[k] - marg_slot[i])
-                       / (1.0 + abs(lam[k])))
-    for j, (i, k2, g2) in enumerate(pairs):
-        rates[k2] += y[j]
-        if free_y[j]:
-            res.append((marg_pair[j] - lam[k2]) / (1.0 + abs(lam[k2])))
-        else:
-            res.append(max(0.0, lam[k2] - marg_pair[j])
-                       / (1.0 + abs(lam[k2])))
-    q = state.demands / state.sc_bw_hz
-    res.extend(((rates - q) / (1.0 + q)).tolist())
-    return float(np.max(np.abs(res)))
-
-
 # -- mutual-SIC oracle ---------------------------------------------------------
 
-def constrained_mutual_pa_oracle(state, tol: float = 1e-9) -> OracleResult:
+def constrained_mutual_pa_oracle(state) -> OracleResult:
     """Reference optimum for a fixed sole + mutual-SIC assignment.
 
     Enumerates all 3^m combinations of {inactive, lower edge, upper edge}
@@ -461,7 +395,7 @@ def constrained_mutual_pa_oracle(state, tol: float = 1e-9) -> OracleResult:
             if vals:
                 lam0[k] = float(np.mean(vals))
         z0 = np.concatenate([x0, a0, b0, lam0, np.zeros(na)])
-        report = solve_system(residual, z0, tol=tol, max_iter=120)
+        report = solve_system(residual, z0, tol=1e-9, max_iter=120)
         if not report.converged:
             return None
         z = report.solution

@@ -22,9 +22,9 @@ HEX_MEAN_CENTER_DISTANCE = 1.0 / 3.0 + math.log(3.0) / 4.0
 class Scenario:
     """Static description of one simulated cell.
 
-    rate_demand_bps applies to every user; shadowing_db is interpreted as a
-    standard deviation when shadowing_db_mode is "std" and as a variance
-    (std = sqrt(value) dB) when it is "variance".
+    rate_demand_bps applies to every user; shadowing_db is the standard
+    deviation of the lognormal shadowing in dB. Drops come from the rng a
+    caller passes to generate_channel, not from the scenario.
     """
 
     cell_radius_m: float = 500.0
@@ -34,10 +34,8 @@ class Scenario:
     bandwidth_hz: float = 10e6
     noise_psd_w_per_hz: float = 4e-21
     rate_demand_bps: float = 9e6
-    seed: int = 0
     min_distance_m: float = 10.0
     shadowing_db: float = 8.0
-    shadowing_db_mode: str = "std"
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_rrhs < 1 or self.num_subcarriers < 1:
@@ -46,8 +44,6 @@ class Scenario:
             raise ValueError("needs at least one subcarrier per user")
         if self.bandwidth_hz <= 0 or self.noise_psd_w_per_hz <= 0:
             raise ValueError("bandwidth and noise PSD must be positive")
-        if self.shadowing_db_mode not in ("std", "variance"):
-            raise ValueError("shadowing_db_mode must be 'std' or 'variance'")
 
     @property
     def sc_bw_hz(self) -> float:
@@ -59,12 +55,6 @@ class Scenario:
         """Noise power per subcarrier in watts."""
         return self.noise_psd_w_per_hz * self.sc_bw_hz
 
-    @property
-    def shadowing_std_db(self) -> float:
-        if self.shadowing_db_mode == "variance":
-            return math.sqrt(self.shadowing_db)
-        return self.shadowing_db
-
     def with_(self, **kwargs) -> "Scenario":
         """Copy with some fields replaced."""
         return replace(self, **kwargs)
@@ -72,7 +62,7 @@ class Scenario:
 
 _CONFIG_KEYS = {
     "cell_radius_m", "num_users", "num_rrhs", "num_subcarriers",
-    "bandwidth_hz", "noise_psd", "rate_demand_bps", "seed",
+    "bandwidth_hz", "noise_psd", "rate_demand_bps",
 }
 
 
@@ -80,8 +70,9 @@ def load_scenario(path) -> Scenario:
     """Read a Scenario from a JSON config file.
 
     Recognized keys: cell_radius_m, num_users, num_rrhs, num_subcarriers,
-    bandwidth_hz, noise_psd (W/Hz), rate_demand_bps, seed. Unknown keys are
-    an error so typos do not silently fall back to defaults.
+    bandwidth_hz, noise_psd (W/Hz), rate_demand_bps. Unknown keys are an
+    error so typos do not silently fall back to defaults; the drops' seed
+    is a run setting (--seed), not part of the scenario.
     """
     with open(path) as fh:
         raw = json.load(fh)

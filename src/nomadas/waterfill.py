@@ -89,23 +89,16 @@ def delta_power_oma(waterline_w, waterline_new_w, n_current, gain, sigma2_w):
             - sigma2_w / gain)
 
 
-def waterline_rate_shift(waterline_w, delta_rate_bps, n_sole, sc_bw_hz,
-                         sole_gains=None, sigma2_w=None):
+def waterline_rate_shift(waterline_w, delta_rate_bps, n_sole, sc_bw_hz):
     """Waterline after the sole set's rate target moves by delta_rate_bps.
 
     A negative delta (rate offloaded to a new multiplexed subcarrier) lowers
-    the waterline. When sole_gains and sigma2_w are supplied the shifted
-    waterline is validated against every sole subcarrier's noise floor.
+    the waterline; callers check the result against the sole set's noise
+    floor.
     """
     if np.asarray(n_sole).min() < 1:
         raise InfeasibleWaterline("rate shift needs a non-empty sole set")
-    w = waterline_w * 2.0 ** (delta_rate_bps / (sc_bw_hz * n_sole))
-    if sole_gains is not None:
-        g = np.asarray(sole_gains, dtype=float)
-        if np.any(w < sigma2_w / g.min()):
-            raise InfeasibleWaterline(
-                "shifted waterline below a sole subcarrier's noise floor")
-    return w
+    return waterline_w * 2.0 ** (delta_rate_bps / (sc_bw_hz * n_sole))
 
 
 def delta_power_noma(waterline_w, waterline_new_w, n_sole, p2_w):

@@ -18,7 +18,7 @@ from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
 from nomadas.mutual_sic import (_dp1, _dp2, _stationarity, dpa_adjust,
                                 opad_cases)
-from nomadas.optimal_pa import (constrained_mutual_pa_oracle, opa_kkt_residual,
+from nomadas.optimal_pa import (constrained_mutual_pa_oracle,
                                 optimal_power_allocation)
 from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
                                rate_second, waterline_add, waterline_from_rate,
@@ -26,8 +26,8 @@ from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
 
 from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline, grid_best_second_power,
-                     pairing_delta_closed_over_grid, sample_pair_instance,
-                     total_power_at_rate)
+                     opa_kkt_residual, pairing_delta_closed_over_grid,
+                     sample_pair_instance, total_power_at_rate)
 
 FIG_ALGS = ("OMA-CAS", "NOMA-CAS", "OMA-DAS", "SRRH", "SRRH-LPO", "SRRH-OPA")
 EXTENDED = FIG_ALGS + ("MutSIC-SOPAd", "MutAndSingSIC")
@@ -286,7 +286,7 @@ def test_c6b_deltas_match_recomputation():
         headroom = n * SC_BW * math.log2(w * g.min() / s2)
         r2 = rng.uniform(0.1, 0.9) * headroom
         p2 = (2.0 ** (r2 / SC_BW) - 1.0) * (p1 + s2 / g2)
-        w_new = waterline_rate_shift(w, -r2, n, SC_BW, g, s2)
+        w_new = waterline_rate_shift(w, -r2, n, SC_BW)
         dp = delta_power_noma(w, w_new, n, p2)
         before = total_power_at_rate(g, rate, s2, SC_BW)
         moved = float(rate_second(p2, p1, g2, s2, SC_BW))

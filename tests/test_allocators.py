@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState, Scenario,
+from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState,
+                     InfeasibleWaterline, MutualPair, Scenario,
                      generate_channel, run_algorithm)
 from nomadas import allocators
-from nomadas.allocators import worst_best_h
+from nomadas.allocators import _freeze_pair, oma_phase, worst_best_h
 from nomadas.waterfill import rate_second, rate_single
 
 from conftest import SMALL, drops
@@ -193,6 +194,65 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
     for alg in ALGORITHMS:
         run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
     assert checked > 0 and shared > 0
+
+
+def test_served_users_meet_demand_at_every_step(monkeypatch):
+    """Frozen rate plus waterfilled sole rate equals the demand throughout.
+
+    After every logged step, each user that holds a subcarrier alone or a
+    frozen share has frozen_rate plus the rate its sole holdings carry at
+    its waterline equal to its demand, to 1e-9 relative: every freeze
+    writes values that keep the books balanced, not just the final one.
+    """
+    log = AllocationState._log
+    checked = 0
+
+    def checked_log(state, *args):
+        nonlocal checked
+        s2, K = state.sigma2_w, state.num_users
+        ks, ns, rs = state.sole_slots()
+        g = state.gains[ks, ns, rs]
+        sole = rate_single(state.waterline[ks] - s2 / g, g, s2,
+                           state.sc_bw_hz)
+        rates = state.frozen_rate + np.bincount(ks, weights=sole,
+                                                minlength=K)
+        served = (state.n_sole > 0) | (state.frozen_rate > 0)
+        assert rates[served] == pytest.approx(state.demands[served],
+                                              rel=1e-9)
+        checked += int(served.sum())
+        log(state, *args)
+
+    monkeypatch.setattr(AllocationState, "_log", checked_log)
+    paper = generate_channel(Scenario(), np.random.default_rng(0))
+    for ch, rho_w in ((next(drops(LOADED, 1, base_seed=17)), 0.0),
+                      (paper, 1e-3)):
+        for alg in ALGORITHMS:
+            run_algorithm(ch, AlgorithmConfig(alg, rho_w=rho_w))
+    assert checked > 0
+
+
+def test_freeze_pair_rejects_joiner_below_floor(small_channel):
+    """A joiner waterline below its weakest sole floor raises before any
+    bookkeeping changes."""
+    state = AllocationState(small_channel, AlgorithmConfig("MutSIC-DPA"))
+    worst_best_h(state)
+    oma_phase(state)
+    ks, ns, rs = state.sole_slots()
+    k1, n, r1 = int(ks[0]), int(ns[0]), int(rs[0])
+    k2 = int(ks[ks != k1][0])
+    r2 = (r1 + 1) % small_channel.scenario.num_rrhs
+    p1 = float(state.waterline[k1] - state.sigma2_w
+               / state.gains[k1, n, r1])
+    rate1 = float(rate_single(p1, state.gains[k1, n, r1], state.sigma2_w,
+                              state.sc_bw_hz))
+    floor = state.sigma2_w / state.sole_gains(k2).min()
+    owner = state.owner.copy()
+    pair = MutualPair(n, k1, r1, p1, rate1, k2, r2, 1e-9, 1e5)
+    with pytest.raises(InfeasibleWaterline):
+        _freeze_pair(state, pair, r1, rate1, state.waterline[k1],
+                     0.5 * floor)
+    assert np.array_equal(state.owner, owner)
+    assert not state.mutuals and not state.frozen_rate.any()
 
 
 def _candidate_rows(state, k2):
@@ -486,7 +546,7 @@ def test_unknown_algorithm_rejected():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(rho_w=-1.0), dict(mu=0.0), dict(mu=1.0), dict(ftpa_alpha=-0.1),
+    dict(rho_w=-1.0),
 ])
 def test_invalid_parameters_rejected(bad):
     with pytest.raises(ValueError):

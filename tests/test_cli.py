@@ -22,7 +22,7 @@ def config_json(tmp_path):
     path.write_text(json.dumps({
         "cell_radius_m": 500.0, "num_users": 6, "num_rrhs": 4,
         "num_subcarriers": 16, "bandwidth_hz": 10e6, "noise_psd": 4e-21,
-        "rate_demand_bps": 3e6, "seed": 0}))
+        "rate_demand_bps": 3e6}))
     return str(path)
 
 

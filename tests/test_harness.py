@@ -59,7 +59,7 @@ def test_trial_seeds_of_distinct_bases_are_disjoint():
 def test_apply_sweep_axes(axis, value, attr):
     swept = apply_sweep(SMALL, axis, value)
     assert getattr(swept, attr) == value
-    assert swept.seed == SMALL.seed
+    assert swept.cell_radius_m == SMALL.cell_radius_m
 
 
 def test_apply_sweep_unknown_axis():

@@ -7,10 +7,11 @@ from nomadas import (AlgorithmConfig, Scenario, generate_channel,
                      run_algorithm, solver)
 from nomadas import optimal_pa
 from nomadas.optimal_pa import (constrained_mutual_pa_oracle,
-                                opa_kkt_residual, optimal_power_allocation)
+                                optimal_power_allocation)
 from nomadas.waterfill import rate_second, rate_single
 
 from conftest import TINY, drops
+from oracles import opa_kkt_residual
 
 DENSE_TINY = TINY.with_(num_users=6, rate_demand_bps=12e6, num_rrhs=4)
 

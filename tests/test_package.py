@@ -15,7 +15,7 @@ import pytest
 import nomadas
 
 PKG = Path(nomadas.__file__).resolve().parent
-KERNEL_MODULES = ("waterfill", "mutual_sic", "solver")
+KERNEL_MODULES = ("waterfill", "mutual_sic", "solver", "optimal_pa")
 DROP_MODULES = ("channel", "scenario")
 
 

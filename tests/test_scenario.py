@@ -21,15 +21,6 @@ def test_default_subcarrier_bandwidth():
     assert Scenario().sc_bw_hz == pytest.approx(156250.0)
 
 
-def test_shadowing_std_mode_passthrough():
-    assert Scenario().shadowing_std_db == 8.0
-
-
-def test_shadowing_variance_mode():
-    sc = Scenario(shadowing_db_mode="variance")
-    assert sc.shadowing_std_db == pytest.approx(math.sqrt(8.0))
-
-
 def test_with_replaces_field():
     sc = Scenario().with_(rate_demand_bps=12e6)
     assert sc.rate_demand_bps == 12e6
@@ -44,7 +35,6 @@ def test_more_users_than_subcarriers_rejected():
 @pytest.mark.parametrize("bad", [
     dict(num_users=0), dict(num_rrhs=0), dict(num_subcarriers=0),
     dict(bandwidth_hz=0.0), dict(noise_psd_w_per_hz=-1e-21),
-    dict(shadowing_db_mode="log"),
 ])
 def test_invalid_fields_rejected(bad):
     with pytest.raises(ValueError):
@@ -54,14 +44,14 @@ def test_invalid_fields_rejected(bad):
 def test_load_scenario_roundtrip(tmp_path):
     cfg = {"cell_radius_m": 400.0, "num_users": 10, "num_rrhs": 5,
            "num_subcarriers": 32, "bandwidth_hz": 5e6,
-           "noise_psd": 4e-21, "rate_demand_bps": 6e6, "seed": 3}
+           "noise_psd": 4e-21, "rate_demand_bps": 6e6}
     path = tmp_path / "cell.json"
     path.write_text(json.dumps(cfg))
     sc = load_scenario(path)
     assert sc.cell_radius_m == 400.0
     assert sc.num_rrhs == 5
     assert sc.noise_psd_w_per_hz == 4e-21
-    assert sc.seed == 3
+    assert sc.rate_demand_bps == 6e6
 
 
 def test_load_scenario_partial_keeps_defaults(tmp_path):
@@ -76,6 +66,14 @@ def test_load_scenario_rejects_unknown_key(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text(json.dumps({"num_user": 8}))
     with pytest.raises(ValueError, match="num_user"):
+        load_scenario(path)
+
+
+def test_load_scenario_rejects_seed_key(tmp_path):
+    """Drops come from the run's --seed; a config seed would be ignored."""
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"num_users": 8, "seed": 5}))
+    with pytest.raises(ValueError, match="seed"):
         load_scenario(path)
 
 

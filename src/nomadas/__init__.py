@@ -9,7 +9,7 @@ two users per subcarrier through successive interference cancellation.
 
 from .allocators import (ALGORITHMS, AlgorithmConfig, AllocationResult,
                          AllocationState, MutualPair, SinglePair,
-                         run_algorithm)
+                         run_algorithm, run_algorithms)
 from .audit import AuditReport, audit_result, run_invariant_audit
 from .channel import ChannelTensor, generate_channel, pathloss_gain
 from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
@@ -40,7 +40,7 @@ __all__ = [
     "load_scenario", "mutual_sic_feasible", "optimal_power_allocation",
     "pathloss_gain", "place_rrhs", "power_window", "rate_condition_terms",
     "rate_second", "rate_single", "read_csv", "run_algorithm",
-    "run_invariant_audit", "run_monte_carlo", "run_trial", "solve_system",
-    "trial_seed", "waterline_add", "waterline_from_rate",
+    "run_algorithms", "run_invariant_audit", "run_monte_carlo", "run_trial",
+    "solve_system", "trial_seed", "waterline_add", "waterline_from_rate",
     "waterline_rate_shift", "write_csv",
 ]

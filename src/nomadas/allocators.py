@@ -7,7 +7,8 @@ total power, and up to two pairing rounds that multiplex a second user onto
 already-assigned subcarriers, either through classic power-domain SIC on
 the same RRH or through mutual SIC across RRHs (or the unconstrained UC
 bound), optionally followed by a joint power optimization. PLANS maps each
-algorithm to its antenna set, its rounds after OMA and that last step.
+algorithm to its antenna set, its rounds after OMA and that last step;
+run_algorithms runs the leading rounds several algorithms share only once.
 
 Every round after the first runs the same greedy descent (_descend): the
 most power-hungry active user proposes its best step, which is taken while
@@ -22,6 +23,7 @@ through another RRH. Frozen powers and rates never change afterwards.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -40,29 +42,24 @@ SIC_MARGIN = 0.01   # mu: relative safety margin of the SIC power windows
 FTPA_ALPHA = 0.5    # fractional-power exponent for FTPA pairing
 
 
-def _single(mode: str):
-    return lambda state: single_sic_pairing(state, mode)
-
-
-def _mutual(mode: str):
-    return lambda state: mutual_sic_pairing(state, mode)
-
-
 # algorithm -> (central RRH only, phases after oma_phase, joint power
-# optimization after the phases). The phases look their functions up when
-# they run, so a phase function replaced by name reaches every plan.
+# optimization after the phases). A phase is (name of its function in this
+# module, arguments): the runner looks the function up when it runs, so a
+# phase function replaced by name reaches every plan, and two plans share
+# the work of their common leading phases (run_algorithms).
 PLANS = {
     "OMA-CAS": (True, (), False),
-    "NOMA-CAS": (True, (_single("ftpa"),), False),
+    "NOMA-CAS": (True, (("single_sic_pairing", "ftpa"),), False),
     "OMA-DAS": (False, (), False),
-    "SRRH": (False, (_single("ftpa"),), False),
-    "SRRH-LPO": (False, (_single("lpo"),), False),
-    "SRRH-OPA": (False, (_single("lpo"),), True),
-    "MutSIC-UC": (False, (lambda state: uc_extension_phase(state),), False),
-    "MutSIC-DPA": (False, (_mutual("dpa"),), False),
-    "MutSIC-OPAd": (False, (_mutual("opad"),), False),
-    "MutSIC-SOPAd": (False, (_mutual("sopad"),), False),
-    "MutAndSingSIC": (False, (_mutual("sopad"), _single("lpo")), False),
+    "SRRH": (False, (("single_sic_pairing", "ftpa"),), False),
+    "SRRH-LPO": (False, (("single_sic_pairing", "lpo"),), False),
+    "SRRH-OPA": (False, (("single_sic_pairing", "lpo"),), True),
+    "MutSIC-UC": (False, (("uc_extension_phase",),), False),
+    "MutSIC-DPA": (False, (("mutual_sic_pairing", "dpa"),), False),
+    "MutSIC-OPAd": (False, (("mutual_sic_pairing", "opad"),), False),
+    "MutSIC-SOPAd": (False, (("mutual_sic_pairing", "sopad"),), False),
+    "MutAndSingSIC": (False, (("mutual_sic_pairing", "sopad"),
+                              ("single_sic_pairing", "lpo")), False),
 }
 ALGORITHMS = tuple(PLANS)
 
@@ -152,6 +149,17 @@ class AllocationState:
         self.log: list[StepRecord] = []
         self.phase_iterations: dict[str, tuple[int, int]] = {}
 
+    def fork(self, config: AlgorithmConfig) -> AllocationState:
+        """A copy under `config` with its own arrays, lists and dicts; the
+        channel and the records in the lists, never changed, are shared."""
+        twin = copy.copy(self)
+        twin.config = config
+        for name, value in vars(self).items():
+            if isinstance(value, (np.ndarray, list, dict)) \
+                    and value is not self.gains:
+                setattr(twin, name, copy.copy(value))
+        return twin
+
     # -- bookkeeping helpers -------------------------------------------------
 
     def user_powers(self) -> np.ndarray:
@@ -227,6 +235,18 @@ class AllocationResult:
     singsic_sc: int
     state: AllocationState
     warnings: tuple = ()
+    opa_iterations: int = 0         # of the joint power optimization
+    opa_residual: float = math.nan  # its KKT residual; nan without one
+
+    @property
+    def steps(self) -> str:
+        """Accepted/total greedy steps per phase tag, in order of first
+        appearance, e.g. "wbh:15/15 oma:40/52 mutual:9/21"."""
+        counts = {}
+        for step in self.state.log:
+            accepted, total = counts.get(step.phase, (0, 0))
+            counts[step.phase] = (accepted + step.accepted, total + 1)
+        return " ".join(f"{tag}:{a}/{t}" for tag, (a, t) in counts.items())
 
 
 # -- phase 1: one subcarrier each, worst-served user picks first -------------
@@ -630,23 +650,14 @@ def _freeze_pair(state: AllocationState, pair, r1, rate1, w1_new, w2_new):
 
 # -- the algorithms -----------------------------------------------------------
 
-def run_algorithm(channel: ChannelTensor,
-                  config: AlgorithmConfig) -> AllocationResult:
-    """Run one complete allocation algorithm on a channel realization.
-
-    Every algorithm runs worst_best_h and oma_phase, then the phases of its
-    PLANS entry in order, then optionally the joint power optimization.
-    """
-    _, phases, reoptimize = PLANS[config.algorithm]
-    state = AllocationState(channel, config)
-    worst_best_h(state)
-    oma_phase(state)
-    for phase in phases:
-        phase(state)
-    warnings = ()
-    if reoptimize:
+def _result(state: AllocationState) -> AllocationResult:
+    """The outcome of a state whose phases have all run, after the joint
+    power optimization when its algorithm's plan asks for one."""
+    warnings, iterations, residual = (), 0, math.nan
+    if PLANS[state.config.algorithm][2]:
         opa = optimal_pa.optimal_power_allocation(state)
         P = opa.power_w     # the waterfilled powers when not converged
+        iterations, residual = opa.iterations, opa.residual_norm
         if not opa.converged:
             warnings = (
                 f"optimal power allocation did not converge "
@@ -661,7 +672,7 @@ def run_algorithm(channel: ChannelTensor,
     mut = len(state.mutuals) + int((state.holders() == 2).sum())
     sing = len(state.singles)
     return AllocationResult(
-        algorithm=config.algorithm,
+        algorithm=state.config.algorithm,
         total_power_w=float(per_user.sum()),
         per_user_power_w=per_user,
         power_w=P,
@@ -670,4 +681,61 @@ def run_algorithm(channel: ChannelTensor,
         singsic_sc=sing,
         state=state,
         warnings=warnings,
+        opa_iterations=iterations,
+        opa_residual=residual,
     )
+
+
+def run_algorithms(channel: ChannelTensor, algorithms,
+                   rho_w: float = 1e-3) -> dict:
+    """Run several algorithms on one channel realization, sharing phases.
+
+    The phase sequences (worst_best_h and oma_phase on the antenna set,
+    then the PLANS phases) form a prefix tree: each distinct phase runs
+    once and the state forks where sequences part, so every result owns its
+    state. Returns {algorithm: AllocationResult, or the exception that
+    ended its run} in the order of `algorithms`; an exception in a shared
+    phase is the outcome of every algorithm below it and of no other.
+    """
+    algorithms = tuple(algorithms)
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"repeated algorithm in {algorithms}")
+    outcomes = dict.fromkeys(algorithms)
+    roots = {}
+    for alg in algorithms:
+        roots.setdefault(PLANS[alg][0], []).append(AlgorithmConfig(alg, rho_w))
+    # (state, phases run on it, configs of the algorithms it leads to)
+    todo = [(AllocationState(channel, cs[0]), 0, cs) for cs in roots.values()]
+    while todo:
+        state, depth, group = todo.pop()
+        takers = {}     # next phase, or the config ending here -> configs
+        for c in group:
+            steps = (("worst_best_h",), ("oma_phase",)) + PLANS[c.algorithm][1]
+            takers.setdefault(steps[depth] if depth < len(steps) else c,
+                              []).append(c)
+        for i, (step, below) in enumerate(takers.items()):
+            # the last taker inherits the state, the others get forks; a
+            # state runs under the config of the first algorithm below it
+            own = state.fork(below[0]) if i < len(takers) - 1 else state
+            own.config = below[0]
+            try:
+                if isinstance(step, AlgorithmConfig):
+                    outcomes[step.algorithm] = _result(own)
+                else:
+                    globals()[step[0]](own, *step[1:])
+                    todo.append((own, depth + 1, below))
+            except Exception as exc:   # the outcome of everything below
+                outcomes.update(dict.fromkeys((c.algorithm for c in below),
+                                              exc))
+    return outcomes
+
+
+def run_algorithm(channel: ChannelTensor,
+                  config: AlgorithmConfig) -> AllocationResult:
+    """Run one complete allocation algorithm on a channel realization;
+    raises what its run raised."""
+    outcome, = run_algorithms(channel, (config.algorithm,),
+                              config.rho_w).values()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

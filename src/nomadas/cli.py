@@ -34,6 +34,8 @@ def _parse_algorithms(text: str) -> tuple:
         if a not in ALGORITHMS:
             raise SystemExit(f"unknown algorithm {a!r}; choose from "
                              f"{', '.join(ALGORITHMS)} or 'all'")
+        if algs.count(a) > 1:
+            raise SystemExit(f"algorithm {a!r} given twice")
     return algs
 
 

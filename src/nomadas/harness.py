@@ -4,22 +4,26 @@ Trial t of a run with base seed b draws its channel from the seed
 trial_seed(b, t) = (b << 32) | t, so runs are reproducible, base seed 0
 draws trial t from seed t, and two base seeds never share a drop.
 run_trial runs every requested algorithm on that same drop, which is what
-makes the per-trial power ratios between algorithms meaningful; the
-Monte Carlo runs, the invariant audit and the oracle command all draw
-their drops through it. write_csv and read_csv store the record
+makes the per-trial power ratios between algorithms meaningful. It runs
+them as one family (allocators.run_algorithms), so the phases algorithms
+share run once per drop. The Monte Carlo runs, the invariant audit and the
+oracle command all draw their drops through it. Each TrialRecord carries
+its algorithm's step counts per phase and its joint power optimization's
+iterations and residual. write_csv and read_csv store the record
 dataclasses, one column per field.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocators import ALGORITHMS, AlgorithmConfig, run_algorithm
+from .allocators import ALGORITHMS, run_algorithms
 from .channel import generate_channel
 from .scenario import Scenario
 
@@ -50,6 +54,8 @@ class RunConfig:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {alg!r}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"repeated algorithm in {self.algorithms}")
         if self.trials < 1 or self.workers < 1:
             raise ValueError("trials and workers must be positive")
         if self.base_seed < 0:
@@ -72,6 +78,9 @@ class TrialRecord:
     failed: bool
     error: str = ""
     warnings: str = ""      # AllocationResult.warnings joined by "; "
+    steps: str = ""         # AllocationResult.steps
+    opa_iterations: int = 0
+    opa_residual: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -105,20 +114,14 @@ def trial_seed(base_seed: int, trial: int) -> int:
 
 
 def run_trial(scenario: Scenario, algorithms, base_seed: int, trial: int):
-    """Every algorithm on the channel drop of one trial.
+    """Every algorithm on the channel drop of one trial, as one family.
 
     Returns (seed, [(algorithm, AllocationResult or the exception its
     allocation raised)]), in the order of `algorithms`.
     """
     seed = trial_seed(base_seed, trial)
     channel = generate_channel(scenario, np.random.default_rng(seed))
-    out = []
-    for alg in algorithms:
-        try:
-            out.append((alg, run_algorithm(channel, AlgorithmConfig(alg))))
-        except Exception as exc:    # kept as the algorithm's outcome
-            out.append((alg, exc))
-    return seed, out
+    return seed, list(run_algorithms(channel, algorithms).items())
 
 
 def _run_point(config: RunConfig, value: float, trial: int):
@@ -136,7 +139,10 @@ def _run_point(config: RunConfig, value: float, trial: int):
             out.append(TrialRecord(*cell, alg, trial, seed,
                                    res.total_power_w, res.nonmux_sc,
                                    res.mutsic_sc, res.singsic_sc, False,
-                                   warnings="; ".join(res.warnings)))
+                                   warnings="; ".join(res.warnings),
+                                   steps=res.steps,
+                                   opa_iterations=res.opa_iterations,
+                                   opa_residual=res.opa_residual))
     return out
 
 

@@ -1,5 +1,7 @@
 """End-to-end behavior of the allocation algorithms on small channels."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -509,6 +511,133 @@ def test_phases_reached_through_module_names(tiny_channel, monkeypatch):
         run_algorithm(tiny_channel, AlgorithmConfig(alg))
         assert calls == [("worst_best_h",), ("oma_phase",)] \
             + PHASE_CALLS[alg], alg
+
+
+# -- family runs: shared phases, forked states -----------------------------------------
+
+def _fingerprint(res):
+    """Every observable of a result, floats by repr: equal fingerprints
+    mean bit-identical results (NaN retirement steps included)."""
+    st = res.state
+    log = [(s.phase, s.user, s.subcarrier, s.accepted, s.predicted_dp_w,
+            s.total_before_w, s.total_after_w) for s in st.log]
+    return repr((res.algorithm, res.total_power_w, res.power_w.tobytes(),
+                 res.per_user_power_w.tobytes(), res.nonmux_sc,
+                 res.mutsic_sc, res.singsic_sc, res.warnings,
+                 res.opa_iterations, res.opa_residual, log,
+                 st.phase_iterations, st.config, st.singles, st.mutuals))
+
+
+FAMILY_ORDERS = (
+    ALGORITHMS,
+    ALGORITHMS[::-1],
+    ("MutAndSingSIC",),
+    ("SRRH-OPA", "OMA-CAS"),
+    tuple(str(a) for a in np.random.default_rng(3).permutation(ALGORITHMS)),
+)
+
+
+@pytest.mark.parametrize("scenario,count", [(Scenario(), 2), (SMALL, 3)])
+@pytest.mark.parametrize("rho_w", [1e-3, 0.0])
+def test_family_run_equals_solo_runs(scenario, count, rho_w):
+    for ch in drops(scenario, count, base_seed=29):
+        solo = {alg: _fingerprint(run_algorithm(ch,
+                                                AlgorithmConfig(alg, rho_w)))
+                for alg in ALGORITHMS}
+        for order in FAMILY_ORDERS:
+            family = allocators.run_algorithms(ch, order, rho_w)
+            assert tuple(family) == order
+            assert len({id(res.state) for res in family.values()}) \
+                == len(order)
+            for alg, res in family.items():
+                assert _fingerprint(res) == solo[alg], (alg, order)
+
+
+def test_phase_failure_reaches_only_the_algorithms_below(small_channel,
+                                                          monkeypatch):
+    """A shared LPO pairing that raises fails the three algorithms that
+    run it, through the name the runner looks up; the rest are untouched."""
+    solo = {alg: _fingerprint(run_algorithm(small_channel,
+                                            AlgorithmConfig(alg)))
+            for alg in ALGORITHMS}
+    real = allocators.single_sic_pairing
+    planted = RuntimeError("planted")
+
+    def failing(state, mode):
+        if mode == "lpo":
+            raise planted
+        return real(state, mode)
+
+    monkeypatch.setattr(allocators, "single_sic_pairing", failing)
+    family = allocators.run_algorithms(small_channel, ALGORITHMS)
+    below = {"SRRH-LPO", "SRRH-OPA", "MutAndSingSIC"}
+    for alg, res in family.items():
+        if alg in below:
+            assert res is planted, alg
+        else:
+            assert _fingerprint(res) == solo[alg], alg
+
+
+def test_das_root_failure_spares_cas(small_channel, monkeypatch):
+    real = allocators.oma_phase
+
+    def failing_on_das(state):
+        if len(state.rrhs) > 1:
+            raise RuntimeError("planted")
+        real(state)
+
+    monkeypatch.setattr(allocators, "oma_phase", failing_on_das)
+    family = allocators.run_algorithms(small_channel, ALGORITHMS)
+    for alg, res in family.items():
+        central = allocators.PLANS[alg][0]
+        assert isinstance(res, RuntimeError) != central, alg
+    assert sum(isinstance(r, RuntimeError) for r in family.values()) == 9
+    with pytest.raises(RuntimeError, match="planted"):
+        run_algorithm(small_channel, AlgorithmConfig("SRRH"))
+
+
+def test_opa_failure_leaves_srrh_lpo_intact(small_channel, monkeypatch):
+    lpo = _fingerprint(run_algorithm(small_channel,
+                                     AlgorithmConfig("SRRH-LPO")))
+
+    def failing(state):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(allocators.optimal_pa, "optimal_power_allocation",
+                        failing)
+    family = allocators.run_algorithms(small_channel,
+                                       ("SRRH-OPA", "SRRH-LPO"))
+    assert isinstance(family["SRRH-OPA"], RuntimeError)
+    assert _fingerprint(family["SRRH-LPO"]) == lpo
+
+
+def test_fork_is_independent_of_its_parent():
+    ch = next(drops(LOADED, 1, base_seed=17))
+    state = AllocationState(ch, AlgorithmConfig("SRRH-LPO", rho_w=0.0))
+    worst_best_h(state)
+    oma_phase(state)
+    before = pickle.dumps(vars(state))
+    twin = state.fork(AlgorithmConfig("SRRH", rho_w=0.0))
+    assert twin.config.algorithm == "SRRH"
+    assert state.config.algorithm == "SRRH-LPO"
+    assert twin.channel is state.channel and twin.gains is state.gains
+    for name in ("owner", "n_sole", "floor_sum", "waterline", "frozen_rate",
+                 "frozen_power", "free"):
+        getattr(twin, name)[...] = 0
+    for name in ("singles", "mutuals", "log"):
+        getattr(twin, name).append(None)
+    twin.phase_iterations["oma"] = (-1, -1)
+    assert pickle.dumps(vars(state)) == before
+    # a phase run on a fork leaves the parent as it was too
+    other = state.fork(state.config)
+    allocators.single_sic_pairing(other, "lpo")
+    assert other.singles and pickle.dumps(vars(state)) == before
+
+
+def test_run_algorithms_rejects_repeated_names(tiny_channel):
+    with pytest.raises(ValueError, match="repeated"):
+        allocators.run_algorithms(tiny_channel, ("OMA-DAS", "SRRH",
+                                                 "OMA-DAS"))
 
 
 # -- first phase in isolation ---------------------------------------------------------

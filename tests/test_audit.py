@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nomadas import ALGORITHMS, AlgorithmConfig, generate_channel, run_algorithm
-from nomadas import harness
+from nomadas import allocators
 from nomadas.allocators import StepRecord
 from nomadas.audit import AuditReport, audit_result, run_invariant_audit
 
@@ -38,10 +38,10 @@ def test_report_ok_reflects_violations():
 
 
 def test_audit_counts_crashes(monkeypatch):
-    def boom(channel, acfg):
+    def boom(state):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(harness, "run_algorithm", boom)
+    monkeypatch.setattr(allocators, "worst_best_h", boom)
     report = run_invariant_audit(SMALL, ("OMA-DAS",), trials=2)
     assert not report.ok
     assert len(report.violations) == 2

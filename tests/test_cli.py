@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from nomadas import ALGORITHMS
-from nomadas import cli, harness
+from nomadas import allocators, cli
 from nomadas.audit import AuditReport
 from nomadas.cli import _parse_algorithms, build_parser, main
 from nomadas.harness import AggregateRow, TrialRecord, read_csv
@@ -38,6 +38,11 @@ def test_parse_algorithms_list():
 def test_parse_algorithms_unknown():
     with pytest.raises(SystemExit, match="unknown algorithm"):
         _parse_algorithms("SRRH-LP0")
+
+
+def test_parse_algorithms_repeated():
+    with pytest.raises(SystemExit, match="'SRRH' given twice"):
+        _parse_algorithms("SRRH,OMA-DAS,SRRH")
 
 
 def test_parser_requires_subcommand(capsys):
@@ -111,10 +116,10 @@ def test_summary_prints_paired_saving_and_subcarriers(tmp_path, config_json,
 
 def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
                                     capsys):
-    def boom(channel, config):
+    def boom(state):
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(harness, "run_algorithm", boom)
+    monkeypatch.setattr(allocators, "worst_best_h", boom)
     rc = main(["sweep", "--config", config_json, "--axis", "rate",
                "--values", "2e6", "--trials", "2", "--algorithms", "OMA-DAS",
                "--out", str(tmp_path / "sweep.csv")])
@@ -172,10 +177,10 @@ def test_audit_takes_no_workers(capsys):
 
 
 def test_oracle_counts_allocation_crashes(monkeypatch, capsys):
-    def boom(channel, config):
+    def boom(state):
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(harness, "run_algorithm", boom)
+    monkeypatch.setattr(allocators, "worst_best_h", boom)
     rc = main(["oracle", "--trials", "2"])
     assert rc == 1
     out = capsys.readouterr().out

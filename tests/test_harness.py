@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nomadas import AlgorithmConfig, generate_channel, run_algorithm
+from nomadas.allocators import run_algorithms
 from nomadas import harness, optimal_pa
 from nomadas.harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                              apply_sweep, read_csv, run_monte_carlo,
@@ -27,6 +28,12 @@ def test_config_rejects_unknown_axis():
 def test_config_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="algorithm"):
         RunConfig(SMALL, algorithms=("OMA-DAS", "SRHH"))
+
+
+def test_config_rejects_repeated_algorithm():
+    """A repeated name would count its trials twice in aggregate."""
+    with pytest.raises(ValueError, match="repeated"):
+        RunConfig(SMALL, ("OMA-DAS", "OMA-DAS"), trials=2)
 
 
 @pytest.mark.parametrize("field", [dict(trials=0), dict(workers=0)])
@@ -125,18 +132,19 @@ def test_worker_pool_matches_serial():
                base_seed=3)
     serial = run_monte_carlo(RunConfig(**cfg))
     pooled = run_monte_carlo(RunConfig(**cfg, workers=2))
-    assert pooled == serial
+    # repr: the opa_residual NaNs of these algorithms compare unequal
+    assert repr(pooled) == repr(serial)
 
 
 def test_failures_are_captured(monkeypatch):
-    real = run_algorithm
+    real = run_algorithms
 
-    def flaky(channel, acfg):
-        if acfg.algorithm == "SRRH":
-            raise RuntimeError("injected")
-        return real(channel, acfg)
+    def flaky(channel, algorithms):
+        out = real(channel, algorithms)
+        out["SRRH"] = RuntimeError("injected")
+        return out
 
-    monkeypatch.setattr(harness, "run_algorithm", flaky)
+    monkeypatch.setattr(harness, "run_algorithms", flaky)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=3))
     bad = [r for r in recs if r.algorithm == "SRRH"]
     good = [r for r in recs if r.algorithm == "OMA-DAS"]
@@ -146,15 +154,14 @@ def test_failures_are_captured(monkeypatch):
 
 
 def test_warnings_reach_trial_records(monkeypatch):
-    real = run_algorithm
+    real = run_algorithms
 
-    def warned(channel, acfg):
-        res = real(channel, acfg)
-        if acfg.algorithm == "SRRH":
-            return replace(res, warnings=("first, note", "second"))
-        return res
+    def warned(channel, algorithms):
+        out = real(channel, algorithms)
+        out["SRRH"] = replace(out["SRRH"], warnings=("first, note", "second"))
+        return out
 
-    monkeypatch.setattr(harness, "run_algorithm", warned)
+    monkeypatch.setattr(harness, "run_algorithms", warned)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=2))
     assert all(r.warnings == "first, note; second"
                for r in recs if r.algorithm == "SRRH")
@@ -175,6 +182,32 @@ def test_opa_fallback_warning_reaches_trial_records(monkeypatch):
         assert r.warnings == ("optimal power allocation did not converge "
                               "(7 Newton iterations, KKT residual 3.1e-05); "
                               "keeping waterfilled powers")
+        assert (r.opa_iterations, r.opa_residual) == (7, 3.1e-5)
+
+
+def test_step_and_opa_telemetry_reach_trial_records():
+    """steps counts each phase's accepted and total steps of the state's
+    log; only SRRH-OPA reports a joint optimization, converged or not."""
+    algs = ("OMA-DAS", "MutAndSingSIC", "SRRH-OPA")
+    recs = run_monte_carlo(RunConfig(SMALL, algs, trials=2, base_seed=5))
+    scen = SMALL
+    for r in recs:
+        ch = generate_channel(scen, np.random.default_rng(r.seed))
+        res = run_algorithm(ch, AlgorithmConfig(r.algorithm))
+        tags = {}
+        for step in res.state.log:
+            tags.setdefault(step.phase, []).append(step.accepted)
+        assert r.steps == " ".join(f"{tag}:{sum(acc)}/{len(acc)}"
+                                   for tag, acc in tags.items())
+        assert r.steps.startswith("wbh:6/6 oma:")
+        if r.algorithm == "SRRH-OPA":
+            # converged, possibly at its starting point (0 iterations)
+            assert not r.warnings and r.opa_iterations >= 0
+            assert 0.0 <= r.opa_residual < 1e-6
+        else:
+            assert r.opa_iterations == 0 and math.isnan(r.opa_residual)
+    assert any(" mutual:" in r.steps and " single:" in r.steps for r in recs
+               if r.algorithm == "MutAndSingSIC")
 
 
 # -- aggregation ---------------------------------------------------------------
@@ -228,17 +261,17 @@ def test_paired_saving_is_relative_mean_saving_without_failures(records):
 
 
 def test_paired_saving_skips_trials_the_reference_failed(monkeypatch):
-    real = run_algorithm
+    real = run_algorithms
     calls = []
 
-    def fail_second_reference(channel, acfg):
-        if acfg.algorithm == "OMA-DAS":
-            calls.append(1)
-            if len(calls) == 2:
-                raise RuntimeError("injected")
-        return real(channel, acfg)
+    def fail_second_reference(channel, algorithms):
+        out = real(channel, algorithms)
+        calls.append(1)
+        if len(calls) == 2:
+            out["OMA-DAS"] = RuntimeError("injected")
+        return out
 
-    monkeypatch.setattr(harness, "run_algorithm", fail_second_reference)
+    monkeypatch.setattr(harness, "run_algorithms", fail_second_reference)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=3))
     power = {(r.algorithm, r.trial): r.total_power_w for r in recs}
     assert [r.trial for r in recs if r.failed] == [1]
@@ -263,19 +296,22 @@ GOLDEN_RECORDS = [
     TrialRecord("rate", 9e6, "SRRH", 1, 1, float("nan"), 0, 0, 0, True,
                 "RuntimeError('boom, \"quoted\"')"),
     TrialRecord("rate", 1.2e7, "OMA-DAS", 0, 0, 2.5, 64, 0, 0, False),
-    TrialRecord("rate", 1.2e7, "SRRH", 0, 0, 1.75, 50, 0, 14, False),
+    TrialRecord("rate", 1.2e7, "SRRH", 0, 0, 1.75, 50, 0, 14, False, "", "",
+                "wbh:6/6 oma:40/52 single:9/21", 4, 2.5e-13),
 ]
 GOLDEN_TRIAL_CSV = (
     "sweep_axis,sweep_value,algorithm,trial,seed,total_power_w,nonmux_sc,"
-    "mutsic_sc,singsic_sc,failed,error,warnings",
-    "rate,9000000.0,OMA-DAS,0,0,0.30000000000000004,40,0,0,0,,",
+    "mutsic_sc,singsic_sc,failed,error,warnings,steps,opa_iterations,"
+    "opa_residual",
+    "rate,9000000.0,OMA-DAS,0,0,0.30000000000000004,40,0,0,0,,,,0,nan",
     'rate,9000000.0,SRRH,0,0,0.25,30,0,10,0,,"opa did not converge; '
-    'keeping ""waterfilled"", powers"',
-    "rate,9000000.0,OMA-DAS,1,1,1e-300,41,0,0,0,,",
+    'keeping ""waterfilled"", powers",,0,nan',
+    "rate,9000000.0,OMA-DAS,1,1,1e-300,41,0,0,0,,,,0,nan",
     'rate,9000000.0,SRRH,1,1,nan,0,0,0,1,"RuntimeError(\'boom, '
-    '""quoted""\')",',
-    "rate,12000000.0,OMA-DAS,0,0,2.5,64,0,0,0,,",
-    "rate,12000000.0,SRRH,0,0,1.75,50,0,14,0,,",
+    '""quoted""\')",,,0,nan',
+    "rate,12000000.0,OMA-DAS,0,0,2.5,64,0,0,0,,,,0,nan",
+    "rate,12000000.0,SRRH,0,0,1.75,50,0,14,0,,,"
+    "wbh:6/6 oma:40/52 single:9/21,4,2.5e-13",
 )
 GOLDEN_AGGREGATE_CSV = (
     "algorithm,sweep_axis,sweep_value,n_trials,n_failed,mean_power_w,"
@@ -320,8 +356,8 @@ def test_trial_csv_roundtrip_keeps_warnings(tmp_path):
             for t, w in enumerate(["", "one warning",
                                    'quoted "text", comma; and more'])]
     write_csv(TrialRecord, recs, path)
-    assert path.read_text().splitlines()[0].endswith(",warnings")
-    assert read_csv(TrialRecord, path) == recs
+    assert ",warnings," in path.read_text().splitlines()[0]
+    assert repr(read_csv(TrialRecord, path)) == repr(recs)
 
 
 def test_aggregate_csv_roundtrip(records, tmp_path):

@@ -19,6 +19,10 @@ names the user that holds it alone through RRH r, its power floating on
 that user's waterline, until a pairing freezes it and clears the entry.
 Only the MutSIC-UC bound lets a second user hold an owned subcarrier,
 through another RRH. Frozen powers and rates never change afterwards.
+Each step updates what it changed: the holding counts, the sum of noise
+floors and the two weakest sole gains of the users it touched. Since a
+subcarrier never becomes free again, each user's links, sorted by gain
+once, are read through a cursor that only moves forward (best_free).
 """
 
 from __future__ import annotations
@@ -144,6 +148,15 @@ class AllocationState:
         self.frozen_rate = np.zeros(K)
         self.frozen_power = np.zeros(K)
         self.free = np.ones(S, dtype=bool)        # no holder, no frozen pair
+        # each user's two weakest sole gains, ascending, inf-padded
+        self.weakest = np.full((K, 2), np.inf)
+        # by_gain[k]: k's (n, r) links through rrhs by descending gain, ties
+        # in (n, rrhs) order; links before cursor[k] are no longer free
+        R = len(self.rrhs)
+        order = np.argsort(-self.gains[:, :, self.rrhs].reshape(K, S * R),
+                           axis=1, kind="stable")
+        self.by_gain = np.stack((order // R, self.rrhs[order % R]), axis=-1)
+        self.cursor = np.zeros(K, dtype=int)
         self.singles: list[SinglePair] = []
         self.mutuals: list[MutualPair] = []
         self.log: list[StepRecord] = []
@@ -151,12 +164,13 @@ class AllocationState:
 
     def fork(self, config: AlgorithmConfig) -> AllocationState:
         """A copy under `config` with its own arrays, lists and dicts; the
-        channel and the records in the lists, never changed, are shared."""
+        channel, by_gain and the records in the lists, never changed, are
+        shared."""
         twin = copy.copy(self)
         twin.config = config
         for name, value in vars(self).items():
             if isinstance(value, (np.ndarray, list, dict)) \
-                    and value is not self.gains:
+                    and value is not self.gains and value is not self.by_gain:
                 setattr(twin, name, copy.copy(value))
         return twin
 
@@ -190,20 +204,40 @@ class AllocationState:
     def sole_rate_bps(self, k: int) -> float:
         return float(self.demands[k] - self.frozen_rate[k])
 
+    def best_free(self, k: int):
+        """(n, r) of user k's strongest link through rrhs on a free
+        subcarrier, the first in (n, rrhs) order on ties; None when no
+        subcarrier is free. Sound because free never turns True again."""
+        links, i = self.by_gain[k], self.cursor[k]
+        while i < len(links) and not self.free[links[i, 0]]:
+            i += 1
+        self.cursor[k] = i
+        return (int(links[i, 0]), int(links[i, 1])) if i < len(links) \
+            else None
+
     def _add_sole(self, k: int, n: int, r: int):
+        g = self.gains[k, n, r]
         self.owner[n, r] = k
         self.n_sole[k] += 1
-        self.floor_sum[k] += self.sigma2_w / self.gains[k, n, r]
+        self.floor_sum[k] += self.sigma2_w / g
         self.free[n] = False
+        low = self.weakest[k]
+        if g < low[1]:
+            low[:] = (g, low[0]) if g < low[0] else (low[0], g)
 
     def _remove_sole(self, k: int, n: int, r: int):
+        g = self.gains[k, n, r]
         self.owner[n, r] = -1
         self.n_sole[k] -= 1
-        self.floor_sum[k] -= self.sigma2_w / self.gains[k, n, r]
+        self.floor_sum[k] -= self.sigma2_w / g
+        if g <= self.weakest[k, 1]:
+            rest = np.sort(self.sole_gains(k))[:2]
+            self.weakest[k] = np.inf
+            self.weakest[k, :rest.size] = rest
 
-    def _log(self, phase, user, n, accepted, dp, before):
+    def _log(self, phase, user, n, accepted, dp, before, after):
         self.log.append(StepRecord(phase, user, n, accepted, dp, before,
-                                   self.total_power()))
+                                   after))
 
     # -- materialization -----------------------------------------------------
 
@@ -259,26 +293,23 @@ def worst_best_h(state: AllocationState) -> None:
     """
     G, s2 = state.gains, state.sigma2_w
     unassigned = set(range(state.num_users))
+    before = state.total_power()
     while unassigned:
-        free_arr = np.flatnonzero(state.free)
-        sub = G[:, free_arr[:, None], state.rrhs[None, :]]
         best_k, best_gain = -1, math.inf
         for k in sorted(unassigned):
-            g = float(sub[k].max())
+            g = float(G[k][state.best_free(k)])
             if g < best_gain:
                 best_k, best_gain = k, g
-        flat = int(np.argmax(sub[best_k]))
-        ni, ri = np.unravel_index(flat, sub[best_k].shape)
-        n, r = int(free_arr[ni]), int(state.rrhs[ri])
-        gain = float(G[best_k, n, r])
+        n, r = state.best_free(best_k)
         q = state.demands[best_k] / state.sc_bw_hz
         state.waterline[best_k] = math.exp(q * math.log(2.0)
-                                           + math.log(s2 / gain))
-        before = state.total_power()
+                                           + math.log(s2 / best_gain))
         state._add_sole(best_k, n, r)
         unassigned.discard(best_k)
-        state._log("wbh", best_k, n, True, state.user_powers()[best_k],
-                   before)
+        powers = state.user_powers()
+        after = float(powers.sum())
+        state._log("wbh", best_k, n, True, powers[best_k], before, after)
+        before = after
 
 
 # -- the greedy descent every growth and pairing phase runs ------------------
@@ -292,24 +323,30 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     returns (subcarrier, dp, commit). A step that lowers total power by
     more than rho_w is taken: commit() applies it and returns the
     (subcarrier, dp) to log. Otherwise the user retires from the phase and
-    the proposal's subcarrier and dp are logged. The iteration count and
-    its bound `limit` add up in state.phase_iterations[tag].
+    the proposal's subcarrier and dp are logged. The user powers are
+    evaluated once per taken step; a retirement changes nothing, so the
+    totals carry over. The iteration count and its bound `limit` add up in
+    state.phase_iterations[tag].
     """
     rho = state.config.rho_w
-    active = set(range(state.num_users))
+    active = np.ones(state.num_users, dtype=bool)
+    powers = state.user_powers()
+    before = float(powers.sum())
     iters = 0
-    while more() and active:
+    while more() and active.any():
         iters += 1
-        powers = state.user_powers()
-        k = min(active, key=lambda kk: (-powers[kk], kk))
-        before = state.total_power()
+        k = int(np.argmax(np.where(active, powers, -np.inf)))
         n, dp, commit = propose(k)
         accepted = bool(dp < -rho)
+        after = before
         if accepted:
             n, dp = commit()
+            powers = state.user_powers()
+            after = float(powers.sum())
         else:
-            active.discard(k)
-        state._log(tag, k, n, accepted, dp, before)
+            active[k] = False
+        state._log(tag, k, n, accepted, dp, before, after)
+        before = after
     prev = state.phase_iterations.get(tag, (0, 0))
     state.phase_iterations[tag] = (prev[0] + iters, prev[1] + limit)
 
@@ -330,22 +367,18 @@ def oma_phase(state: AllocationState) -> None:
     """Repeatedly hand the most power-hungry user its best free subcarrier.
 
     A candidate only helps if its gain clears the user's current waterline
-    noise floor; the best such gain also gives the largest power drop, so
-    one gain argmax per iteration suffices. Users whose best candidate no
-    longer saves more than rho_w are retired from this phase.
+    noise floor; the strongest free link also gives the largest power drop,
+    so it is the one candidate to price (best_free). Users whose best
+    candidate no longer saves more than rho_w are retired from this phase.
     """
     G, s2 = state.gains, state.sigma2_w
 
     def propose(k):
         w = state.waterline[k]
-        free_arr = np.flatnonzero(state.free)
-        cand = G[k, free_arr[:, None], state.rrhs[None, :]]
-        admissible = admits_waterline_decrease(cand, w, s2)
-        if not admissible.any():
+        link = state.best_free(k)
+        if link is None or not admits_waterline_decrease(G[k][link], w, s2):
             return -1, math.nan, None
-        flat = int(np.argmax(np.where(admissible, cand, -math.inf)))
-        ni, ri = np.unravel_index(flat, cand.shape)
-        n, r = int(free_arr[ni]), int(state.rrhs[ri])
+        n, r = link
         gain = float(G[k, n, r])
         n_cur = state.n_sole[k]
         w_new = waterline_add(w, n_cur, gain, s2)
@@ -378,7 +411,7 @@ def uc_extension_phase(state: AllocationState) -> None:
     def propose(k):
         w = state.waterline[k]
         n_cur = state.n_sole[k]
-        floor = s2 / state.sole_gains(k).min() if n_cur else 0.0
+        floor = s2 / state.weakest[k, 0]       # 0 without sole holdings
         own = state.owner[:, state.rrhs]
         held = own >= 0
         # a subcarrier one other user holds is open on every other RRH;
@@ -430,7 +463,7 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
         if n2 == 0:
             return -1, math.nan, None
         w2 = state.waterline[k2]
-        g2_floor = s2 / state.sole_gains(k2).min()
+        g2_floor = s2 / state.weakest[k2, 0]
         ns, k1s, rs = _incumbents(state, k2)
         if not ns.size:
             return -1, math.nan, None
@@ -488,20 +521,11 @@ def _mutual_candidates(state: AllocationState, k2: int):
     keep = r2s != r1s
     ns, k1s, r1s, r2s = ns[keep], k1s[keep], r1s[keep], r2s[keep]
 
-    # each incumbent's two weakest sole gains: dropping n from the sole set
-    # leaves the weakest one unless n carries it
-    hk, hn, hr = state.sole_slots()
-    hg = G[hk, hn, hr]
-    order = np.lexsort((hg, hk))                # by user, then by gain
-    hk, hg = hk[order], hg[order]
-    lead = np.r_[True, hk[1:] != hk[:-1]]       # each user's weakest
-    runner = np.r_[False, lead[:-1]] & ~lead    # and its second weakest
-    weakest = np.full((state.num_users, 2), np.inf)
-    weakest[hk[lead], 0] = hg[lead]
-    weakest[hk[runner], 1] = hg[runner]
+    # dropping n from the incumbent's sole set leaves its weakest gain
+    # unless n carries it
+    weakest = state.weakest[k1s]
     g11 = G[k1s, ns, r1s]
-    rest_min = np.where(g11 == weakest[k1s, 0], weakest[k1s, 1],
-                        weakest[k1s, 0])
+    rest_min = np.where(g11 == weakest[:, 0], weakest[:, 1], weakest[:, 0])
     gains = (g11, G[k1s, ns, r2s], G[k2, ns, r1s], G[k2, ns, r2s])
     return (ns, k1s, r1s, r2s, gains, state.waterline[k1s],
             state.n_sole[k1s], s2 / rest_min)
@@ -526,7 +550,7 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         if n2 == 0:
             return -1, math.nan, None
         w2 = state.waterline[k2]
-        g2_floor = s2 / state.sole_gains(k2).min()
+        g2_floor = s2 / state.weakest[k2, 0]
 
         ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = \
             _mutual_candidates(state, k2)
@@ -634,7 +658,7 @@ def _freeze_pair(state: AllocationState, pair, r1, rate1, w1_new, w2_new):
     the joiner's weakest sole subcarrier.
     """
     k1, k2 = pair.k1, pair.k2
-    if w2_new < state.sigma2_w / state.sole_gains(k2).min():
+    if w2_new < state.sigma2_w / state.weakest[k2, 0]:
         raise InfeasibleWaterline(
             "joiner's waterline below a sole subcarrier's noise floor")
     state._remove_sole(k1, pair.n, r1)

@@ -82,6 +82,21 @@ class TrialRecord:
     opa_iterations: int = 0
     opa_residual: float = math.nan
 
+    # NaN-aware equality: field-by-field equality holds for a NaN cell (a
+    # failed trial's total, the residual without an OPA) only while both
+    # records share the NaN object, which pickling or a CSV read replaces
+    def _key(self) -> tuple:
+        return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if type(other) is not TrialRecord:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True)
 class AggregateRow:

@@ -1,6 +1,8 @@
 """End-to-end behavior of the allocation algorithms on small channels."""
 
+import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,13 +160,16 @@ def test_user_powers_equal_scalar_loop_at_every_step(monkeypatch):
 
 
 def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
-    """owner, n_sole, free and floor_sum agree after every logged step.
+    """The incremental bookkeeping equals a from-scratch one after every
+    logged step.
 
     n_sole counts each user's entries in owner; a subcarrier is free
     exactly when nobody holds it and no frozen pair sits on it; floor_sum
     matches a from-scratch sum over the holdings to 1e-12 of the largest
     one; two users hold one subcarrier only under MutSIC-UC, and then
-    through different RRHs (owner has one entry per RRH).
+    through different RRHs (owner has one entry per RRH); weakest holds the
+    two smallest sole gains, inf-padded; best_free returns the first
+    strongest link over free subcarriers x rrhs, in (n, rrhs) order.
     """
     ch = next(drops(LOADED, 1, base_seed=17))
     log = AllocationState._log
@@ -189,6 +194,14 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
                               / state.gains[ks, ns, rs], minlength=K)
         assert np.abs(state.floor_sum - scratch).max() \
             <= 1e-12 * scratch.max()
+        for k in range(K):
+            low = np.sort(state.sole_gains(k))[:2]
+            assert np.array_equal(state.weakest[k],
+                                  np.r_[low, np.full(2 - low.size, np.inf)])
+            links = [(n, int(r)) for n in np.flatnonzero(state.free)
+                     for r in state.rrhs]
+            assert state.best_free(k) == max(
+                links, key=lambda link: state.gains[k][link], default=None)
         checked += 1
         log(state, *args)
 
@@ -196,6 +209,53 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
     for alg in ALGORITHMS:
         run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
     assert checked > 0 and shared > 0
+
+
+def test_best_free_breaks_ties_like_an_argmax_scan():
+    """On gains drawn from three values, so that most links tie, the cursor
+    picks what np.argmax over (free n ascending, rrhs order) picks, while
+    subcarriers leave the free set in random order."""
+    ch = next(drops(SMALL, 1, base_seed=5))
+    rng = np.random.default_rng(6)
+    levels = ch.gains.max() * np.array([1.0, 0.5, 0.25])
+    tied = replace(ch, gains=rng.choice(levels, ch.gains.shape))
+    for alg in ("OMA-CAS", "OMA-DAS"):
+        state = AllocationState(tied, AlgorithmConfig(alg))
+        while state.free.any():
+            free = np.flatnonzero(state.free)
+            for k in range(state.num_users):
+                sub = tied.gains[k][free[:, None], state.rrhs[None, :]]
+                ni, ri = np.unravel_index(int(np.argmax(sub)), sub.shape)
+                assert state.best_free(k) == (free[ni], state.rrhs[ri])
+            state._add_sole(int(rng.integers(state.num_users)),
+                            int(rng.choice(free)), int(rng.choice(state.rrhs)))
+        assert state.best_free(0) is None
+
+
+def test_descend_breaks_power_ties_by_lowest_index(tiny_channel):
+    """The most power-hungry active user proposes first, the lowest index
+    among equals; every logged total is the sum of the user powers."""
+    state = AllocationState(tiny_channel, AlgorithmConfig("OMA-DAS"))
+    state.frozen_power[:] = (2.0, 3.0, 3.0)
+    proposed = []
+
+    def propose(k):
+        proposed.append(k)
+        if len(proposed) > 1:
+            return -1, math.nan, None
+
+        def commit():       # user 1 drops to a tie with user 0
+            state.frozen_power[k] = 2.0
+            return 5, -1.0
+        return 5, -1.0, commit
+
+    allocators._descend(state, "tie", 4, lambda: True, propose)
+    assert proposed == [1, 2, 0, 1]
+    assert [(s.user, s.accepted) for s in state.log] \
+        == [(1, True), (2, False), (0, False), (1, False)]
+    assert [(s.total_before_w, s.total_after_w) for s in state.log] \
+        == [(8.0, 7.0)] + [(7.0, 7.0)] * 3
+    assert state.phase_iterations["tie"] == (4, 4)
 
 
 def test_served_users_meet_demand_at_every_step(monkeypatch):
@@ -615,14 +675,22 @@ def test_fork_is_independent_of_its_parent():
     ch = next(drops(LOADED, 1, base_seed=17))
     state = AllocationState(ch, AlgorithmConfig("SRRH-LPO", rho_w=0.0))
     worst_best_h(state)
+    # oma on a fork advances the fork's cursors and moves its weakest gains
+    first = pickle.dumps(vars(state))
+    grown = state.fork(state.config)
+    oma_phase(grown)
+    assert (grown.cursor > state.cursor).any()
+    assert not np.array_equal(grown.weakest, state.weakest)
+    assert pickle.dumps(vars(state)) == first
     oma_phase(state)
     before = pickle.dumps(vars(state))
     twin = state.fork(AlgorithmConfig("SRRH", rho_w=0.0))
     assert twin.config.algorithm == "SRRH"
     assert state.config.algorithm == "SRRH-LPO"
     assert twin.channel is state.channel and twin.gains is state.gains
+    assert twin.by_gain is state.by_gain    # never changed, shared
     for name in ("owner", "n_sole", "floor_sum", "waterline", "frozen_rate",
-                 "frozen_power", "free"):
+                 "frozen_power", "free", "weakest", "cursor"):
         getattr(twin, name)[...] = 0
     for name in ("singles", "mutuals", "log"):
         getattr(twin, name).append(None)

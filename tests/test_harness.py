@@ -1,6 +1,7 @@
 """Monte Carlo harness: sweeps, trial records, aggregation, CSV persistence."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -132,8 +133,7 @@ def test_worker_pool_matches_serial():
                base_seed=3)
     serial = run_monte_carlo(RunConfig(**cfg))
     pooled = run_monte_carlo(RunConfig(**cfg, workers=2))
-    # repr: the opa_residual NaNs of these algorithms compare unequal
-    assert repr(pooled) == repr(serial)
+    assert pooled == serial
 
 
 def test_failures_are_captured(monkeypatch):
@@ -215,6 +215,21 @@ def test_step_and_opa_telemetry_reach_trial_records():
 def _rec(alg, value, trial, power, failed=False):
     return TrialRecord("rate", value, alg, trial, trial, power,
                        4, 0, 1, failed, "boom" if failed else "")
+
+
+def test_trial_record_equality_is_nan_aware():
+    """Equal records holding distinct NaN objects compare and hash equal;
+    a difference in any other field still tells them apart."""
+    rec = _rec("SRRH", 1e6, 0, float("nan"), failed=True)
+    twin = pickle.loads(pickle.dumps(rec))
+    assert twin.total_power_w is not rec.total_power_w
+    assert twin == rec and hash(twin) == hash(rec)
+    assert len({rec, twin}) == 1
+    for change in (dict(trial=1), dict(error=""), dict(steps="wbh:1/1"),
+                   dict(opa_residual=0.0), dict(total_power_w=1.0)):
+        other = replace(twin, **change)
+        assert other != rec and rec != other, change
+    assert rec != ("rate", 1e6)
 
 
 def test_aggregate_means_and_failures():
@@ -332,22 +347,14 @@ def test_csv_golden_text(kind, rows, lines, tmp_path):
     path = tmp_path / "golden.csv"
     write_csv(kind, rows, path)
     assert path.read_bytes() == "".join(f"{ln}\r\n" for ln in lines).encode()
-    assert repr(read_csv(kind, path)) == repr(rows)
+    assert read_csv(kind, path) == rows
 
 
 def test_trial_csv_roundtrip(records, tmp_path):
     path = tmp_path / "trials.csv"
     mixed = list(records) + [_rec("SRRH", 9e9, 0, float("nan"), failed=True)]
     write_csv(TrialRecord, mixed, path)
-    back = read_csv(TrialRecord, path)
-    assert len(back) == len(mixed)
-    for a, b in zip(mixed, back):
-        for col in TrialRecord.__dataclass_fields__:
-            va, vb = getattr(a, col), getattr(b, col)
-            if isinstance(va, float) and math.isnan(va):
-                assert math.isnan(vb)
-            else:
-                assert va == vb, col
+    assert read_csv(TrialRecord, path) == mixed
 
 
 def test_trial_csv_roundtrip_keeps_warnings(tmp_path):
@@ -357,7 +364,7 @@ def test_trial_csv_roundtrip_keeps_warnings(tmp_path):
                                    'quoted "text", comma; and more'])]
     write_csv(TrialRecord, recs, path)
     assert ",warnings," in path.read_text().splitlines()[0]
-    assert repr(read_csv(TrialRecord, path)) == repr(recs)
+    assert read_csv(TrialRecord, path) == recs
 
 
 def test_aggregate_csv_roundtrip(records, tmp_path):

@@ -23,6 +23,10 @@ Each step updates what it changed: the holding counts, the sum of noise
 floors and the two weakest sole gains of the users it touched. Since a
 subcarrier never becomes free again, each user's links, sorted by gain
 once, are read through a cursor that only moves forward (best_free).
+A pairing phase adds no sole holding, so it builds its candidate pairs
+once and keeps their prices (_PairTable): an accepted step retires its
+subcarrier's pairs and re-prices only the pairs of the two users it
+changed, and a retirement re-prices nothing.
 """
 
 from __future__ import annotations
@@ -150,12 +154,13 @@ class AllocationState:
         self.free = np.ones(S, dtype=bool)        # no holder, no frozen pair
         # each user's two weakest sole gains, ascending, inf-padded
         self.weakest = np.full((K, 2), np.inf)
-        # by_gain[k]: k's (n, r) links through rrhs by descending gain, ties
-        # in (n, rrhs) order; links before cursor[k] are no longer free
+        # by_gain[k]: k's links n * len(rrhs) + i, through RRH rrhs[i], by
+        # descending gain, ties in (n, rrhs) order; links before cursor[k]
+        # are no longer free
         R = len(self.rrhs)
-        order = np.argsort(-self.gains[:, :, self.rrhs].reshape(K, S * R),
-                           axis=1, kind="stable")
-        self.by_gain = np.stack((order // R, self.rrhs[order % R]), axis=-1)
+        self.by_gain = np.argsort(
+            -self.gains[:, :, self.rrhs].reshape(K, S * R), axis=1,
+            kind="stable").astype(np.int32)
         self.cursor = np.zeros(K, dtype=int)
         self.singles: list[SinglePair] = []
         self.mutuals: list[MutualPair] = []
@@ -208,12 +213,14 @@ class AllocationState:
         """(n, r) of user k's strongest link through rrhs on a free
         subcarrier, the first in (n, rrhs) order on ties; None when no
         subcarrier is free. Sound because free never turns True again."""
-        links, i = self.by_gain[k], self.cursor[k]
-        while i < len(links) and not self.free[links[i, 0]]:
+        links, i, R = self.by_gain[k], self.cursor[k], len(self.rrhs)
+        while i < len(links) and not self.free[links[i] // R]:
             i += 1
         self.cursor[k] = i
-        return (int(links[i, 0]), int(links[i, 1])) if i < len(links) \
-            else None
+        if i == len(links):
+            return None
+        n, j = divmod(int(links[i]), R)
+        return n, int(self.rrhs[j])
 
     def _add_sole(self, k: int, n: int, r: int):
         g = self.gains[k, n, r]
@@ -315,7 +322,7 @@ def worst_best_h(state: AllocationState) -> None:
 # -- the greedy descent every growth and pairing phase runs ------------------
 
 def _descend(state: AllocationState, tag: str, limit: int, more,
-             propose) -> None:
+             propose, active=None) -> None:
     """Let the most power-hungry active user step while that saves power.
 
     While more() holds and a user is active, the active user with the
@@ -326,10 +333,12 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     the proposal's subcarrier and dp are logged. The user powers are
     evaluated once per taken step; a retirement changes nothing, so the
     totals carry over. The iteration count and its bound `limit` add up in
-    state.phase_iterations[tag].
+    state.phase_iterations[tag]. `active`, the mask of the users not yet
+    retired, starts all True; a caller whose proposer reads it passes it.
     """
     rho = state.config.rho_w
-    active = np.ones(state.num_users, dtype=bool)
+    if active is None:
+        active = np.ones(state.num_users, dtype=bool)
     powers = state.user_powers()
     before = float(powers.sum())
     iters = 0
@@ -349,16 +358,6 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
         before = after
     prev = state.phase_iterations.get(tag, (0, 0))
     state.phase_iterations[tag] = (prev[0] + iters, prev[1] + limit)
-
-
-def _incumbents(state: AllocationState, k2: int):
-    """(n, k1, r) arrays of the subcarriers a user other than k2 holds
-    alone, by ascending n: the pairing candidates of beneficiary k2."""
-    ns = np.flatnonzero(state.holders() == 1)
-    rs = np.argmax(state.owner[ns] >= 0, axis=1)
-    k1s = state.owner[ns, rs]
-    keep = k1s != k2
-    return ns[keep], k1s[keep], rs[keep]
 
 
 # -- phase 2: grow sole sets while total power drops -------------------------
@@ -443,6 +442,116 @@ def uc_extension_phase(state: AllocationState) -> None:
              lambda: True, propose)
 
 
+# -- the pair-price table both pairing phases keep ----------------------------
+
+class _PairTable:
+    """The priced candidate pairs of one pairing phase run.
+
+    One row per (joiner k2, subcarrier n, joiner RRH r2) over the
+    subcarriers another user k1 holds alone through r1 at phase start:
+    r2 = r1 for same-RRH pairing, every other RRH of state.rrhs otherwise.
+    Rows that `keep` (on the gains (g11, g12, g21, g22)) rules out can
+    never pair and are left out; the rest run by joiner, then n, then r2.
+
+    Pairing adds no sole holding, so rows only leave: committing a row
+    kills the rows on its subcarrier. A row's price reads only the state of
+    its incumbent and its joiner, so the commit also marks dirty every row
+    either of its two users is part of. The next proposal re-prices, in one
+    call price(table, rows) -> (dp, the values a freeze writes...), the
+    dirty rows of the active joiners that still hold a subcarrier alone.
+    price takes the table as an argument rather than closing over it, so
+    that a finished table is freed at once, not left to the cycle
+    collector.
+    """
+
+    def __init__(self, state: AllocationState, same_rrh: bool, keep, price):
+        G, K = state.gains, state.num_users
+        held = state.owner >= 0
+        alone = np.count_nonzero(held, axis=1) == 1
+        rrh = np.arange(held.shape[1])
+        r1 = np.argmax(held, axis=1)
+        k1 = np.where(alone, state.owner[np.arange(alone.size), r1], -1)
+        if same_rrh:
+            r2_ok = rrh == r1[:, None]
+        else:
+            r2_ok = np.isin(rrh, state.rrhs) & (rrh != r1[:, None])
+        # the (n, r2) couples in order, then the joiners each one keeps
+        ns, r2s = np.nonzero(alone[:, None] & r2_ok)
+        k1s, r1s = k1[ns], r1[ns]
+        gains = (G[k1s, ns, r1s], G[k1s, ns, r2s], G[:, ns, r1s],
+                 G[:, ns, r2s])
+        self.k2, col = np.nonzero(keep(gains)
+                                  & (k1s != np.arange(K)[:, None]))
+        self.n, self.k1, self.r1, self.r2 = (a[col] for a in (ns, k1s, r1s,
+                                                              r2s))
+        self.gains = (gains[0][col], gains[1][col], gains[2][self.k2, col],
+                      gains[3][self.k2, col])
+        self.start = np.searchsorted(self.k2, np.arange(K + 1))
+        # subcarriers held alone, in all and per holder, and how many
+        # candidates each one gives a joiner before keep
+        self.held = int(alone.sum())
+        self.own = np.bincount(k1[alone], minlength=K)
+        self.fanout = 1 if same_rrh else len(state.rrhs) - 1
+        self.state, self.same_rrh, self.price = state, same_rrh, price
+        self.live = np.ones(self.n.size, dtype=bool)
+        self.dirty = self.live.copy()
+        self.stale = True
+        self.values = None      # price outputs, one line each
+
+    def inputs(self, rows):
+        """What pricing the rows reads: (gains, w1, n1, rest_floor, w2, n2,
+        g2_floor). w and n are the incumbent's and the joiner's waterlines
+        and sole counts, rest_floor the incumbent's sole-set noise floor once
+        n leaves it (0 when nothing is left), g2_floor the joiner's."""
+        state, s2 = self.state, self.state.sigma2_w
+        k1s, k2s = self.k1[rows], self.k2[rows]
+        g = tuple(x[rows] for x in self.gains)
+        # dropping n from the incumbent's sole set leaves its weakest gain
+        # unless n carries it
+        weakest = state.weakest[k1s]
+        rest_min = np.where(g[0] == weakest[:, 0], weakest[:, 1],
+                            weakest[:, 0])
+        return (g, state.waterline[k1s], state.n_sole[k1s], s2 / rest_min,
+                state.waterline[k2s], state.n_sole[k2s],
+                s2 / state.weakest[k2s, 0])
+
+    def cheapest(self, k2: int, active: np.ndarray):
+        """(row, dp) of k2's cheapest live row, the first on ties, after
+        re-pricing the stale rows. (None, nan) when k2 holds nothing alone
+        or has no candidate at all, (None, inf) when keep left out all."""
+        if self.state.n_sole[k2] == 0 \
+                or (self.held - self.own[k2]) * self.fanout == 0:
+            return None, math.nan
+        if self.stale:
+            ready = active & (self.state.n_sole > 0)
+            rows = np.flatnonzero(self.dirty & ready[self.k2])
+            if rows.size:
+                priced = self.price(self, rows)
+                if self.values is None:
+                    self.values = np.full((len(priced), self.n.size), np.inf)
+                self.values[:, rows] = priced
+                self.dirty[rows] = False
+            self.stale = False
+        lo, hi = self.start[k2], self.start[k2 + 1]
+        if lo == hi:
+            return None, math.inf
+        row = lo + int(np.argmin(self.values[0, lo:hi]))
+        return row, float(self.values[0, row])
+
+    def commit(self, row: int):
+        """Retire row's subcarrier and dirty the rows of its two users."""
+        n, k1, k2 = self.n[row], self.k1[row], self.k2[row]
+        dead = self.n == n
+        self.live &= ~dead
+        self.values[0, dead] = np.inf
+        self.dirty |= (self.k1 == k1) | (self.k1 == k2) | (self.k2 == k1) \
+            | (self.k2 == k2)
+        self.dirty &= self.live
+        self.held -= 1
+        self.own[k1] -= 1
+        self.stale = True
+
+
 # -- phase 3: same-RRH power-domain pairing ----------------------------------
 
 def single_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -451,85 +560,58 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
     mode "ftpa" sets the second power by the fractional gain ratio, "lpo"
     by the closed-form local optimum. The beneficiary offloads rate from
     its sole set; the incumbent's power and rate on the subcarrier freeze
-    unchanged (it cancels the newcomer's signal before decoding).
+    unchanged (it cancels the newcomer's signal before decoding), so only
+    a joiner weaker than the incumbent on the shared RRH can pair.
     """
     if mode not in ("ftpa", "lpo"):
         raise ValueError(f"unknown single-SIC mode {mode!r}")
-    G, s2 = state.gains, state.sigma2_w
-    sc_bw = state.sc_bw_hz
+    s2, sc_bw = state.sigma2_w, state.sc_bw_hz
 
-    def propose(k2):
-        n2 = state.n_sole[k2]
-        if n2 == 0:
-            return -1, math.nan, None
-        w2 = state.waterline[k2]
-        g2_floor = s2 / state.weakest[k2, 0]
-        ns, k1s, rs = _incumbents(state, k2)
-        if not ns.size:
-            return -1, math.nan, None
-        g1 = G[k1s, ns, rs]
-        g2 = G[k2, ns, rs]
-        p1 = state.waterline[k1s] - s2 / g1
-        valid = g2 < g1
+    def price(table, rows):
+        """(dp, p1, p2, rate2, w2_new) of the rows; dp is inf where the
+        joiner cannot pair."""
+        g, w1, _, _, w2, n2, g2_floor = table.inputs(rows)
+        g1, g2 = g[0], g[3]
+        p1 = w1 - s2 / g1
         if mode == "ftpa":
             with np.errstate(divide="ignore", over="ignore"):
-                p2 = np.where(valid, ftpa_power(p1, g1, g2, FTPA_ALPHA),
-                              np.inf)
+                p2 = ftpa_power(p1, g1, g2, FTPA_ALPHA)
+            valid = np.ones(rows.size, dtype=bool)
         else:
             p2, reject = _lpo_core(w2, p1, g2, s2, n2, SIC_MARGIN)
-            valid &= ~reject
+            valid = ~reject
         with np.errstate(invalid="ignore", over="ignore"):
             rate2 = rate_second(np.where(p2 < np.inf, p2, 0.0), p1, g2,
                                 s2, sc_bw)
             w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
             valid &= w2_new >= g2_floor
             dp = np.where(valid, delta_power_noma(w2, w2_new, n2, p2), np.inf)
-        best = int(np.argmin(dp))
-        dp_best = float(dp[best])
+        return dp, p1, p2, rate2, w2_new
+
+    def propose(k2):
+        row, dp_best = table.cheapest(k2, active)
+        if row is None:
+            return -1, dp_best, None
 
         def commit():
-            n, k1, r = int(ns[best]), int(k1s[best]), int(rs[best])
-            p1_f = float(p1[best])
-            rate1 = float(rate_single(p1_f, g1[best], s2, sc_bw))
+            _, p1, p2, rate2, w2_new = (float(v) for v in table.values[:, row])
+            n, k1, r = (int(a[row]) for a in (table.n, table.k1, table.r1))
+            rate1 = float(rate_single(p1, table.gains[0][row], s2, sc_bw))
             # the incumbent keeps its power and rate, hence its waterline
-            _freeze_pair(state, SinglePair(n, k1, r, p1_f, k2, float(p2[best]),
-                                           float(rate2[best])),
-                         r, rate1, state.waterline[k1], float(w2_new[best]))
+            _freeze_pair(state, SinglePair(n, k1, r, p1, k2, p2, rate2),
+                         r, rate1, state.waterline[k1], w2_new)
+            table.commit(row)
             return n, dp_best
-        return int(ns[best]) if valid.any() else -1, dp_best, commit
+        return int(table.n[row]) if dp_best < math.inf else -1, dp_best, \
+            commit
 
-    _descend(state, "single", int((state.holders() == 1).sum())
-             + state.num_users, lambda: (state.holders() == 1).any(), propose)
+    table = _PairTable(state, True, lambda g: g[3] < g[0], price)
+    active = np.ones(state.num_users, dtype=bool)
+    _descend(state, "single", table.held + state.num_users,
+             lambda: table.held > 0, propose, active)
 
 
 # -- mutual-SIC pairing across RRHs -------------------------------------------
-
-def _mutual_candidates(state: AllocationState, k2: int):
-    """Candidate arrays for beneficiary k2: one row per (n, r2) couple.
-
-    Rows run over the incumbents' subcarriers n in ascending order and,
-    within one n, over state.rrhs without the incumbent's own RRH r1.
-    Returns (n, k1, r1, r2, gains, w1, n1, rest_floor) where gains is the
-    tuple (g11, g12, g21, g22) and rest_floor is the incumbent's sole-set
-    noise floor once n leaves it (0 when nothing is left).
-    """
-    G, s2 = state.gains, state.sigma2_w
-    ns, k1s, r1s = _incumbents(state, k2)
-    rrhs = state.rrhs
-    r2s = np.tile(rrhs, ns.size)
-    ns, k1s, r1s = (np.repeat(a, len(rrhs)) for a in (ns, k1s, r1s))
-    keep = r2s != r1s
-    ns, k1s, r1s, r2s = ns[keep], k1s[keep], r1s[keep], r2s[keep]
-
-    # dropping n from the incumbent's sole set leaves its weakest gain
-    # unless n carries it
-    weakest = state.weakest[k1s]
-    g11 = G[k1s, ns, r1s]
-    rest_min = np.where(g11 == weakest[:, 0], weakest[:, 1], weakest[:, 0])
-    gains = (g11, G[k1s, ns, r2s], G[k2, ns, r1s], G[k2, ns, r2s])
-    return (ns, k1s, r1s, r2s, gains, state.waterline[k1s],
-            state.n_sole[k1s], s2 / rest_min)
-
 
 def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     """Pair heavy users across RRHs with mutual interference cancellation.
@@ -539,65 +621,57 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     candidate (opad_cases), and "sopad" selects with the dpa prices, then
     runs opad_cases on the winning row alone and keeps that optimum when it
     passes the screens. Every mode prices its rows with _price_pairs, and
-    the freeze writes the winning row's priced values.
+    the freeze writes the winning row's priced values. Only rows whose
+    gains admit mutual cancellation (mutual_sic_feasible) are priced.
     """
     if mode not in ("dpa", "opad", "sopad"):
         raise ValueError(f"unknown mutual-SIC mode {mode!r}")
     s2 = state.sigma2_w
 
+    def price(table, rows, how="opad" if mode == "opad" else "dpa"):
+        """(dp, rate1, w1_new, rate2, w2_new, p1, p2) of the rows, their
+        powers set by mode `how`."""
+        g, w1, n1, rest_floor, w2, n2, g2_floor = table.inputs(rows)
+        p1i = w1 - s2 / g[0]
+        if how == "opad":
+            p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
+                                            SIC_MARGIN)
+            ok = case > 0
+        else:
+            # waterfill the joiner onto its sole set, clamp into the window
+            with np.errstate(invalid="ignore"):
+                w_add = waterline_add(w2, n2, g[3], s2)
+            p1 = p1i
+            p2, ok = dpa_adjust(w_add - s2 / g[3], g, p1, SIC_MARGIN)
+        ok &= admits_waterline_decrease(g[3], w2, s2)
+        return _price_pairs(state, g, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
+                            rest_floor, ok) + (p1, p2)
+
     def propose(k2):
-        n2 = state.n_sole[k2]
-        if n2 == 0:
-            return -1, math.nan, None
-        w2 = state.waterline[k2]
-        g2_floor = s2 / state.weakest[k2, 0]
-
-        ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = \
-            _mutual_candidates(state, k2)
-        if not ns.size:
-            return -1, math.nan, None
-        p1i = w1 - s2 / gains[0]
-        feasible = mutual_sic_feasible(gains) \
-            & admits_waterline_decrease(gains[3], w2, s2)
-
-        def price(how, rows):
-            """(p1, p2) of the rows under mode `how`, then their prices."""
-            g = tuple(x[rows] for x in gains)
-            if how == "opad":
-                p1, p2, _, _, case = opad_cases(g, s2, w1[rows], w2,
-                                                p1i[rows], n1[rows], n2,
-                                                SIC_MARGIN)
-                ok = case > 0
-            else:
-                # waterfill the joiner onto its sole set, clamp into the window
-                with np.errstate(invalid="ignore"):
-                    w_add = waterline_add(w2, n2, g[3], s2)
-                p1 = p1i[rows]
-                p2, ok = dpa_adjust(w_add - s2 / g[3], g, p1, SIC_MARGIN)
-            return (p1, p2) + _price_pairs(
-                state, g, p1, p2, p1i[rows], w1[rows], n1[rows], w2, n2,
-                g2_floor, rest_floor[rows], feasible[rows] & ok)
-
-        priced = price("opad" if mode == "opad" else "dpa", slice(None))
-        dp = priced[2]
-        best = int(np.argmin(dp))
+        row, dp_best = table.cheapest(k2, active)
+        if row is None:
+            return -1, dp_best, None
 
         def commit():
-            row, i = priced, best
+            values = table.values[:, row]
             if mode == "sopad":
-                refined = price("opad", slice(best, best + 1))
-                if refined[2][0] < math.inf:
-                    row, i = refined, 0
-            p1, p2, dp_f, rate1, w1_new, rate2, w2_new = (float(a[i])
-                                                          for a in row)
-            n, k1, r1, r2 = (int(a[best]) for a in (ns, k1s, r1s, r2s))
+                refined = [a[0] for a in price(table, np.array([row]), "opad")]
+                if refined[0] < math.inf:
+                    values = refined
+            dp, rate1, w1_new, rate2, w2_new, p1, p2 = (float(v)
+                                                        for v in values)
+            n, k1, r1, r2 = (int(a[row]) for a in (table.n, table.k1,
+                                                    table.r1, table.r2))
             _freeze_pair(state, MutualPair(n, k1, r1, p1, rate1, k2, r2, p2,
                                            rate2), r1, rate1, w1_new, w2_new)
-            return n, dp_f
-        return -1, float(dp[best]), commit
+            table.commit(row)
+            return n, dp
+        return -1, dp_best, commit
 
-    _descend(state, "mutual", int((state.holders() == 1).sum())
-             + state.num_users, lambda: (state.holders() == 1).any(), propose)
+    table = _PairTable(state, False, mutual_sic_feasible, price)
+    active = np.ones(state.num_users, dtype=bool)
+    _descend(state, "mutual", table.held + state.num_users,
+             lambda: table.held > 0, propose, active)
 
 
 def _price_pairs(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,

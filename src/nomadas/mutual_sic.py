@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .waterfill import POWER_ATOL, admits_waterline_decrease, waterline_add
+from .waterfill import (POWER_ATOL, _row_power, admits_waterline_decrease,
+                        waterline_add)
 
 
 def mutual_sic_feasible(gains):
@@ -77,37 +78,45 @@ def _dp1(p1, g11, sigma2_w, w1, p1i, n1):
     n1 - 1 sole subcarriers re-waterfill to absorb the rate difference.
     """
     ratio = (sigma2_w + p1 * g11) / (sigma2_w + p1i * g11)
-    return (n1 - 1.0) * w1 * (ratio ** (-1.0 / (n1 - 1.0)) - 1.0) + p1 - p1i
+    shrink = _row_power(ratio, -1.0 / (n1 - 1.0))
+    return (n1 - 1.0) * w1 * (shrink - 1.0) + p1 - p1i
 
 
 def _dp2(p2, g22, sigma2_w, w2, n2):
     """Joiner's total-power delta from adding the pair at power p2."""
-    shrink = (1.0 + p2 * g22 / sigma2_w) ** (-1.0 / n2)
+    shrink = _row_power(1.0 + p2 * g22 / sigma2_w, -1.0 / n2)
     return n2 * w2 * (shrink - 1.0) + p2
 
 
-def _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
+def _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2):
+    """The parts of _phi that do not depend on p1."""
+    g11, _, _, g22 = gains_arrays
+    d1 = sigma2_w + p1i * g11
+    db = c * (g22 / sigma2_w)
+    e1 = -n1 / (n1 - 1.0)         # -m1
+    e2 = -(n2 + 1.0) / n2         # -m2
+    return sigma2_w, g11, d1, db, e1, e2, w2 * db
+
+
+def _phi(p1, terms):
     """phi(p1) and dphi/dp1, where (1 + c) - phi is the stationarity.
 
     phi = a^(-m1) + c*K*b^(-m2) is a sum of two decreasing power laws with
     a = (sigma2 + p1*g11) / (sigma2 + p1i*g11), b = 1 + c*p1*g22/sigma2,
-    m1 = n1/(n1 - 1), m2 = (n2 + 1)/n2 and K = w2*g22/sigma2.
+    m1 = n1/(n1 - 1), m2 = (n2 + 1)/n2 and K = w2*g22/sigma2; terms come
+    from _phi_terms.
     """
-    g11, _, _, g22 = gains_arrays
-    d1 = sigma2_w + p1i * g11
-    db = c * (g22 / sigma2_w)
+    sigma2_w, g11, d1, db, e1, e2, w2db = terms
     a = (sigma2_w + p1 * g11) / d1
     b = 1.0 + p1 * db
-    e1 = -n1 / (n1 - 1.0)         # -m1
-    e2 = -(n2 + 1.0) / n2         # -m2
     t1 = a ** e1
-    t2 = w2 * db * b ** e2
+    t2 = w2db * b ** e2
     return t1 + t2, e1 * t1 * g11 / (a * d1) + e2 * t2 * db / b
 
 
 def _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
     """Derivative of dp1(p1) + dp2(c*p1) in p1; root is the edge optimum."""
-    phi, _ = _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2)
+    phi, _ = _phi(p1, _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2))
     return (1.0 + c) - phi
 
 
@@ -159,20 +168,21 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     target = 1.0 + c
     p1 = hi.copy()
     running = ok.copy()
-    for _ in range(100):
-        phi, dphi = _phi(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2)
-        below = phi > target
-        lo = np.where(below, p1, lo)
-        hi = np.where(below, hi, p1)
-        # a step that overflows lands outside the bracket like any other
-        with np.errstate(over="ignore", divide="ignore"):
+    terms = _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2)
+    # a step that overflows lands outside the bracket like any other
+    with np.errstate(over="ignore", divide="ignore"):
+        for _ in range(100):
+            phi, dphi = _phi(p1, terms)
+            below = phi > target
+            lo = np.where(below, p1, lo)
+            hi = np.where(below, hi, p1)
             step = np.log(target / phi) * phi / (p1 * dphi)
             nxt = p1 * np.exp(step)
-        nxt = np.where((nxt > lo) & (nxt < hi), nxt, np.sqrt(lo * hi))
-        running &= (np.abs(step) > 4e-16) & (nxt != p1)
-        if not running.any():
-            break
-        p1 = np.where(running, nxt, p1)
+            nxt = np.where((nxt > lo) & (nxt < hi), nxt, np.sqrt(lo * hi))
+            running &= (np.abs(step) > 4e-16) & (nxt != p1)
+            if not running.any():
+                break
+            p1 = np.where(running, nxt, p1)
     return p1, ok & (p1 > 0.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState,
                      InfeasibleWaterline, MutualPair, Scenario,
-                     generate_channel, run_algorithm)
+                     generate_channel, mutual_sic_feasible, run_algorithm)
 from nomadas import allocators
 from nomadas.allocators import _freeze_pair, oma_phase, worst_best_h
 from nomadas.waterfill import rate_second, rate_single
@@ -317,8 +317,9 @@ def test_freeze_pair_rejects_joiner_below_floor(small_channel):
     assert not state.mutuals and not state.frozen_rate.any()
 
 
-def _candidate_rows(state, k2):
-    """Reference candidate builder: one Python tuple per (n, r2) row."""
+def _candidate_rows(state, k2, same_rrh=False):
+    """Reference candidate builder: one Python tuple per (n, r2) row, r2
+    the incumbent's RRH for same-RRH pairing, every other RRH otherwise."""
     G, s2 = state.gains, state.sigma2_w
     S, R = state.owner.shape
     held = [(n, r, int(state.owner[n, r])) for n in range(S)
@@ -333,35 +334,91 @@ def _candidate_rows(state, k2):
         rest = [G[k, m, r] for (m, r, k) in held if k == k1 and m != n]
         rest_floor = s2 / min(rest) if rest else 0.0
         for r2 in state.rrhs:
-            if r2 != r1:
+            if (r2 == r1) == same_rrh:
                 rows.append((n, k1, r1, r2, G[k1, n, r1], G[k1, n, r2],
                              G[k2, n, r1], G[k2, n, r2], state.waterline[k1],
                              len(mine), rest_floor))
     return rows
 
 
+def _compare_table_rows(alg, same_rrh, monkeypatch):
+    """Run alg on loaded drops; at every proposal of a same_rrh (or a
+    cross-RRH) pairing phase, compare the joiner's live pair-table rows and
+    what pricing them reads with the row loop, less the rows that can never
+    pair: g2 >= g1 on the shared RRH, mutual_sic_feasible false across
+    RRHs. Returns the number of rows compared."""
+    cheapest = allocators._PairTable.cheapest
+    compared = 0
+
+    def checked(table, k2, active):
+        nonlocal compared
+        if table.same_rrh == same_rrh:
+            rows = np.flatnonzero(table.live & (table.k2 == k2))
+            g, w1, n1, rest_floor = table.inputs(rows)[:4]
+            got = (table.n[rows], table.k1[rows], table.r1[rows],
+                   table.r2[rows]) + g + (w1, n1, rest_floor)
+            want = [row for row in _candidate_rows(table.state, k2, same_rrh)
+                    if (row[7] < row[4] if same_rrh
+                        else mutual_sic_feasible(row[4:8]))]
+            assert np.array_equal(
+                np.array(got, dtype=float).T.reshape(-1, 11),
+                np.array(want, dtype=float).reshape(-1, 11))
+            compared += len(want)
+        return cheapest(table, k2, active)
+
+    monkeypatch.setattr(allocators._PairTable, "cheapest", checked)
+    for ch in drops(LOADED, 3, base_seed=17):
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    return compared
+
+
 @pytest.mark.parametrize("alg", ["MutSIC-DPA", "MutSIC-OPAd",
                                  "MutAndSingSIC"])
 def test_mutual_candidates_equal_reference_rows(alg, monkeypatch):
-    """Array-built candidates repeat the row loop: same rows, same order."""
-    built = allocators._mutual_candidates
-    compared = 0
+    """The mutual phase's table rows repeat the row loop: same rows once
+    the infeasible ones are left out, same order, same priced inputs."""
+    assert _compare_table_rows(alg, False, monkeypatch) > 0
 
-    def checked(state, k2):
-        nonlocal compared
-        out = built(state, k2)
-        ns, k1s, r1s, r2s, gains, w1, n1, rest_floor = out
-        columns = (ns, k1s, r1s, r2s) + tuple(gains) + (w1, n1, rest_floor)
-        want = _candidate_rows(state, k2)
-        assert np.array_equal(np.array(columns).T.reshape(-1, 11),
-                              np.array(want, dtype=float).reshape(-1, 11))
-        compared += len(want)
+
+@pytest.mark.parametrize("alg", ["NOMA-CAS", "SRRH", "SRRH-LPO",
+                                 "MutAndSingSIC"])
+def test_single_candidates_equal_reference_rows(alg, monkeypatch):
+    """The same-RRH phase's table rows repeat the row loop: same rows once
+    those with g2 >= g1 are left out, same order, same priced inputs."""
+    assert _compare_table_rows(alg, True, monkeypatch) > 0
+
+
+@pytest.mark.parametrize("alg", ["SRRH", "SRRH-LPO", "MutSIC-DPA",
+                                 "MutSIC-OPAd", "MutSIC-SOPAd"])
+def test_pair_table_clean_rows_equal_fresh_prices(alg, monkeypatch):
+    """Every mode (ftpa, lpo, dpa, opad, sopad): once a proposal has
+    re-priced the stale rows, every live clean row of an active joiner
+    holds, bitwise, what pricing it afresh from the state gives. A commit
+    that left a row it changed clean would show here."""
+    cheapest = allocators._PairTable.cheapest
+    checked = 0
+
+    def check(table, k2, active):
+        nonlocal checked
+        out = cheapest(table, k2, active)
+        ready = active & (table.state.n_sole > 0)
+        rows = np.flatnonzero(table.live & ~table.dirty & ready[table.k2])
+        if rows.size:
+            assert np.array_equal(table.values[:, rows],
+                                  np.array(table.price(table, rows)),
+                                  equal_nan=True)
+        checked += rows.size
+        # the count that ends the phase tracks the subcarriers held alone
+        assert table.held == (table.state.holders() == 1).sum()
         return out
 
-    monkeypatch.setattr(allocators, "_mutual_candidates", checked)
-    for ch in drops(LOADED, 3, base_seed=17):
-        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
-    assert compared > 0
+    monkeypatch.setattr(allocators._PairTable, "cheapest", check)
+    accepted = 0
+    for ch in drops(LOADED, N_DROPS, base_seed=17):
+        res = run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+        accepted += sum(s.accepted for s in res.state.log
+                        if s.phase in ("single", "mutual"))
+    assert checked > 0 and accepted > 0
 
 
 def test_total_matches_power_tensor(batch):

@@ -1,12 +1,15 @@
 """Command-line front end: subcommands, CSV outputs, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nomadas
 from nomadas import ALGORITHMS
 from nomadas import allocators, cli
 from nomadas.audit import AuditReport
@@ -189,10 +192,14 @@ def test_oracle_counts_allocation_crashes(monkeypatch, capsys):
 
 def test_module_entry_point(tmp_path, config_json):
     out = tmp_path / "trials.csv"
+    # the child imports the package this run imported, installed or not
+    src = str(Path(nomadas.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "nomadas", "simulate", "--config",
          config_json, "--trials", "1", "--algorithms", "OMA-DAS",
          "--out", str(out)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert len(read_csv(TrialRecord, out)) == 1

@@ -293,6 +293,27 @@ def _opad(inst):
     return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0]), int(case[0])
 
 
+def test_opad_cases_rows_are_independent():
+    """opad_cases on stacked rows equals opad_cases on each row alone,
+    bitwise. The pairing phases' price table relies on it: one call prices
+    the rows of many joiners, each with its own w2 and n2, where a one-row
+    call passes the joiner's w2 and n2 as scalars. n2 = 1 is covered, where
+    numpy's ** takes a shortcut for a scalar exponent."""
+    rng = np.random.default_rng(47)
+    insts = [sample_pair_instance(rng, require_window=i % 4 != 0)
+             for i in range(300)]
+    gains, s2, w1, w2, p1i, n1, _, mu = _cases_args(insts)
+    n2 = np.arange(len(insts)) % 3 + 1
+    stacked = opad_cases(gains, s2, w1, w2, p1i, n1, n2, mu)
+    for i in range(len(insts)):
+        one = slice(i, i + 1)
+        alone = opad_cases(tuple(g[one] for g in gains), s2, w1[one], w2[i],
+                           p1i[one], n1[one], n2[i], mu)
+        for col, want in zip(stacked, alone):
+            assert col[i] == want[0], i
+    assert {1, 2, 3} <= set(stacked[4].tolist())
+
+
 def _edge_ratio(inst, case):
     """p2 / p1 on the margined window edge of case 2 (lower) or 3 (upper)."""
     g, mu = inst["gains"], inst["mu"]

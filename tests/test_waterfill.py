@@ -292,6 +292,23 @@ def _lpo(w, p1, g2, sigma2, n, mu):
     return float(p2[0]), bool(reject[0])
 
 
+def test_lpo_rows_are_independent():
+    """_lpo_core on stacked rows with a sole count per row equals each row
+    alone with a scalar sole count, bitwise, n_sole = 1 (where numpy's **
+    takes a shortcut for a scalar exponent of 0.5) included."""
+    rng = np.random.default_rng(5)
+    g2 = 10.0 ** rng.uniform(-11.0, -6.0, 600)
+    p1 = 10.0 ** rng.uniform(-6.0, -2.0, 600)
+    w = (p1 + 1e-13 / g2) * 10.0 ** rng.uniform(0.0, 3.0, 600)
+    n = rng.integers(1, 4, 600)
+    p2, reject = _lpo_core(w, p1, g2, 1e-13, n, 0.01)
+    for i in range(600):
+        one = slice(i, i + 1)
+        p2_i, reject_i = _lpo_core(w[i], p1[one], g2[one], 1e-13, n[i], 0.01)
+        assert (p2[i], reject[i]) == (p2_i[0], reject_i[0]), i
+    assert (p2 > p1 * 1.01).mean() > 0.5
+
+
 def test_lpo_hand_value():
     assert _lpo(8.0, 1.0, 1.0, 1.0, 1, 0.01) == (pytest.approx(2.0), False)
 

@@ -23,10 +23,14 @@ Each step updates what it changed: the holding counts, the sum of noise
 floors and the two weakest sole gains of the users it touched. Since a
 subcarrier never becomes free again, each user's links, sorted by gain
 once, are read through a cursor that only moves forward (best_free).
-A pairing phase adds no sole holding, so it builds its candidate pairs
-once and keeps their prices (_PairTable): an accepted step retires its
-subcarrier's pairs and re-prices only the pairs of the two users it
-changed, and a retirement re-prices nothing.
+
+Both pairing phases are one phase (_pairing) that differs in data: the
+pair geometry (same RRH or across RRHs) and the mode's rule for the pair
+powers. A pairing phase adds no sole holding, so it builds its candidate
+pairs once and keeps their prices (_PairTable, whose one price method
+serves every mode): an accepted step retires its subcarrier's pairs and
+re-prices only the pairs of the two users it changed, and a retirement
+re-prices nothing.
 """
 
 from __future__ import annotations
@@ -442,7 +446,7 @@ def uc_extension_phase(state: AllocationState) -> None:
              lambda: True, propose)
 
 
-# -- the pair-price table both pairing phases keep ----------------------------
+# -- pairing: one table of priced candidate pairs, one greedy -----------------
 
 class _PairTable:
     """The priced candidate pairs of one pairing phase run.
@@ -450,21 +454,19 @@ class _PairTable:
     One row per (joiner k2, subcarrier n, joiner RRH r2) over the
     subcarriers another user k1 holds alone through r1 at phase start:
     r2 = r1 for same-RRH pairing, every other RRH of state.rrhs otherwise.
-    Rows that `keep` (on the gains (g11, g12, g21, g22)) rules out can
-    never pair and are left out; the rest run by joiner, then n, then r2.
+    Rows that can never pair are left out (on the gains (g11, g12, g21,
+    g22): g22 >= g11 on the shared RRH, mutual_sic_feasible false across
+    RRHs); the rest run by joiner, then n, then r2.
 
     Pairing adds no sole holding, so rows only leave: committing a row
     kills the rows on its subcarrier. A row's price reads only the state of
     its incumbent and its joiner, so the commit also marks dirty every row
     either of its two users is part of. The next proposal re-prices, in one
-    call price(table, rows) -> (dp, the values a freeze writes...), the
-    dirty rows of the active joiners that still hold a subcarrier alone.
-    price takes the table as an argument rather than closing over it, so
-    that a finished table is freed at once, not left to the cycle
-    collector.
+    price call, the dirty rows of the active joiners that still hold a
+    subcarrier alone.
     """
 
-    def __init__(self, state: AllocationState, same_rrh: bool, keep, price):
+    def __init__(self, state: AllocationState, mode: str, same_rrh: bool):
         G, K = state.gains, state.num_users
         held = state.owner >= 0
         alone = np.count_nonzero(held, axis=1) == 1
@@ -480,19 +482,21 @@ class _PairTable:
         k1s, r1s = k1[ns], r1[ns]
         gains = (G[k1s, ns, r1s], G[k1s, ns, r2s], G[:, ns, r1s],
                  G[:, ns, r2s])
-        self.k2, col = np.nonzero(keep(gains)
-                                  & (k1s != np.arange(K)[:, None]))
+        keep = gains[3] < gains[0] if same_rrh else mutual_sic_feasible(gains)
+        self.k2, col = np.nonzero(keep & (k1s != np.arange(K)[:, None]))
         self.n, self.k1, self.r1, self.r2 = (a[col] for a in (ns, k1s, r1s,
                                                               r2s))
         self.gains = (gains[0][col], gains[1][col], gains[2][self.k2, col],
                       gains[3][self.k2, col])
         self.start = np.searchsorted(self.k2, np.arange(K + 1))
         # subcarriers held alone, in all and per holder, and how many
-        # candidates each one gives a joiner before keep
+        # candidates each one gives a joiner before the gain screen
         self.held = int(alone.sum())
         self.own = np.bincount(k1[alone], minlength=K)
         self.fanout = 1 if same_rrh else len(state.rrhs) - 1
-        self.state, self.same_rrh, self.price = state, same_rrh, price
+        # sopad selects with the dpa prices
+        self.mode = "dpa" if mode == "sopad" else mode
+        self.state, self.same_rrh = state, same_rrh
         self.live = np.ones(self.n.size, dtype=bool)
         self.dirty = self.live.copy()
         self.stale = True
@@ -515,10 +519,79 @@ class _PairTable:
                 state.waterline[k2s], state.n_sole[k2s],
                 s2 / state.weakest[k2s, 0])
 
+    def price(self, rows, mode=None):
+        """Total-power change of the rows and the values a freeze writes:
+        (dp, p1, p2, rate2, w1_new, w2_new), powers by `mode` (the table's).
+
+        The mode's rule sets the pair powers (single_sic_pairing,
+        mutual_sic_pairing): ftpa, lpo and dpa keep the incumbent at its
+        sole power p1i, opad moves it. Across RRHs p2 must be positive, the
+        joiner's gain must admit a waterline decrease and both exact decode
+        margins must hold at (p1, p2).
+
+        The joiner offloads rate2 from its n2 sole subcarriers, hearing p1
+        on a shared RRH and nothing across RRHs, and its waterline w2_new
+        must stay at or above g2_floor. When p1 moved off p1i, the
+        incumbent's n1 - 1 remaining sole subcarriers absorb its rate change
+        on the pair, moving to w1_new; they must then exist and w1_new must
+        stay at or above rest_floor. The change is
+        (n1 - 1)(w1_new - w1) + (p1 - p1i) + n2 (w2_new - w2) + p2,
+        inf where a rule or a screen fails. When p1 is p1i the incumbent
+        terms are zero, so they are left out and w1_new is w1.
+        """
+        s2, sc_bw = self.state.sigma2_w, self.state.sc_bw_hz
+        g, w1, n1, rest_floor, w2, n2, g2_floor = self.inputs(rows)
+        g11, g22 = g[0], g[3]
+        p1 = p1i = w1 - s2 / g11
+        mode = mode or self.mode
+        if mode == "ftpa":
+            with np.errstate(divide="ignore", over="ignore"):
+                p2 = ftpa_power(p1, g11, g22, FTPA_ALPHA)
+            valid = np.ones(rows.size, dtype=bool)
+        elif mode == "lpo":
+            p2, reject = _lpo_core(w2, p1, g22, s2, n2, SIC_MARGIN)
+            valid = ~reject
+        elif mode == "dpa":
+            with np.errstate(invalid="ignore"):
+                w_add = waterline_add(w2, n2, g22, s2)
+            p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
+        else:
+            p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
+                                            SIC_MARGIN)
+            valid = case > 0
+        if not self.same_rrh:
+            xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
+            valid &= (p2 > 0) & admits_waterline_decrease(g22, w2, s2) \
+                & (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            rate2 = rate_second(np.where(valid, p2, 0.0),
+                                p1 if self.same_rrh else 0.0, g22, s2, sc_bw)
+            w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
+            valid &= w2_new >= g2_floor
+            dp = delta_power_noma(w2, w2_new, n2, p2)
+        w1_new = w1
+        if p1 is not p1i:
+            rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
+            rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
+            moved = np.abs(p1 - p1i) > POWER_ATOL
+            valid &= ~moved | (n1 >= 2)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                w1_new = np.where(
+                    n1 >= 2,
+                    waterline_rate_shift(w1, rate1_old - rate1,
+                                         np.maximum(n1 - 1, 1), sc_bw),
+                    w1)
+            valid &= np.where(moved, w1_new >= rest_floor, True)
+            with np.errstate(invalid="ignore", over="ignore"):
+                dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) + dp
+        return np.where(valid, dp, np.inf), p1, p2, rate2, w1_new, w2_new
+
     def cheapest(self, k2: int, active: np.ndarray):
         """(row, dp) of k2's cheapest live row, the first on ties, after
         re-pricing the stale rows. (None, nan) when k2 holds nothing alone
-        or has no candidate at all, (None, inf) when keep left out all."""
+        or has no candidate at all, (None, inf) when the gain screen left
+        out all."""
         if self.state.n_sole[k2] == 0 \
                 or (self.held - self.own[k2]) * self.fanout == 0:
             return None, math.nan
@@ -526,7 +599,7 @@ class _PairTable:
             ready = active & (self.state.n_sole > 0)
             rows = np.flatnonzero(self.dirty & ready[self.k2])
             if rows.size:
-                priced = self.price(self, rows)
+                priced = self.price(rows)
                 if self.values is None:
                     self.values = np.full((len(priced), self.n.size), np.inf)
                 self.values[:, rows] = priced
@@ -552,100 +625,16 @@ class _PairTable:
         self.stale = True
 
 
-# -- phase 3: same-RRH power-domain pairing ----------------------------------
+def _pairing(state: AllocationState, mode: str, same_rrh: bool) -> None:
+    """Multiplex heavy users as second user on subcarriers held alone.
 
-def single_sic_pairing(state: AllocationState, mode: str) -> None:
-    """Multiplex heavy users as second user on occupied subcarriers.
-
-    mode "ftpa" sets the second power by the fractional gain ratio, "lpo"
-    by the closed-form local optimum. The beneficiary offloads rate from
-    its sole set; the incumbent's power and rate on the subcarrier freeze
-    unchanged (it cancels the newcomer's signal before decoding), so only
-    a joiner weaker than the incumbent on the shared RRH can pair.
+    The joiner offloads rate from its sole set onto the cheapest row of the
+    table, which freezes both users on the subcarrier at the priced values.
+    A sopad step re-prices its selected row by opad and keeps that optimum
+    when it passes the screens. A rejected step logs its row's subcarrier
+    on the same RRH and -1 across RRHs.
     """
-    if mode not in ("ftpa", "lpo"):
-        raise ValueError(f"unknown single-SIC mode {mode!r}")
     s2, sc_bw = state.sigma2_w, state.sc_bw_hz
-
-    def price(table, rows):
-        """(dp, p1, p2, rate2, w2_new) of the rows; dp is inf where the
-        joiner cannot pair."""
-        g, w1, _, _, w2, n2, g2_floor = table.inputs(rows)
-        g1, g2 = g[0], g[3]
-        p1 = w1 - s2 / g1
-        if mode == "ftpa":
-            with np.errstate(divide="ignore", over="ignore"):
-                p2 = ftpa_power(p1, g1, g2, FTPA_ALPHA)
-            valid = np.ones(rows.size, dtype=bool)
-        else:
-            p2, reject = _lpo_core(w2, p1, g2, s2, n2, SIC_MARGIN)
-            valid = ~reject
-        with np.errstate(invalid="ignore", over="ignore"):
-            rate2 = rate_second(np.where(p2 < np.inf, p2, 0.0), p1, g2,
-                                s2, sc_bw)
-            w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
-            valid &= w2_new >= g2_floor
-            dp = np.where(valid, delta_power_noma(w2, w2_new, n2, p2), np.inf)
-        return dp, p1, p2, rate2, w2_new
-
-    def propose(k2):
-        row, dp_best = table.cheapest(k2, active)
-        if row is None:
-            return -1, dp_best, None
-
-        def commit():
-            _, p1, p2, rate2, w2_new = (float(v) for v in table.values[:, row])
-            n, k1, r = (int(a[row]) for a in (table.n, table.k1, table.r1))
-            rate1 = float(rate_single(p1, table.gains[0][row], s2, sc_bw))
-            # the incumbent keeps its power and rate, hence its waterline
-            _freeze_pair(state, SinglePair(n, k1, r, p1, k2, p2, rate2),
-                         r, rate1, state.waterline[k1], w2_new)
-            table.commit(row)
-            return n, dp_best
-        return int(table.n[row]) if dp_best < math.inf else -1, dp_best, \
-            commit
-
-    table = _PairTable(state, True, lambda g: g[3] < g[0], price)
-    active = np.ones(state.num_users, dtype=bool)
-    _descend(state, "single", table.held + state.num_users,
-             lambda: table.held > 0, propose, active)
-
-
-# -- mutual-SIC pairing across RRHs -------------------------------------------
-
-def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
-    """Pair heavy users across RRHs with mutual interference cancellation.
-
-    mode "dpa" waterfills the joiner and clamps its power into the
-    decodability window, "opad" re-optimizes both powers jointly per
-    candidate (opad_cases), and "sopad" selects with the dpa prices, then
-    runs opad_cases on the winning row alone and keeps that optimum when it
-    passes the screens. Every mode prices its rows with _price_pairs, and
-    the freeze writes the winning row's priced values. Only rows whose
-    gains admit mutual cancellation (mutual_sic_feasible) are priced.
-    """
-    if mode not in ("dpa", "opad", "sopad"):
-        raise ValueError(f"unknown mutual-SIC mode {mode!r}")
-    s2 = state.sigma2_w
-
-    def price(table, rows, how="opad" if mode == "opad" else "dpa"):
-        """(dp, rate1, w1_new, rate2, w2_new, p1, p2) of the rows, their
-        powers set by mode `how`."""
-        g, w1, n1, rest_floor, w2, n2, g2_floor = table.inputs(rows)
-        p1i = w1 - s2 / g[0]
-        if how == "opad":
-            p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
-                                            SIC_MARGIN)
-            ok = case > 0
-        else:
-            # waterfill the joiner onto its sole set, clamp into the window
-            with np.errstate(invalid="ignore"):
-                w_add = waterline_add(w2, n2, g[3], s2)
-            p1 = p1i
-            p2, ok = dpa_adjust(w_add - s2 / g[3], g, p1, SIC_MARGIN)
-        ok &= admits_waterline_decrease(g[3], w2, s2)
-        return _price_pairs(state, g, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
-                            rest_floor, ok) + (p1, p2)
 
     def propose(k2):
         row, dp_best = table.cheapest(k2, active)
@@ -655,69 +644,54 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
         def commit():
             values = table.values[:, row]
             if mode == "sopad":
-                refined = [a[0] for a in price(table, np.array([row]), "opad")]
+                refined = [a[0] for a in table.price(np.array([row]), "opad")]
                 if refined[0] < math.inf:
                     values = refined
-            dp, rate1, w1_new, rate2, w2_new, p1, p2 = (float(v)
-                                                        for v in values)
+            dp, p1, p2, rate2, w1_new, w2_new = (float(v) for v in values)
             n, k1, r1, r2 = (int(a[row]) for a in (table.n, table.k1,
                                                     table.r1, table.r2))
-            _freeze_pair(state, MutualPair(n, k1, r1, p1, rate1, k2, r2, p2,
-                                           rate2), r1, rate1, w1_new, w2_new)
+            rate1 = float(rate_single(p1, table.gains[0][row], s2, sc_bw))
+            pair = SinglePair(n, k1, r1, p1, k2, p2, rate2) if same_rrh \
+                else MutualPair(n, k1, r1, p1, rate1, k2, r2, p2, rate2)
+            _freeze_pair(state, pair, r1, rate1, w1_new, w2_new)
             table.commit(row)
             return n, dp
-        return -1, dp_best, commit
+        shown = same_rrh and dp_best < math.inf
+        return int(table.n[row]) if shown else -1, dp_best, commit
 
-    table = _PairTable(state, False, mutual_sic_feasible, price)
+    table = _PairTable(state, mode, same_rrh)
     active = np.ones(state.num_users, dtype=bool)
-    _descend(state, "mutual", table.held + state.num_users,
-             lambda: table.held > 0, propose, active)
+    _descend(state, "single" if same_rrh else "mutual",
+             table.held + state.num_users, lambda: table.held > 0, propose,
+             active)
 
 
-def _price_pairs(state, gains, p1, p2, p1i, w1, n1, w2, n2, g2_floor,
-                 rest_floor, valid):
-    """Total-power change of every pair row and the values its freeze writes.
+def single_sic_pairing(state: AllocationState, mode: str) -> None:
+    """Same-RRH power-domain pairing.
 
-    A row freezes the incumbent at p1 (it held the subcarrier at p1i) and
-    the joiner at p2. The joiner offloads rate2 from its n2 sole
-    subcarriers, whose waterline w2_new must stay at or above g2_floor. The
-    incumbent's n1 - 1 remaining sole subcarriers absorb its rate change
-    on the pair, moving to w1_new; when p1 moved off p1i they must exist
-    and w1_new must stay at or above rest_floor. Both decode margins must
-    hold at (p1, p2). The change is
-    (n1 - 1)(w1_new - w1) + (p1 - p1i) + n2 (w2_new - w2) + p2,
-    inf on rows outside `valid` or failing a screen.
-
-    Returns (dp, rate1, w1_new, rate2, w2_new).
+    mode "ftpa" sets the second power by the fractional gain ratio, "lpo"
+    by the closed-form local optimum. The incumbent's power and rate on the
+    subcarrier freeze unchanged (it cancels the newcomer's signal before
+    decoding), so only a joiner weaker than the incumbent on the shared
+    RRH can pair.
     """
-    s2 = state.sigma2_w
-    sc_bw = state.sc_bw_hz
-    g11, g22 = gains[0], gains[3]
-    with np.errstate(invalid="ignore", over="ignore"):
-        p2_safe = np.where(valid & (p2 > 0), p2, 0.0)
-        rate2 = rate_single(p2_safe, g22, s2, sc_bw)
-        w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
-        valid = valid & (w2_new >= g2_floor) & (p2 > 0)
+    if mode not in ("ftpa", "lpo"):
+        raise ValueError(f"unknown single-SIC mode {mode!r}")
+    _pairing(state, mode, True)
 
-    rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
-    rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
-    moved = np.abs(p1 - p1i) > POWER_ATOL
-    valid &= ~moved | (n1 >= 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w1_new = np.where(
-            n1 >= 2,
-            waterline_rate_shift(w1, rate1_old - rate1,
-                                 np.maximum(n1 - 1, 1), sc_bw),
-            w1)
-    valid &= np.where(moved, w1_new >= rest_floor, True)
 
-    # exact decodability margins at the final powers
-    xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
-    valid &= (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
-    with np.errstate(invalid="ignore", over="ignore"):
-        dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) \
-            + delta_power_noma(w2, w2_new, n2, p2)
-    return np.where(valid, dp, np.inf), rate1, w1_new, rate2, w2_new
+def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
+    """Cross-RRH pairing with mutual interference cancellation.
+
+    mode "dpa" waterfills the joiner and clamps its power into the
+    decodability window, "opad" re-optimizes both powers jointly per
+    candidate (opad_cases), and "sopad" selects with the dpa prices, then
+    runs opad_cases on the winning row alone. Only rows whose gains admit
+    mutual cancellation (mutual_sic_feasible) are priced.
+    """
+    if mode not in ("dpa", "opad", "sopad"):
+        raise ValueError(f"unknown mutual-SIC mode {mode!r}")
+    _pairing(state, mode, False)
 
 
 # -- freezing an accepted pair ------------------------------------------------

@@ -12,9 +12,9 @@ g22 = |h(user2, r2)|^2. Every function takes the gains as the tuple
 
 opad_cases is the one joint (p1, p2) optimizer: MutSIC-OPAd runs it on
 every candidate row and MutSIC-SOPAd on its selected row alone. It picks
-among its three cases with its own deltas (_dp1 + _dp2); the allocator
-then prices the powers it returns the same way as the DPA powers, through
-the rates they carry.
+among its three cases with its own deltas (_dp1 + _dp2); the allocator's
+one pair pricer then prices the powers it returns as it prices every
+mode's powers, through the rates they carry.
 """
 
 from __future__ import annotations

@@ -170,14 +170,26 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
     through different RRHs (owner has one entry per RRH); weakest holds the
     two smallest sole gains, inf-padded; best_free returns the first
     strongest link over free subcarriers x rrhs, in (n, rrhs) order.
+
+    An accepted oma step adds a gain no larger than the user's weakest
+    sole gain before it: every holding so far was the user's best free
+    link when taken, and the free set only shrinks. So the floor check of
+    uc_extension_phase could never bind in oma_phase.
     """
     ch = next(drops(LOADED, 1, base_seed=17))
     log = AllocationState._log
-    checked = shared = 0
+    checked = shared = oma = 0
+    before = (None, None)       # a state and its weakest at its last step
 
     def checked_log(state, *args):
-        nonlocal checked, shared
+        nonlocal checked, shared, oma, before
         own, K = state.owner, state.num_users
+        phase, k, n, accepted = args[:4]
+        if phase == "oma" and accepted:
+            assert before[0] is state
+            assert state.gains[k, n, own[n] == k].item() <= before[1][k, 0]
+            oma += 1
+        before = (state, state.weakest.copy())
         assert np.array_equal(state.n_sole,
                               np.bincount(own[own >= 0], minlength=K))
         frozen = {p.n for p in state.singles + state.mutuals}
@@ -208,7 +220,7 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
     monkeypatch.setattr(AllocationState, "_log", checked_log)
     for alg in ALGORITHMS:
         run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
-    assert checked > 0 and shared > 0
+    assert checked > 0 and shared > 0 and oma > 0
 
 
 def test_best_free_breaks_ties_like_an_argmax_scan():
@@ -394,7 +406,8 @@ def test_pair_table_clean_rows_equal_fresh_prices(alg, monkeypatch):
     """Every mode (ftpa, lpo, dpa, opad, sopad): once a proposal has
     re-priced the stale rows, every live clean row of an active joiner
     holds, bitwise, what pricing it afresh from the state gives. A commit
-    that left a row it changed clean would show here."""
+    that left a row it changed clean would show here. Same-RRH rows price
+    the incumbent at its sole power p1i and leave its waterline w1."""
     cheapest = allocators._PairTable.cheapest
     checked = 0
 
@@ -405,8 +418,15 @@ def test_pair_table_clean_rows_equal_fresh_prices(alg, monkeypatch):
         rows = np.flatnonzero(table.live & ~table.dirty & ready[table.k2])
         if rows.size:
             assert np.array_equal(table.values[:, rows],
-                                  np.array(table.price(table, rows)),
+                                  np.array(table.price(rows)),
                                   equal_nan=True)
+            if table.same_rrh:
+                # a same-RRH price never moves the incumbent: p1 is its
+                # sole power and w1_new its waterline, bitwise
+                g, w1 = table.inputs(rows)[:2]
+                assert np.array_equal(table.values[1, rows],
+                                      w1 - table.state.sigma2_w / g[0])
+                assert np.array_equal(table.values[4, rows], w1)
         checked += rows.size
         # the count that ends the phase tracks the subcarriers held alone
         assert table.held == (table.state.holders() == 1).sum()

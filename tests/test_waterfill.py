@@ -42,9 +42,17 @@ def test_rate_single_rejects_negative_power():
         rate_single(-1.0, 1.0, 1.0, 1.0)
 
 
-def test_rate_second_no_interferer_matches_single():
-    assert rate_second(2.0, 0.0, 0.7, 1e-3, 5.0) == pytest.approx(
-        rate_single(2.0, 0.7, 1e-3, 5.0))
+@settings(max_examples=200, deadline=None)
+@given(p2=st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1,
+                   max_size=8),
+       gain=gains_st, sigma2=st.floats(min_value=1e-16, max_value=1e-9),
+       sc_bw=st.floats(min_value=1e3, max_value=1e6))
+def test_rate_second_no_interferer_matches_single(p2, gain, sigma2, sc_bw):
+    """Bitwise: the pair pricer rates a cross-RRH joiner through
+    rate_second with no interferer, as rate_single would."""
+    p2 = np.array(p2)
+    assert np.array_equal(rate_second(p2, 0.0, gain, sigma2, sc_bw),
+                          rate_single(p2, gain, sigma2, sc_bw))
 
 
 def test_rate_second_hand_value():
@@ -190,8 +198,17 @@ def test_delta_power_oma_matches_recomputation():
 
 # -- rate shifts and pairing deltas --------------------------------------------
 
-def test_rate_shift_identity():
-    assert waterline_rate_shift(2.0, 0.0, 3, 1.0) == pytest.approx(2.0)
+@settings(max_examples=200, deadline=None)
+@given(w=st.lists(st.floats(min_value=1e-12, max_value=1e3), min_size=1,
+                  max_size=8),
+       n=st.integers(min_value=1, max_value=128),
+       sc_bw=st.floats(min_value=1e3, max_value=1e6))
+def test_rate_shift_identity(w, n, sc_bw):
+    """Bitwise: a zero rate shift leaves the waterline, so the pair
+    pricer may skip the incumbent's terms when its power does not move."""
+    w = np.array(w)
+    assert np.array_equal(waterline_rate_shift(w, np.zeros_like(w), n, sc_bw),
+                          w)
 
 
 def test_rate_shift_hand_value():

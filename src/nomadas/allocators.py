@@ -31,12 +31,23 @@ pairs once and keeps their prices (_PairTable, whose one price method
 serves every mode): an accepted step retires its subcarrier's pairs and
 re-prices only the pairs of the two users it changed, and a retirement
 re-prices nothing.
+
+run_algorithm shares phases across calls the same way. Each thread keeps,
+for its last channel object and rho_w, a fork of the state after every
+phase it ran, keyed by the antenna set and the phase functions (looked up
+by name at call time) and arguments so far. A later call on that channel
+goes on from a fork of the deepest stored state of its plan. It misses,
+and runs, when the channel is another object, its gains differ from a
+snapshot taken at the first call (an in-place edit), rho_w differs or a
+phase function was replaced by name. A phase that raised is not stored;
+results never hold a stored state, only forks of one.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +97,7 @@ class AlgorithmConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.rho_w < 0:
+        if not self.rho_w >= 0:
             raise ValueError("rho_w must be non-negative")
 
 
@@ -165,6 +176,7 @@ class AllocationState:
         self.by_gain = np.argsort(
             -self.gains[:, :, self.rrhs].reshape(K, S * R), axis=1,
             kind="stable").astype(np.int32)
+        self.by_gain.flags.writeable = False    # shared by every fork
         self.cursor = np.zeros(K, dtype=int)
         self.singles: list[SinglePair] = []
         self.mutuals: list[MutualPair] = []
@@ -758,6 +770,60 @@ def _result(state: AllocationState) -> AllocationResult:
     )
 
 
+def _walk(channel: ChannelTensor, algorithms, rho_w: float,
+          kept: dict = None) -> dict:
+    """The prefix-tree walk behind run_algorithms and run_algorithm.
+
+    `kept`, when given, maps a phase path (the antenna set, then each phase
+    run as its function and arguments) to the state after it. A path found
+    there is not run again: the walk goes on from a fork of the stored
+    state. Each phase the walk runs stores a fork of its state there, unless
+    it raised.
+    """
+    outcomes = dict.fromkeys(algorithms)
+    roots = {}
+    for alg in algorithms:
+        roots.setdefault(PLANS[alg][0], []).append(AlgorithmConfig(alg, rho_w))
+    # (state, whether the walk owns it, its phase path, configs of the
+    # algorithms it leads to); a root's state is made by its first phase
+    todo = [(None, False, (central,), cs) for central, cs in roots.items()]
+    while todo:
+        state, owned, path, group = todo.pop()
+        depth = len(path) - 1
+        takers = {}     # next phase, or the config ending here -> configs
+        for c in group:
+            steps = (("worst_best_h",), ("oma_phase",)) + PLANS[c.algorithm][1]
+            takers.setdefault(steps[depth] if depth < len(steps) else c,
+                              []).append(c)
+        for i, (step, below) in enumerate(takers.items()):
+            if not isinstance(step, AlgorithmConfig):
+                step_path = path + ((globals()[step[0]],) + step[1:],)
+                if kept is not None and step_path in kept:
+                    todo.append((kept[step_path], False, step_path, below))
+                    continue
+            # the last taker inherits an owned state, the others get forks;
+            # a state runs under the config of the first algorithm below it
+            if state is None:
+                own = AllocationState(channel, below[0])
+            elif owned and i == len(takers) - 1:
+                own = state
+            else:
+                own = state.fork(below[0])
+            own.config = below[0]
+            try:
+                if isinstance(step, AlgorithmConfig):
+                    outcomes[step.algorithm] = _result(own)
+                else:
+                    step_path[-1][0](own, *step[1:])
+                    if kept is not None:
+                        kept[step_path] = own.fork(own.config)
+                    todo.append((own, True, step_path, below))
+            except Exception as exc:   # the outcome of everything below
+                outcomes.update(dict.fromkeys((c.algorithm for c in below),
+                                              exc))
+    return outcomes
+
+
 def run_algorithms(channel: ChannelTensor, algorithms,
                    rho_w: float = 1e-3) -> dict:
     """Run several algorithms on one channel realization, sharing phases.
@@ -772,42 +838,30 @@ def run_algorithms(channel: ChannelTensor, algorithms,
     algorithms = tuple(algorithms)
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"repeated algorithm in {algorithms}")
-    outcomes = dict.fromkeys(algorithms)
-    roots = {}
-    for alg in algorithms:
-        roots.setdefault(PLANS[alg][0], []).append(AlgorithmConfig(alg, rho_w))
-    # (state, phases run on it, configs of the algorithms it leads to)
-    todo = [(AllocationState(channel, cs[0]), 0, cs) for cs in roots.values()]
-    while todo:
-        state, depth, group = todo.pop()
-        takers = {}     # next phase, or the config ending here -> configs
-        for c in group:
-            steps = (("worst_best_h",), ("oma_phase",)) + PLANS[c.algorithm][1]
-            takers.setdefault(steps[depth] if depth < len(steps) else c,
-                              []).append(c)
-        for i, (step, below) in enumerate(takers.items()):
-            # the last taker inherits the state, the others get forks; a
-            # state runs under the config of the first algorithm below it
-            own = state.fork(below[0]) if i < len(takers) - 1 else state
-            own.config = below[0]
-            try:
-                if isinstance(step, AlgorithmConfig):
-                    outcomes[step.algorithm] = _result(own)
-                else:
-                    globals()[step[0]](own, *step[1:])
-                    todo.append((own, depth + 1, below))
-            except Exception as exc:   # the outcome of everything below
-                outcomes.update(dict.fromkeys((c.algorithm for c in below),
-                                              exc))
-    return outcomes
+    return _walk(channel, algorithms, rho_w)
+
+
+# this thread's last channel and rho_w: (channel, rho_w, snapshot of the
+# gains, {phase path: state}) for run_algorithm
+_last = threading.local()
 
 
 def run_algorithm(channel: ChannelTensor,
                   config: AlgorithmConfig) -> AllocationResult:
     """Run one complete allocation algorithm on a channel realization;
-    raises what its run raised."""
-    outcome, = run_algorithms(channel, (config.algorithm,),
-                              config.rho_w).values()
+    raises what its run raised.
+
+    Called again on the same channel object, with equal gains and rho_w,
+    it goes on from the deepest phase state an earlier call of this thread
+    left (see the module docstring).
+    """
+    entry = getattr(_last, "entry", None)
+    if entry is None or entry[0] is not channel or entry[1] != config.rho_w \
+            or not np.array_equal(entry[2], channel.gains):
+        entry = _last.entry = (channel, config.rho_w, channel.gains.copy(),
+                               {})
+    outcome, = _walk(channel, (config.algorithm,), config.rho_w,
+                     entry[3]).values()
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

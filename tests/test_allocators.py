@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -599,9 +601,11 @@ def test_single_user_flat_channel_spreads_evenly():
 
 
 def test_deterministic_given_channel(small_channel):
+    # two cold calls: each on its own channel object, so neither goes on
+    # from the other's phase states
     for alg in ("OMA-DAS", "MutAndSingSIC", "SRRH-OPA"):
-        a = run_algorithm(small_channel, AlgorithmConfig(alg, rho_w=0.0))
-        b = run_algorithm(small_channel, AlgorithmConfig(alg, rho_w=0.0))
+        a = run_algorithm(replace(small_channel), AlgorithmConfig(alg, 0.0))
+        b = run_algorithm(replace(small_channel), AlgorithmConfig(alg, 0.0))
         assert np.array_equal(a.power_w, b.power_w)
 
 
@@ -625,6 +629,24 @@ PHASE_CALLS = {
 }
 
 
+# the calls run_algorithm makes when called on one channel object in
+# ALGORITHMS order: each distinct phase prefix runs once, the joint power
+# optimization at every call that asks for it
+WARM_CALLS = {
+    "OMA-CAS": [("worst_best_h",), ("oma_phase",)],
+    "NOMA-CAS": [("single_sic_pairing", "ftpa")],
+    "OMA-DAS": [("worst_best_h",), ("oma_phase",)],
+    "SRRH": [("single_sic_pairing", "ftpa")],
+    "SRRH-LPO": [("single_sic_pairing", "lpo")],
+    "SRRH-OPA": [("optimal_power_allocation",)],
+    "MutSIC-UC": [("uc_extension_phase",)],
+    "MutSIC-DPA": [("mutual_sic_pairing", "dpa")],
+    "MutSIC-OPAd": [("mutual_sic_pairing", "opad")],
+    "MutSIC-SOPAd": [("mutual_sic_pairing", "sopad")],
+    "MutAndSingSIC": [("single_sic_pairing", "lpo")],
+}
+
+
 def test_phases_reached_through_module_names(tiny_channel, monkeypatch):
     """Patching a phase by name, as a tracer does, sees every call."""
     calls = []
@@ -645,9 +667,14 @@ def test_phases_reached_through_module_names(tiny_channel, monkeypatch):
     assert set(PHASE_CALLS) == set(ALGORITHMS)
     for alg in ALGORITHMS:
         calls.clear()
-        run_algorithm(tiny_channel, AlgorithmConfig(alg))
+        run_algorithm(replace(tiny_channel), AlgorithmConfig(alg))
         assert calls == [("worst_best_h",), ("oma_phase",)] \
             + PHASE_CALLS[alg], alg
+    assert tuple(WARM_CALLS) == ALGORITHMS
+    for alg in ALGORITHMS:
+        calls.clear()
+        run_algorithm(tiny_channel, AlgorithmConfig(alg))
+        assert calls == WARM_CALLS[alg], alg
 
 
 # -- family runs: shared phases, forked states -----------------------------------------
@@ -674,13 +701,21 @@ FAMILY_ORDERS = (
 )
 
 
+def _cold(ch, alg, rho_w=AlgorithmConfig.rho_w):
+    """The fingerprint of a run on a channel object no call has seen. It
+    is this thread's last channel afterwards: a test of warm calls on ch
+    takes its cold fingerprints first."""
+    return _fingerprint(run_algorithm(replace(ch), AlgorithmConfig(alg,
+                                                                   rho_w)))
+
+
 @pytest.mark.parametrize("scenario,count", [(Scenario(), 2), (SMALL, 3)])
 @pytest.mark.parametrize("rho_w", [1e-3, 0.0])
 def test_family_run_equals_solo_runs(scenario, count, rho_w):
+    """A family run and solo calls on one channel object, each call going
+    on from the phase states of the calls before it, equal cold calls."""
     for ch in drops(scenario, count, base_seed=29):
-        solo = {alg: _fingerprint(run_algorithm(ch,
-                                                AlgorithmConfig(alg, rho_w)))
-                for alg in ALGORITHMS}
+        solo = {alg: _cold(ch, alg, rho_w) for alg in ALGORITHMS}
         for order in FAMILY_ORDERS:
             family = allocators.run_algorithms(ch, order, rho_w)
             assert tuple(family) == order
@@ -688,6 +723,147 @@ def test_family_run_equals_solo_runs(scenario, count, rho_w):
                 == len(order)
             for alg, res in family.items():
                 assert _fingerprint(res) == solo[alg], (alg, order)
+            warm = replace(ch)
+            results = [run_algorithm(warm, AlgorithmConfig(alg, rho_w))
+                       for alg in order]
+            for alg, res in zip(order, results):
+                assert _fingerprint(res) == solo[alg], (alg, order)
+            assert len({id(res.state) for res in results}) == len(order)
+
+
+def test_warm_calls_with_alternating_rho_w_equal_cold():
+    ch = next(drops(Scenario(), 1, base_seed=31))
+    cold = {(alg, rho_w): _cold(ch, alg, rho_w) for alg in ALGORITHMS
+            for rho_w in (1e-3, 0.0)}
+    for i, alg in enumerate(ALGORITHMS + ALGORITHMS[::-1]):
+        rho_w = (1e-3, 0.0)[i % 2]
+        res = run_algorithm(ch, AlgorithmConfig(alg, rho_w))
+        assert _fingerprint(res) == cold[alg, rho_w], (alg, rho_w)
+
+
+# -- run_algorithm's phase states: what must miss ---------------------------------------
+
+def _warm_up(ch, rho_w=AlgorithmConfig.rho_w):
+    for alg in ALGORITHMS:
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w))
+
+
+def test_gains_edited_in_place_miss():
+    ch, twin = (next(drops(LOADED, 1, base_seed=33)) for _ in range(2))
+    before = {alg: _cold(ch, alg, 0.0) for alg in ALGORITHMS}
+    twin.gains[[0, 1]] = twin.gains[[1, 0]]     # users 0 and 1 swap places
+    after = {alg: _cold(twin, alg, 0.0) for alg in ALGORITHMS}
+    assert after != before
+    _warm_up(ch, 0.0)
+    ch.gains[[0, 1]] = ch.gains[[1, 0]]
+    for alg in ALGORITHMS:
+        res = run_algorithm(ch, AlgorithmConfig(alg, 0.0))
+        assert _fingerprint(res) == after[alg], alg
+
+
+def test_phase_replaced_after_a_warm_call_runs(monkeypatch):
+    """A phase replaced by name misses: the replacement runs, and so do
+    the phases after it."""
+    ch = next(drops(Scenario(), 1, base_seed=35))
+    unpatched = _cold(ch, "MutSIC-SOPAd")
+    real = allocators.mutual_sic_pairing
+    modes = []
+
+    def dpa_only(state, mode):
+        modes.append(mode)
+        real(state, "dpa")
+
+    monkeypatch.setattr(allocators, "mutual_sic_pairing", dpa_only)
+    patched = {alg: _cold(ch, alg) for alg in ("MutSIC-SOPAd",
+                                                "MutAndSingSIC")}
+    assert patched["MutSIC-SOPAd"] != unpatched
+    monkeypatch.setattr(allocators, "mutual_sic_pairing", real)
+    _warm_up(ch)
+    monkeypatch.setattr(allocators, "mutual_sic_pairing", dpa_only)
+    modes.clear()
+    for alg, want in patched.items():
+        assert _fingerprint(run_algorithm(ch, AlgorithmConfig(alg))) == want
+    assert modes == ["sopad"]   # once, then MutAndSingSIC goes on from it
+
+
+def test_mutated_result_state_does_not_reach_later_calls():
+    ch = next(drops(LOADED, 1, base_seed=37))
+    cold = {alg: _cold(ch, alg, 0.0) for alg in ALGORITHMS}
+    for alg in ALGORITHMS:
+        st = run_algorithm(ch, AlgorithmConfig(alg, 0.0)).state
+        with pytest.raises(ValueError):
+            st.by_gain[0, 0] = 1     # shared by every fork: read-only
+        for value in vars(st).values():
+            if isinstance(value, np.ndarray) and value is not ch.gains \
+                    and value.flags.writeable:
+                value[...] = 0
+            elif isinstance(value, (list, dict)):
+                value.clear()
+        st.log.append(None)
+        for other in ALGORITHMS:
+            res = run_algorithm(ch, AlgorithmConfig(other, 0.0))
+            assert _fingerprint(res) == cold[other], (alg, other)
+
+
+def test_raised_phase_is_not_kept(monkeypatch):
+    ch = next(drops(Scenario(), 1, base_seed=39))
+    cold = {alg: _cold(ch, alg) for alg in ALGORITHMS}
+    real = allocators.oma_phase
+    raised = []
+
+    def failing(state):
+        raised.append(len(state.rrhs))
+        raise RuntimeError("planted")
+
+    run_algorithm(ch, AlgorithmConfig("OMA-CAS"))
+    monkeypatch.setattr(allocators, "oma_phase", failing)
+    for alg in ("SRRH", "SRRH-LPO"):
+        with pytest.raises(RuntimeError, match="planted"):
+            run_algorithm(ch, AlgorithmConfig(alg))
+    assert len(raised) == 2
+    monkeypatch.setattr(allocators, "oma_phase", real)
+    for alg in ALGORITHMS:
+        res = run_algorithm(ch, AlgorithmConfig(alg))
+        assert _fingerprint(res) == cold[alg], alg
+
+
+def test_threads_alternating_on_two_channels_equal_cold(monkeypatch):
+    """Four threads, two per channel, take turns call by call under a
+    short switch interval; each gets cold results and keeps its own
+    channel's states."""
+    chs = list(drops(SMALL, 2, base_seed=41))
+    cold = [{alg: _cold(ch, alg, 0.0) for alg in ALGORITHMS} for ch in chs]
+    real = allocators.worst_best_h
+    roots = []
+
+    def counting(state):
+        roots.append(state.channel)
+        real(state)
+
+    monkeypatch.setattr(allocators, "worst_best_h", counting)
+    turn = threading.Barrier(4, timeout=60)
+    got = [{} for _ in range(4)]
+
+    def calls(t):
+        for alg in ALGORITHMS:
+            turn.wait()
+            res = run_algorithm(chs[t % 2], AlgorithmConfig(alg, 0.0))
+            got[t][alg] = _fingerprint(res)
+
+    threads = [threading.Thread(target=calls, args=(t,)) for t in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert got == cold + cold
+    # two roots (CAS and DAS) per thread
+    assert sorted(map(id, roots)) == sorted(map(id, 4 * chs))
 
 
 def test_phase_failure_reaches_only_the_algorithms_below(small_channel,
@@ -821,7 +997,13 @@ def test_unknown_algorithm_rejected():
 
 @pytest.mark.parametrize("bad", [
     dict(rho_w=-1.0),
+    dict(rho_w=math.nan),
 ])
 def test_invalid_parameters_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho_w"):
         AlgorithmConfig("SRRH", **bad)
+
+
+def test_run_algorithms_rejects_nan_threshold(tiny_channel):
+    with pytest.raises(ValueError, match="rho_w"):
+        allocators.run_algorithms(tiny_channel, ALGORITHMS, rho_w=math.nan)

@@ -3,12 +3,15 @@
 trajectory.json holds, per (scenario, drop, algorithm), a digest of the
 step log's (phase, user, subcarrier, accepted) sequence, the per-phase
 iteration counts and the total power. A refactor of the phases or of the
-dispatch must reproduce all three. Only a change meant to alter the greedy
-trajectory rewrites the file:
+dispatch must reproduce all three, on cold calls (each on a channel object
+of its own) and on warm ones (every algorithm on one channel object, each
+call going on from the phases run before it). Only a change meant to alter
+the greedy trajectory rewrites the file:
 
     PYTHONPATH=src:tests python tests/test_trajectory.py
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -38,13 +41,15 @@ def step_digest(log) -> str:
     return hashlib.sha256(repr(steps).encode()).hexdigest()[:16]
 
 
-def trajectories() -> dict:
+def trajectories(warm: bool = False) -> dict:
     out = {}
     for name, (scen, count, rho_w) in CASES.items():
         for d in range(count):
             channel = generate_channel(scen, np.random.default_rng([0, 1, d]))
             for alg in ALGORITHMS:
-                res = run_algorithm(channel, AlgorithmConfig(alg, rho_w=rho_w))
+                res = run_algorithm(
+                    channel if warm else dataclasses.replace(channel),
+                    AlgorithmConfig(alg, rho_w=rho_w))
                 out[f"{name}/{d}/{alg}"] = {
                     "steps": step_digest(res.state.log),
                     "phase_iterations": {
@@ -57,7 +62,8 @@ def trajectories() -> dict:
 
 @pytest.fixture(scope="module")
 def runs():
-    return trajectories()
+    """The trajectories of cold calls and of warm calls, by name."""
+    return {"cold": trajectories(), "warm": trajectories(warm=True)}
 
 
 @pytest.fixture(scope="module")
@@ -66,24 +72,29 @@ def pinned():
 
 
 def test_pinned_cases_cover_every_algorithm(runs, pinned):
-    assert runs.keys() == pinned.keys()
+    for got in runs.values():
+        assert got.keys() == pinned.keys()
     assert {key.rsplit("/", 1)[1] for key in pinned} == set(ALGORITHMS)
 
 
 def test_step_logs_match_pinned(runs, pinned):
-    for key, want in pinned.items():
-        assert runs[key]["steps"] == want["steps"], key
+    for how, got in runs.items():
+        for key, want in pinned.items():
+            assert got[key]["steps"] == want["steps"], (how, key)
 
 
 def test_phase_iterations_match_pinned(runs, pinned):
-    for key, want in pinned.items():
-        assert runs[key]["phase_iterations"] == want["phase_iterations"], key
+    for how, got in runs.items():
+        for key, want in pinned.items():
+            assert got[key]["phase_iterations"] \
+                == want["phase_iterations"], (how, key)
 
 
 def test_totals_match_pinned(runs, pinned):
-    for key, want in pinned.items():
-        assert runs[key]["total_power_w"] == pytest.approx(
-            want["total_power_w"], rel=1e-10, abs=0.0), key
+    for how, got in runs.items():
+        for key, want in pinned.items():
+            assert got[key]["total_power_w"] == pytest.approx(
+                want["total_power_w"], rel=1e-10, abs=0.0), (how, key)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,7 @@ total power, and up to two pairing rounds that multiplex a second user onto
 already-assigned subcarriers, either through classic power-domain SIC on
 the same RRH or through mutual SIC across RRHs (or the unconstrained UC
 bound), optionally followed by a joint power optimization. PLANS maps each
-algorithm to its antenna set, its rounds after OMA and that last step;
-run_algorithms runs the leading rounds several algorithms share only once.
+algorithm to its antenna set, its rounds after OMA and that last step.
 
 Every round after the first runs the same greedy descent (_descend): the
 most power-hungry active user proposes its best step, which is taken while
@@ -32,12 +31,15 @@ serves every mode): an accepted step retires its subcarrier's pairs and
 re-prices only the pairs of the two users it changed, and a retirement
 re-prices nothing.
 
-run_algorithm shares phases across calls the same way. Each thread keeps,
-for its last channel object and rho_w, a fork of the state after every
-phase it ran, keyed by the antenna set and the phase functions (looked up
-by name at call time) and arguments so far. A later call on that channel
-goes on from a fork of the deepest stored state of its plan. It misses,
-and runs, when the channel is another object, its gains differ from a
+Algorithms share their leading phases: worst_best_h and oma_phase on
+the antenna set, then any PLANS phases two plans have in common. Each
+thread keeps, for its last channel object and rho_w, a fork of the state
+after every phase run_algorithm ran, keyed by the antenna set and the
+phase functions (looked up by name at call time) and arguments so far. A
+later call on that channel goes on from a fork of the deepest stored
+state of its plan, so run_algorithms, one run_algorithm call per
+algorithm, runs each distinct phase prefix once. A call misses, and
+runs, when the channel is another object, its gains differ from a
 snapshot taken at the first call (an in-place edit), rho_w differs or a
 phase function was replaced by name. A phase that raised is not stored;
 results never hold a stored state, only forks of one.
@@ -69,7 +71,7 @@ FTPA_ALPHA = 0.5    # fractional-power exponent for FTPA pairing
 # optimization after the phases). A phase is (name of its function in this
 # module, arguments): the runner looks the function up when it runs, so a
 # phase function replaced by name reaches every plan, and two plans share
-# the work of their common leading phases (run_algorithms).
+# the work of their common leading phases (run_algorithm).
 PLANS = {
     "OMA-CAS": (True, (), False),
     "NOMA-CAS": (True, (("single_sic_pairing", "ftpa"),), False),
@@ -770,75 +772,28 @@ def _result(state: AllocationState) -> AllocationResult:
     )
 
 
-def _walk(channel: ChannelTensor, algorithms, rho_w: float,
-          kept: dict = None) -> dict:
-    """The prefix-tree walk behind run_algorithms and run_algorithm.
-
-    `kept`, when given, maps a phase path (the antenna set, then each phase
-    run as its function and arguments) to the state after it. A path found
-    there is not run again: the walk goes on from a fork of the stored
-    state. Each phase the walk runs stores a fork of its state there, unless
-    it raised.
-    """
-    outcomes = dict.fromkeys(algorithms)
-    roots = {}
-    for alg in algorithms:
-        roots.setdefault(PLANS[alg][0], []).append(AlgorithmConfig(alg, rho_w))
-    # (state, whether the walk owns it, its phase path, configs of the
-    # algorithms it leads to); a root's state is made by its first phase
-    todo = [(None, False, (central,), cs) for central, cs in roots.items()]
-    while todo:
-        state, owned, path, group = todo.pop()
-        depth = len(path) - 1
-        takers = {}     # next phase, or the config ending here -> configs
-        for c in group:
-            steps = (("worst_best_h",), ("oma_phase",)) + PLANS[c.algorithm][1]
-            takers.setdefault(steps[depth] if depth < len(steps) else c,
-                              []).append(c)
-        for i, (step, below) in enumerate(takers.items()):
-            if not isinstance(step, AlgorithmConfig):
-                step_path = path + ((globals()[step[0]],) + step[1:],)
-                if kept is not None and step_path in kept:
-                    todo.append((kept[step_path], False, step_path, below))
-                    continue
-            # the last taker inherits an owned state, the others get forks;
-            # a state runs under the config of the first algorithm below it
-            if state is None:
-                own = AllocationState(channel, below[0])
-            elif owned and i == len(takers) - 1:
-                own = state
-            else:
-                own = state.fork(below[0])
-            own.config = below[0]
-            try:
-                if isinstance(step, AlgorithmConfig):
-                    outcomes[step.algorithm] = _result(own)
-                else:
-                    step_path[-1][0](own, *step[1:])
-                    if kept is not None:
-                        kept[step_path] = own.fork(own.config)
-                    todo.append((own, True, step_path, below))
-            except Exception as exc:   # the outcome of everything below
-                outcomes.update(dict.fromkeys((c.algorithm for c in below),
-                                              exc))
-    return outcomes
-
-
 def run_algorithms(channel: ChannelTensor, algorithms,
                    rho_w: float = 1e-3) -> dict:
     """Run several algorithms on one channel realization, sharing phases.
 
-    The phase sequences (worst_best_h and oma_phase on the antenna set,
-    then the PLANS phases) form a prefix tree: each distinct phase runs
-    once and the state forks where sequences part, so every result owns its
-    state. Returns {algorithm: AllocationResult, or the exception that
-    ended its run} in the order of `algorithms`; an exception in a shared
-    phase is the outcome of every algorithm below it and of no other.
+    Calls run_algorithm for each algorithm in turn, so each distinct
+    phase prefix runs once (see the module docstring) and this thread's
+    entry is left on `channel`. Returns {algorithm: AllocationResult, or
+    the exception its run raised} in the order of `algorithms`. A shared
+    phase that raised is not stored, so it runs again for each algorithm
+    below it, and each of them gets the exception it raised itself.
     """
     algorithms = tuple(algorithms)
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"repeated algorithm in {algorithms}")
-    return _walk(channel, algorithms, rho_w)
+    configs = [AlgorithmConfig(alg, rho_w) for alg in algorithms]
+    outcomes = {}
+    for config in configs:
+        try:
+            outcomes[config.algorithm] = run_algorithm(channel, config)
+        except Exception as exc:    # the outcome of this algorithm alone
+            outcomes[config.algorithm] = exc
+    return outcomes
 
 
 # this thread's last channel and rho_w: (channel, rho_w, snapshot of the
@@ -860,8 +815,20 @@ def run_algorithm(channel: ChannelTensor,
             or not np.array_equal(entry[2], channel.gains):
         entry = _last.entry = (channel, config.rho_w, channel.gains.copy(),
                                {})
-    outcome, = _walk(channel, (config.algorithm,), config.rho_w,
-                     entry[3]).values()
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    kept = entry[3]
+    central, phases, _ = PLANS[config.algorithm]
+    # a phase path: the antenna set, then each phase as its function,
+    # looked up by name now, and its arguments
+    steps = [(globals()[name], *args)
+             for name, *args in (("worst_best_h",), ("oma_phase",)) + phases]
+    done = len(steps)
+    while done and (central, *steps[:done]) not in kept:
+        done -= 1
+    path = (central, *steps[:done])
+    state = kept[path].fork(config) if done \
+        else AllocationState(channel, config)
+    for fn, *args in steps[done:]:
+        fn(state, *args)
+        path += ((fn, *args),)
+        kept[path] = state.fork(config)
+    return _result(state)

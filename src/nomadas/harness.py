@@ -5,8 +5,9 @@ trial_seed(b, t) = (b << 32) | t, so runs are reproducible, base seed 0
 draws trial t from seed t, and two base seeds never share a drop.
 run_trial runs every requested algorithm on that same drop, which is what
 makes the per-trial power ratios between algorithms meaningful. It runs
-them as one family (allocators.run_algorithms), so the phases algorithms
-share run once per drop. The Monte Carlo runs, the invariant audit and the
+them through allocators.run_algorithms, one run_algorithm call per
+algorithm on the one channel object, so the phases algorithms share run
+once per drop. The Monte Carlo runs, the invariant audit and the
 oracle command all draw their drops through it. Each TrialRecord carries
 its algorithm's step counts per phase and its joint power optimization's
 iterations and residual. write_csv and read_csv store the record

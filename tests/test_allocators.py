@@ -675,6 +675,16 @@ def test_phases_reached_through_module_names(tiny_channel, monkeypatch):
         calls.clear()
         run_algorithm(tiny_channel, AlgorithmConfig(alg))
         assert calls == WARM_CALLS[alg], alg
+    # a family run makes the same calls, and leaves its phase states to
+    # the calls after it
+    family = replace(tiny_channel)
+    calls.clear()
+    allocators.run_algorithms(family, ALGORITHMS)
+    assert calls == [c for alg in ALGORITHMS for c in WARM_CALLS[alg]]
+    for alg in ALGORITHMS:
+        calls.clear()
+        run_algorithm(family, AlgorithmConfig(alg))
+        assert calls == WARM_CALLS[alg][-1:] * (alg == "SRRH-OPA"), alg
 
 
 # -- family runs: shared phases, forked states -----------------------------------------
@@ -744,8 +754,13 @@ def test_warm_calls_with_alternating_rho_w_equal_cold():
 # -- run_algorithm's phase states: what must miss ---------------------------------------
 
 def _warm_up(ch, rho_w=AlgorithmConfig.rho_w):
-    for alg in ALGORITHMS:
-        run_algorithm(ch, AlgorithmConfig(alg, rho_w))
+    """Every algorithm by solo calls on ch: {algorithm: result}."""
+    return {alg: run_algorithm(ch, AlgorithmConfig(alg, rho_w))
+            for alg in ALGORITHMS}
+
+
+def _family(ch, rho_w=AlgorithmConfig.rho_w):
+    return allocators.run_algorithms(ch, ALGORITHMS, rho_w)
 
 
 def test_gains_edited_in_place_miss():
@@ -754,11 +769,12 @@ def test_gains_edited_in_place_miss():
     twin.gains[[0, 1]] = twin.gains[[1, 0]]     # users 0 and 1 swap places
     after = {alg: _cold(twin, alg, 0.0) for alg in ALGORITHMS}
     assert after != before
-    _warm_up(ch, 0.0)
-    ch.gains[[0, 1]] = ch.gains[[1, 0]]
-    for alg in ALGORITHMS:
-        res = run_algorithm(ch, AlgorithmConfig(alg, 0.0))
-        assert _fingerprint(res) == after[alg], alg
+    for run in (_warm_up, _family):
+        ch = next(drops(LOADED, 1, base_seed=33))
+        run(ch, 0.0)
+        ch.gains[[0, 1]] = ch.gains[[1, 0]]
+        for alg, res in run(ch, 0.0).items():
+            assert _fingerprint(res) == after[alg], (run.__name__, alg)
 
 
 def test_phase_replaced_after_a_warm_call_runs(monkeypatch):

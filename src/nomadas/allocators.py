@@ -268,7 +268,7 @@ class AllocationState:
 
     def power_tensor(self) -> np.ndarray:
         """Dense (users, subcarriers, RRHs) transmit powers."""
-        P = np.zeros_like(self.gains)
+        P = np.zeros(self.gains.shape)
         ks, ns, rs = self.sole_slots()
         g = self.gains[ks, ns, rs]
         P[ks, ns, rs] = self.waterline[ks] - self.sigma2_w / g

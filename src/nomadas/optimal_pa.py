@@ -269,7 +269,7 @@ def optimal_power_allocation(state) -> OpaResult:
         return OpaResult(p_now, input_total, False, report.iterations,
                          report.residual_norm)
 
-    P = np.zeros_like(state.gains)
+    P = np.zeros(state.gains.shape)
     p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
     for i, (k, n, r, g) in enumerate(slots):
         P[k, n, r] = p1[i]
@@ -420,7 +420,7 @@ def constrained_mutual_pa_oracle(state) -> OracleResult:
         if na and (nu < -1e-7).any():
             return None
         total = float(p_sole.sum() + p1.sum() + p2.sum())
-        P = np.zeros_like(state.gains)
+        P = np.zeros(state.gains.shape)
         for i, (k, n, r, g) in enumerate(soles):
             P[k, n, r] = p_sole[i]
         for j, pair in enumerate(mp):

@@ -751,6 +751,16 @@ def test_warm_calls_with_alternating_rho_w_equal_cold():
         assert _fingerprint(res) == cold[alg, rho_w], (alg, rho_w)
 
 
+def test_results_do_not_depend_on_the_gains_layout():
+    """generate_channel's gains are not C-contiguous; a C-contiguous copy
+    of them gives bit-identical results."""
+    for ch in drops(Scenario(), 2, base_seed=43):
+        assert not ch.gains.flags.c_contiguous
+        contiguous = replace(ch, gains=np.ascontiguousarray(ch.gains))
+        for alg in ALGORITHMS:
+            assert _cold(ch, alg) == _cold(contiguous, alg), alg
+
+
 # -- run_algorithm's phase states: what must miss ---------------------------------------
 
 def _warm_up(ch, rho_w=AlgorithmConfig.rho_w):

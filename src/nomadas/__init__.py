@@ -8,8 +8,8 @@ two users per subcarrier through successive interference cancellation.
 """
 
 from .allocators import (ALGORITHMS, AlgorithmConfig, AllocationResult,
-                         AllocationState, MutualPair, SinglePair,
-                         run_algorithm, run_algorithms)
+                         AllocationState, Pair, run_algorithm,
+                         run_algorithms)
 from .audit import AuditReport, audit_result, run_invariant_audit
 from .channel import ChannelTensor, generate_channel, pathloss_gain
 from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "AlgorithmConfig", "AllocationResult", "AllocationState",
     "AggregateRow", "AuditReport", "ChannelTensor", "InfeasibleWaterline",
-    "MutualPair", "OpaResult", "OracleInfeasible", "OracleResult",
-    "RunConfig", "Scenario", "SinglePair", "SolveReport", "TrialRecord",
+    "OpaResult", "OracleInfeasible", "OracleResult", "Pair", "RunConfig",
+    "Scenario", "SolveReport", "TrialRecord",
     "aggregate", "apply_sweep", "audit_result",
     "constrained_mutual_pa_oracle", "dpa_adjust",
     "drop_users", "ftpa_power", "generate_channel", "hexagon_contains",

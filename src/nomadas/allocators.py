@@ -25,11 +25,12 @@ once, are read through a cursor that only moves forward (best_free).
 
 Both pairing phases are one phase (_pairing) that differs in data: the
 pair geometry (same RRH or across RRHs) and the mode's rule for the pair
-powers. A pairing phase adds no sole holding, so it builds its candidate
-pairs once and keeps their prices (_PairTable, whose one price method
-serves every mode): an accepted step retires its subcarrier's pairs and
-re-prices only the pairs of the two users it changed, and a retirement
-re-prices nothing.
+powers. Both freeze one kind of record (Pair) into state.pairs, a
+same-RRH pair exactly when r1 == r2. A pairing phase adds no sole
+holding, so it builds its candidate pairs once and keeps their prices
+(_PairTable, whose one price method serves every mode): an accepted step
+retires its subcarrier's pairs and re-prices only the pairs of the two
+users it changed, and a retirement re-prices nothing.
 
 Algorithms share their leading phases: worst_best_h and oma_phase on
 the antenna set, then any PLANS phases two plans have in common. Each
@@ -39,10 +40,11 @@ phase functions (looked up by name at call time) and arguments so far. A
 later call on that channel goes on from a fork of the deepest stored
 state of its plan, so run_algorithms, one run_algorithm call per
 algorithm, runs each distinct phase prefix once. A call misses, and
-runs, when the channel is another object, its gains differ from a
-snapshot taken at the first call (an in-place edit), rho_w differs or a
-phase function was replaced by name. A phase that raised is not stored;
-results never hold a stored state, only forks of one.
+runs, when the channel is another object, rho_w differs or a phase
+function was replaced by name; the channel's gains are read-only. A
+phase that raised is not stored; results never hold a stored state, only
+forks of one. A state carries no algorithm: the one stored state serves
+every plan below it.
 """
 
 from __future__ import annotations
@@ -103,22 +105,10 @@ class AlgorithmConfig:
             raise ValueError("rho_w must be non-negative")
 
 
-@dataclass
-class SinglePair:
-    """A same-RRH power-multiplexed subcarrier, frozen."""
-
-    n: int
-    k1: int
-    r: int
-    p1_w: float
-    k2: int
-    p2_w: float
-    rate2_bps: float
-
-
-@dataclass
-class MutualPair:
-    """A cross-RRH mutual-SIC subcarrier, frozen."""
+@dataclass(frozen=True)
+class Pair:
+    """A frozen power-multiplexed subcarrier: k1 through RRH r1, k2 through
+    r2. Same-RRH SIC when r1 == r2, mutual SIC across RRHs otherwise."""
 
     n: int
     k1: int
@@ -145,18 +135,18 @@ class StepRecord:
 
 
 class AllocationState:
-    """Mutable allocation bookkeeping shared by the phases."""
+    """Mutable allocation bookkeeping shared by the phases: on the central
+    RRH alone or on every RRH, with step acceptance threshold rho_w."""
 
-    def __init__(self, channel: ChannelTensor, config: AlgorithmConfig):
+    def __init__(self, channel: ChannelTensor, central: bool, rho_w: float):
         scen = channel.scenario
         self.channel = channel
-        self.config = config
+        self.rho_w = rho_w
         self.gains = channel.gains
         self.sigma2_w = channel.sigma2_w
         self.sc_bw_hz = scen.sc_bw_hz
         self.num_users = scen.num_users
         self.num_subcarriers = scen.num_subcarriers
-        central = PLANS[config.algorithm][0]
         self.rrhs = np.array([0]) if central else np.arange(scen.num_rrhs)
         self.demands = np.full(scen.num_users, float(scen.rate_demand_bps))
 
@@ -180,20 +170,18 @@ class AllocationState:
             kind="stable").astype(np.int32)
         self.by_gain.flags.writeable = False    # shared by every fork
         self.cursor = np.zeros(K, dtype=int)
-        self.singles: list[SinglePair] = []
-        self.mutuals: list[MutualPair] = []
+        self.pairs: list[Pair] = []
         self.log: list[StepRecord] = []
         self.phase_iterations: dict[str, tuple[int, int]] = {}
 
-    def fork(self, config: AlgorithmConfig) -> AllocationState:
-        """A copy under `config` with its own arrays, lists and dicts; the
-        channel, by_gain and the records in the lists, never changed, are
-        shared."""
+    def fork(self) -> AllocationState:
+        """A copy with its own writable arrays, lists and dicts; the
+        channel, the read-only arrays (gains, by_gain) and the records in
+        the lists, never changed, are shared."""
         twin = copy.copy(self)
-        twin.config = config
         for name, value in vars(self).items():
-            if isinstance(value, (np.ndarray, list, dict)) \
-                    and value is not self.gains and value is not self.by_gain:
+            if isinstance(value, (list, dict)) or (
+                    isinstance(value, np.ndarray) and value.flags.writeable):
                 setattr(twin, name, copy.copy(value))
         return twin
 
@@ -272,12 +260,9 @@ class AllocationState:
         ks, ns, rs = self.sole_slots()
         g = self.gains[ks, ns, rs]
         P[ks, ns, rs] = self.waterline[ks] - self.sigma2_w / g
-        for sp in self.singles:
-            P[sp.k1, sp.n, sp.r] = sp.p1_w
-            P[sp.k2, sp.n, sp.r] = sp.p2_w
-        for mp in self.mutuals:
-            P[mp.k1, mp.n, mp.r1] = mp.p1_w
-            P[mp.k2, mp.n, mp.r2] = mp.p2_w
+        for p in self.pairs:
+            P[p.k1, p.n, p.r1] = p.p1_w
+            P[p.k2, p.n, p.r2] = p.p2_w
         return P
 
 
@@ -354,7 +339,7 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     state.phase_iterations[tag]. `active`, the mask of the users not yet
     retired, starts all True; a caller whose proposer reads it passes it.
     """
-    rho = state.config.rho_w
+    rho = state.rho_w
     if active is None:
         active = np.ones(state.num_users, dtype=bool)
     powers = state.user_powers()
@@ -665,9 +650,8 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool) -> None:
             n, k1, r1, r2 = (int(a[row]) for a in (table.n, table.k1,
                                                     table.r1, table.r2))
             rate1 = float(rate_single(p1, table.gains[0][row], s2, sc_bw))
-            pair = SinglePair(n, k1, r1, p1, k2, p2, rate2) if same_rrh \
-                else MutualPair(n, k1, r1, p1, rate1, k2, r2, p2, rate2)
-            _freeze_pair(state, pair, r1, rate1, w1_new, w2_new)
+            _freeze_pair(state, Pair(n, k1, r1, p1, rate1, k2, r2, p2, rate2),
+                         w1_new, w2_new)
             table.commit(row)
             return n, dp
         shown = same_rrh and dp_best < math.inf
@@ -710,12 +694,12 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
 
 # -- freezing an accepted pair ------------------------------------------------
 
-def _freeze_pair(state: AllocationState, pair, r1, rate1, w1_new, w2_new):
-    """Freeze an accepted SinglePair or MutualPair at its priced values.
+def _freeze_pair(state: AllocationState, pair: Pair, w1_new, w2_new):
+    """Freeze an accepted pair at its priced values.
 
     The incumbent k1 gives up its sole holding (n, r1) and freezes p1 at
     rate1, its remaining sole set moving to waterline w1_new; the joiner
-    k2 freezes p2 at the record's rate2 and its sole set moves to w2_new.
+    k2 freezes p2 at rate2 and its sole set moves to w2_new.
     Raises InfeasibleWaterline when w2_new sits below the noise floor of
     the joiner's weakest sole subcarrier.
     """
@@ -723,24 +707,23 @@ def _freeze_pair(state: AllocationState, pair, r1, rate1, w1_new, w2_new):
     if w2_new < state.sigma2_w / state.weakest[k2, 0]:
         raise InfeasibleWaterline(
             "joiner's waterline below a sole subcarrier's noise floor")
-    state._remove_sole(k1, pair.n, r1)
+    state._remove_sole(k1, pair.n, pair.r1)
     state.waterline[k1] = w1_new
-    state.frozen_rate[k1] += rate1
+    state.frozen_rate[k1] += pair.rate1_bps
     state.frozen_power[k1] += pair.p1_w
     state.waterline[k2] = w2_new
     state.frozen_rate[k2] += pair.rate2_bps
     state.frozen_power[k2] += pair.p2_w
-    pairs = state.singles if isinstance(pair, SinglePair) else state.mutuals
-    pairs.append(pair)
+    state.pairs.append(pair)
 
 
 # -- the algorithms -----------------------------------------------------------
 
-def _result(state: AllocationState) -> AllocationResult:
-    """The outcome of a state whose phases have all run, after the joint
-    power optimization when its algorithm's plan asks for one."""
+def _result(state: AllocationState, algorithm: str) -> AllocationResult:
+    """The outcome of `algorithm` on a state whose phases have all run,
+    after the joint power optimization when its plan asks for one."""
     warnings, iterations, residual = (), 0, math.nan
-    if PLANS[state.config.algorithm][2]:
+    if PLANS[algorithm][2]:
         opa = optimal_pa.optimal_power_allocation(state)
         P = opa.power_w     # the waterfilled powers when not converged
         iterations, residual = opa.iterations, opa.residual_norm
@@ -754,11 +737,11 @@ def _result(state: AllocationState) -> AllocationResult:
     per_user = P.sum(axis=(1, 2))
     S = state.num_subcarriers
     # subcarriers shared by two floating users (uc benchmark) count as
-    # mutually multiplexed alongside the frozen pairs
-    mut = len(state.mutuals) + int((state.holders() == 2).sum())
-    sing = len(state.singles)
+    # mutually multiplexed alongside the cross-RRH pairs
+    sing = sum(p.r1 == p.r2 for p in state.pairs)
+    mut = len(state.pairs) - sing + int((state.holders() == 2).sum())
     return AllocationResult(
-        algorithm=state.config.algorithm,
+        algorithm=algorithm,
         total_power_w=float(per_user.sum()),
         per_user_power_w=per_user,
         power_w=P,
@@ -796,8 +779,8 @@ def run_algorithms(channel: ChannelTensor, algorithms,
     return outcomes
 
 
-# this thread's last channel and rho_w: (channel, rho_w, snapshot of the
-# gains, {phase path: state}) for run_algorithm
+# this thread's last channel and rho_w: (channel, rho_w, {phase path:
+# state}) for run_algorithm
 _last = threading.local()
 
 
@@ -806,16 +789,14 @@ def run_algorithm(channel: ChannelTensor,
     """Run one complete allocation algorithm on a channel realization;
     raises what its run raised.
 
-    Called again on the same channel object, with equal gains and rho_w,
-    it goes on from the deepest phase state an earlier call of this thread
-    left (see the module docstring).
+    Called again on the same channel object with the same rho_w, it goes
+    on from the deepest phase state an earlier call of this thread left
+    (see the module docstring).
     """
     entry = getattr(_last, "entry", None)
-    if entry is None or entry[0] is not channel or entry[1] != config.rho_w \
-            or not np.array_equal(entry[2], channel.gains):
-        entry = _last.entry = (channel, config.rho_w, channel.gains.copy(),
-                               {})
-    kept = entry[3]
+    if entry is None or entry[0] is not channel or entry[1] != config.rho_w:
+        entry = _last.entry = (channel, config.rho_w, {})
+    kept = entry[2]
     central, phases, _ = PLANS[config.algorithm]
     # a phase path: the antenna set, then each phase as its function,
     # looked up by name now, and its arguments
@@ -825,10 +806,10 @@ def run_algorithm(channel: ChannelTensor,
     while done and (central, *steps[:done]) not in kept:
         done -= 1
     path = (central, *steps[:done])
-    state = kept[path].fork(config) if done \
-        else AllocationState(channel, config)
+    state = kept[path].fork() if done \
+        else AllocationState(channel, central, config.rho_w)
     for fn, *args in steps[done:]:
         fn(state, *args)
         path += ((fn, *args),)
-        kept[path] = state.fork(config)
-    return _result(state)
+        kept[path] = state.fork()
+    return _result(state, config.algorithm)

@@ -29,16 +29,11 @@ def _role_map(state):
     G = state.gains
     for k, n, r in zip(*state.sole_slots()):
         roles.setdefault(n, []).append(("sole", k, r, float(G[k, n, r])))
-    for sp in state.singles:
-        g1 = float(G[sp.k1, sp.n, sp.r])
-        g2 = float(G[sp.k2, sp.n, sp.r])
-        roles.setdefault(sp.n, []).append(("first", sp.k1, sp.r, g1))
-        roles.setdefault(sp.n, []).append(("second", sp.k2, sp.r, g2))
-    for mp in state.mutuals:
-        roles.setdefault(mp.n, []).append(
-            ("mut1", mp.k1, mp.r1, float(G[mp.k1, mp.n, mp.r1])))
-        roles.setdefault(mp.n, []).append(
-            ("mut2", mp.k2, mp.r2, float(G[mp.k2, mp.n, mp.r2])))
+    for p in state.pairs:
+        named = ("first", "second") if p.r1 == p.r2 else ("mut1", "mut2")
+        roles.setdefault(p.n, []).extend(
+            (role, k, r, float(G[k, p.n, r]))
+            for role, k, r in zip(named, (p.k1, p.k2), (p.r1, p.r2)))
     return roles
 
 
@@ -69,10 +64,10 @@ def audit_result(result: AllocationResult) -> list[str]:
             else:
                 shared_sole += 1
     S = state.num_subcarriers
-    n_mut = len(state.mutuals) + shared_sole
-    if result.mutsic_sc != n_mut \
-            or result.singsic_sc != len(state.singles) \
-            or result.nonmux_sc != S - n_mut - len(state.singles):
+    n_sing = sum(p.r1 == p.r2 for p in state.pairs)
+    n_mut = len(state.pairs) - n_sing + shared_sole
+    if result.mutsic_sc != n_mut or result.singsic_sc != n_sing \
+            or result.nonmux_sc != S - n_mut - n_sing:
         v.append("subcarrier counters disagree with pair records")
 
     # power appears only on assigned slots and is never negative
@@ -106,36 +101,26 @@ def audit_result(result: AllocationResult) -> list[str]:
             v.append(f"user {k} rate {rates[k]:.6e} misses demand "
                      f"{state.demands[k]:.6e}")
 
-    # same-RRH pairs: the second user must be the weaker and stronger-powered
-    for sp in state.singles:
-        g1 = float(state.gains[sp.k1, sp.n, sp.r])
-        g2 = float(state.gains[sp.k2, sp.n, sp.r])
-        if not g2 < g1:
-            v.append(f"pair on {sp.n}: second user's gain is not lower")
-        if alg != "SRRH-OPA":
-            p1, p2 = P[sp.k1, sp.n, sp.r], P[sp.k2, sp.n, sp.r]
-            if p2 < p1 * (1.0 - WINDOW_RTOL) - 1e-15:
-                v.append(f"pair on {sp.n}: p2 {p2:.3e} below p1 {p1:.3e}")
-
-    # mutual pairs: power window and exact decodability margins
-    if alg != "MutSIC-UC":
-        G = state.gains
-        for mp in state.mutuals:
-            g11 = float(G[mp.k1, mp.n, mp.r1])
-            g12 = float(G[mp.k1, mp.n, mp.r2])
-            g21 = float(G[mp.k2, mp.n, mp.r1])
-            g22 = float(G[mp.k2, mp.n, mp.r2])
-            p1 = float(P[mp.k1, mp.n, mp.r1])
-            p2 = float(P[mp.k2, mp.n, mp.r2])
-            gains = (g11, g12, g21, g22)
-            lo, hi = power_window(gains, p1)
-            if not (lo * (1.0 - WINDOW_RTOL) <= p2
-                    <= hi * (1.0 + WINDOW_RTOL)):
-                v.append(f"mutual pair on {mp.n}: p2 {p2:.3e} outside "
-                         f"[{lo:.3e}, {hi:.3e}]")
-            xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
-            if xy < -1e-9 * scale or zt < -1e-9 * scale:
-                v.append(f"mutual pair on {mp.n}: decode margin negative")
+    # same-RRH pairs: the second user must be the weaker and stronger-
+    # powered; mutual pairs: power window and exact decodability margins
+    for pair in state.pairs:
+        n = pair.n
+        gains = tuple(float(state.gains[k, n, r]) for k in (pair.k1, pair.k2)
+                      for r in (pair.r1, pair.r2))     # g11, g12, g21, g22
+        p1, p2 = float(P[pair.k1, n, pair.r1]), float(P[pair.k2, n, pair.r2])
+        if pair.r1 == pair.r2:
+            if not gains[3] < gains[0]:
+                v.append(f"pair on {n}: second user's gain is not lower")
+            if alg != "SRRH-OPA" and p2 < p1 * (1.0 - WINDOW_RTOL) - 1e-15:
+                v.append(f"pair on {n}: p2 {p2:.3e} below p1 {p1:.3e}")
+            continue
+        lo, hi = power_window(gains, p1)
+        if not lo * (1.0 - WINDOW_RTOL) <= p2 <= hi * (1.0 + WINDOW_RTOL):
+            v.append(f"mutual pair on {n}: p2 {p2:.3e} outside "
+                     f"[{lo:.3e}, {hi:.3e}]")
+        xy, zt, scale = rate_condition_terms(gains, p1, p2, s2)
+        if xy < -1e-9 * scale or zt < -1e-9 * scale:
+            v.append(f"mutual pair on {n}: decode margin negative")
 
     # floating sole powers must sit on a waterline that meets the residual
     # demand exactly (not meaningful once powers were re-optimized)
@@ -157,7 +142,7 @@ def audit_result(result: AllocationResult) -> list[str]:
                          f"{w_expect:.6e}")
 
     # each accepted greedy step must realize its predicted saving
-    rho = state.config.rho_w
+    rho = state.rho_w
     for rec in state.log:
         if rec.phase == "wbh" or not rec.accepted:
             continue

@@ -42,7 +42,9 @@ class ChannelTensor:
 
     gains has shape (num_users, num_subcarriers, num_rrhs) and holds linear
     |h|^2 per link and subcarrier; sigma2_w is the per-subcarrier noise
-    power. Positions are kept for inspection and plotting.
+    power. Positions are kept for inspection and plotting. gains is a
+    read-only copy of the array passed in, in its memory layout, so a
+    channel's gains never change.
     """
 
     scenario: Scenario
@@ -50,6 +52,11 @@ class ChannelTensor:
     sigma2_w: float
     user_xy: np.ndarray
     rrh_xy: np.ndarray
+
+    def __post_init__(self):
+        gains = np.array(self.gains)
+        gains.flags.writeable = False
+        object.__setattr__(self, "gains", gains)
 
 
 def generate_channel(scenario: Scenario, rng: np.random.Generator, *,

@@ -40,9 +40,12 @@ def _parse_algorithms(text: str) -> tuple:
 
 
 def _scenario_from(args) -> Scenario:
-    scen = load_scenario(args.config) if args.config else Scenario()
-    if getattr(args, "rate", None) is not None:
-        scen = scen.with_(rate_demand_bps=args.rate)
+    try:
+        scen = load_scenario(args.config) if args.config else Scenario()
+        if getattr(args, "rate", None) is not None:
+            scen = scen.with_(rate_demand_bps=args.rate)
+    except ValueError as exc:
+        raise SystemExit(f"invalid scenario: {exc}") from None
     return scen
 
 
@@ -119,7 +122,7 @@ def _cmd_oracle(args) -> int:
                 print(f"trial {t}: joint optimum above greedy "
                       f"({opa.total_power_w:.6e} > "
                       f"{lpo.total_power_w:.6e})")
-        if dpa.state.mutuals and len(dpa.state.mutuals) <= 3:
+        if 1 <= len(dpa.state.pairs) <= 3:
             try:
                 oracle = constrained_mutual_pa_oracle(dpa.state)
             except OracleInfeasible:

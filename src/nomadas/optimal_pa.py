@@ -74,16 +74,16 @@ def _collect_slots(state):
 
     A slot is any subcarrier decoded interference-free by its first user:
     all sole holdings, by user, then subcarrier, then RRH, plus the first
-    position of every single-SIC pair.
+    position of every same-RRH pair.
     """
     slots = [(k, n, r, float(state.gains[k, n, r]))     # (user, n, r, gain)
              for k, n, r in zip(*state.sole_slots())]
     pairs = []      # (slot_index, user2, gain2)
-    for sp in state.singles:
-        g1 = float(state.gains[sp.k1, sp.n, sp.r])
-        g2 = float(state.gains[sp.k2, sp.n, sp.r])
-        pairs.append((len(slots), sp.k2, g2))
-        slots.append((sp.k1, sp.n, sp.r, g1))
+    for p in state.pairs:
+        if p.r1 == p.r2:
+            g1, g2 = (float(state.gains[k, p.n, p.r1]) for k in (p.k1, p.k2))
+            pairs.append((len(slots), p.k2, g2))
+            slots.append((p.k1, p.n, p.r1, g1))
     return slots, pairs
 
 
@@ -199,7 +199,7 @@ def optimal_power_allocation(state) -> OpaResult:
     from the state's realized rates and falls back to the input powers
     (converged=False) if any solve stalls or fails to improve.
     """
-    if state.mutuals:
+    if any(p.r1 != p.r2 for p in state.pairs):
         raise ValueError("assignment contains mutual-SIC pairs")
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
@@ -213,7 +213,7 @@ def optimal_power_allocation(state) -> OpaResult:
     x0 = np.empty(ns)
     for i, (k, n, r, g) in enumerate(slots):
         x0[i] = math.log2(1.0 + p_now[k, n, r] * g / s2)
-    y0 = np.array([sp.rate2_bps / sc_bw for sp in state.singles])
+    y0 = np.array([p.rate2_bps / sc_bw for p in state.pairs])
 
     lam0 = np.zeros(K)
     cnt = np.zeros(K)
@@ -273,9 +273,9 @@ def optimal_power_allocation(state) -> OpaResult:
     p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
     for i, (k, n, r, g) in enumerate(slots):
         P[k, n, r] = p1[i]
-    for j, sp in enumerate(state.singles):
+    for j, p in enumerate(state.pairs):
         i = lay.pair_slot[j]
-        P[sp.k2, sp.n, sp.r] = 0.0 if pin_y[j] else \
+        P[p.k2, p.n, p.r2] = 0.0 if pin_y[j] else \
             (2.0 ** y[j] - 1.0) * (p1[i] + 1.0 / lay.pair_u[j])
     total = float(P.sum())
     if total > input_total * (1.0 + 1e-9) + 1e-15:
@@ -298,13 +298,13 @@ def constrained_mutual_pa_oracle(state) -> OracleResult:
     multipliers are non-negative, and returns the cheapest. Intended for
     small instances only.
     """
-    if state.singles:
+    if any(p.r1 == p.r2 for p in state.pairs):
         raise ValueError("oracle does not handle same-RRH pairs")
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
     K = state.num_users
-    soles, _ = _collect_slots(state)    # no single-SIC pairs: sole slots
-    mp = state.mutuals
+    soles, _ = _collect_slots(state)    # no same-RRH pairs: sole slots
+    mp = state.pairs
     m = len(mp)
     ns = len(soles)
 

@@ -42,8 +42,13 @@ class Scenario:
             raise ValueError("users, RRHs and subcarriers must be positive")
         if self.num_users > self.num_subcarriers:
             raise ValueError("needs at least one subcarrier per user")
-        if self.bandwidth_hz <= 0 or self.noise_psd_w_per_hz <= 0:
+        if not (self.bandwidth_hz > 0 and self.noise_psd_w_per_hz > 0):
             raise ValueError("bandwidth and noise PSD must be positive")
+        if not (self.cell_radius_m > 0 and self.rate_demand_bps > 0):
+            raise ValueError("cell radius and rate demand must be positive")
+        if not (self.min_distance_m >= 0 and self.shadowing_db >= 0):
+            raise ValueError(
+                "minimum distance and shadowing must be non-negative")
 
     @property
     def sc_bw_hz(self) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nomadas import Scenario, generate_channel
+from nomadas.harness import trial_seed
 
 # small enough that every algorithm finishes in milliseconds, large enough
 # that pairing phases actually trigger on most drops
@@ -36,6 +37,8 @@ def small_channel():
 
 
 def drops(scenario, count, base_seed=0):
-    """Deterministic sequence of channel realizations."""
+    """Deterministic sequence of channel realizations, seeded as the
+    harness seeds its trials, so two base seeds never share a drop."""
     for t in range(count):
-        yield generate_channel(scenario, np.random.default_rng(base_seed ^ t))
+        yield generate_channel(scenario,
+                               np.random.default_rng(trial_seed(base_seed, t)))

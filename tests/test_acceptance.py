@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nomadas import (ALGORITHMS, AlgorithmConfig, InfeasibleWaterline,
-                     Scenario, generate_channel, run_algorithm)
+                     Scenario, run_algorithm)
 from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
 from nomadas.mutual_sic import (_dp1, _dp2, _stationarity, dpa_adjust,
@@ -410,8 +410,7 @@ def test_c6e_joint_reoptimization_of_singles(run12):
     conv = above_fresh = 0
     n_drops = 50
     scen = Scenario().with_(rate_demand_bps=12e6)
-    for t in range(n_drops):
-        ch = generate_channel(scen, np.random.default_rng(7000 ^ t))
+    for ch in drops(scen, n_drops, base_seed=7000):
         lpo = run_algorithm(ch, AlgorithmConfig("SRRH-LPO"))
         opa = optimal_power_allocation(lpo.state)
         above_fresh += opa.total_power_w > lpo.total_power_w * (1.0 + 1e-9)
@@ -434,7 +433,7 @@ def test_c6f_window_branch_oracle():
     worst = -math.inf
     for ch in drops(scen, 400, base_seed=5):
         res = run_algorithm(ch, AlgorithmConfig("MutSIC-SOPAd", rho_w=0.0))
-        if not 1 <= len(res.state.mutuals) <= 2:
+        if not 1 <= len(res.state.pairs) <= 2:
             continue
         oracle = constrained_mutual_pa_oracle(res.state)
         worst = max(worst, (oracle.total_power_w - res.total_power_w)

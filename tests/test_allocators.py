@@ -4,14 +4,14 @@ import math
 import pickle
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState,
-                     InfeasibleWaterline, MutualPair, Scenario,
-                     generate_channel, mutual_sic_feasible, run_algorithm)
+                     InfeasibleWaterline, Pair, Scenario, generate_channel,
+                     mutual_sic_feasible, run_algorithm)
 from nomadas import allocators
 from nomadas.allocators import _freeze_pair, oma_phase, worst_best_h
 from nomadas.waterfill import rate_second, rate_single
@@ -40,15 +40,12 @@ def achieved_rates(result):
     G, s2, bw = st.gains, st.sigma2_w, st.sc_bw_hz
     P = result.power_w
     rates = np.zeros(st.num_users)
-    for sp in st.singles:
-        p1, p2 = P[sp.k1, sp.n, sp.r], P[sp.k2, sp.n, sp.r]
-        rates[sp.k1] += rate_single(p1, G[sp.k1, sp.n, sp.r], s2, bw)
-        rates[sp.k2] += rate_second(p2, p1, G[sp.k2, sp.n, sp.r], s2, bw)
-    for mp in st.mutuals:
-        rates[mp.k1] += rate_single(P[mp.k1, mp.n, mp.r1],
-                                    G[mp.k1, mp.n, mp.r1], s2, bw)
-        rates[mp.k2] += rate_single(P[mp.k2, mp.n, mp.r2],
-                                    G[mp.k2, mp.n, mp.r2], s2, bw)
+    for p in st.pairs:
+        p1, p2 = P[p.k1, p.n, p.r1], P[p.k2, p.n, p.r2]
+        # a same-RRH joiner decodes under the incumbent's power
+        heard = p1 if p.r1 == p.r2 else 0.0
+        rates[p.k1] += rate_single(p1, G[p.k1, p.n, p.r1], s2, bw)
+        rates[p.k2] += rate_second(p2, heard, G[p.k2, p.n, p.r2], s2, bw)
     for k, n, r in zip(*st.sole_slots()):
         rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
@@ -142,7 +139,7 @@ def test_user_powers_equal_scalar_loop_at_every_step(monkeypatch):
     its waterline NaN; its power is then the frozen power alone.
     """
     ch = next(drops(LOADED, 1, base_seed=17))
-    fresh = AllocationState(ch, AlgorithmConfig("OMA-DAS"))
+    fresh = AllocationState(ch, False, 1e-3)
     assert np.isnan(fresh.waterline).all()
     assert np.array_equal(fresh.user_powers(), _scalar_user_powers(fresh))
     log = AllocationState._log
@@ -194,14 +191,14 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
         before = (state, state.weakest.copy())
         assert np.array_equal(state.n_sole,
                               np.bincount(own[own >= 0], minlength=K))
-        frozen = {p.n for p in state.singles + state.mutuals}
+        frozen = {p.n for p in state.pairs}
         for n in range(state.num_subcarriers):
             assert state.free[n] == ((own[n] < 0).all() and n not in frozen)
             users = own[n][own[n] >= 0]
             assert users.size <= 2
             if users.size == 2:
                 shared += 1
-                assert state.config.algorithm == "MutSIC-UC"
+                assert running == "MutSIC-UC"
                 assert users[0] != users[1]
         ks, ns, rs = np.nonzero(own[None] == np.arange(K)[:, None, None])
         scratch = np.bincount(ks, weights=state.sigma2_w
@@ -220,8 +217,8 @@ def test_occupancy_arrays_consistent_at_every_step(monkeypatch):
         log(state, *args)
 
     monkeypatch.setattr(AllocationState, "_log", checked_log)
-    for alg in ALGORITHMS:
-        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    for running in ALGORITHMS:
+        run_algorithm(ch, AlgorithmConfig(running, rho_w=0.0))
     assert checked > 0 and shared > 0 and oma > 0
 
 
@@ -233,8 +230,8 @@ def test_best_free_breaks_ties_like_an_argmax_scan():
     rng = np.random.default_rng(6)
     levels = ch.gains.max() * np.array([1.0, 0.5, 0.25])
     tied = replace(ch, gains=rng.choice(levels, ch.gains.shape))
-    for alg in ("OMA-CAS", "OMA-DAS"):
-        state = AllocationState(tied, AlgorithmConfig(alg))
+    for central in (True, False):
+        state = AllocationState(tied, central, 1e-3)
         while state.free.any():
             free = np.flatnonzero(state.free)
             for k in range(state.num_users):
@@ -249,7 +246,7 @@ def test_best_free_breaks_ties_like_an_argmax_scan():
 def test_descend_breaks_power_ties_by_lowest_index(tiny_channel):
     """The most power-hungry active user proposes first, the lowest index
     among equals; every logged total is the sum of the user powers."""
-    state = AllocationState(tiny_channel, AlgorithmConfig("OMA-DAS"))
+    state = AllocationState(tiny_channel, False, 1e-3)
     state.frozen_power[:] = (2.0, 3.0, 3.0)
     proposed = []
 
@@ -310,7 +307,7 @@ def test_served_users_meet_demand_at_every_step(monkeypatch):
 def test_freeze_pair_rejects_joiner_below_floor(small_channel):
     """A joiner waterline below its weakest sole floor raises before any
     bookkeeping changes."""
-    state = AllocationState(small_channel, AlgorithmConfig("MutSIC-DPA"))
+    state = AllocationState(small_channel, False, 1e-3)
     worst_best_h(state)
     oma_phase(state)
     ks, ns, rs = state.sole_slots()
@@ -323,12 +320,11 @@ def test_freeze_pair_rejects_joiner_below_floor(small_channel):
                               state.sc_bw_hz))
     floor = state.sigma2_w / state.sole_gains(k2).min()
     owner = state.owner.copy()
-    pair = MutualPair(n, k1, r1, p1, rate1, k2, r2, 1e-9, 1e5)
+    pair = Pair(n, k1, r1, p1, rate1, k2, r2, 1e-9, 1e5)
     with pytest.raises(InfeasibleWaterline):
-        _freeze_pair(state, pair, r1, rate1, state.waterline[k1],
-                     0.5 * floor)
+        _freeze_pair(state, pair, state.waterline[k1], 0.5 * floor)
     assert np.array_equal(state.owner, owner)
-    assert not state.mutuals and not state.frozen_rate.any()
+    assert not state.pairs and not state.frozen_rate.any()
 
 
 def _candidate_rows(state, k2, same_rrh=False):
@@ -494,17 +490,24 @@ def test_distributed_beats_colocated(batch):
 # -- structure of the pair records ---------------------------------------------------
 
 def test_single_pairs_same_rrh_ordered(batch):
+    """Same-RRH pairs: the joiner is the weaker and stronger-powered user,
+    and the incumbent's frozen rate is its interference-free rate."""
     seen = 0
     for alg in ("SRRH", "SRRH-LPO", "MutAndSingSIC"):
         for i in range(N_DROPS):
             st = batch[alg, i].state
-            for sp in st.singles:
+            for sp in st.pairs:
+                if alg == "MutAndSingSIC" and sp.r1 != sp.r2:
+                    continue
                 seen += 1
-                g1 = st.gains[sp.k1, sp.n, sp.r]
-                g2 = st.gains[sp.k2, sp.n, sp.r]
+                assert sp.r1 == sp.r2
+                g1 = st.gains[sp.k1, sp.n, sp.r1]
+                g2 = st.gains[sp.k2, sp.n, sp.r2]
                 assert g2 < g1
                 assert sp.p2_w >= sp.p1_w
                 assert sp.k1 != sp.k2
+                assert sp.rate1_bps == rate_single(sp.p1_w, g1, st.sigma2_w,
+                                                   st.sc_bw_hz)
     assert seen >= 10
 
 
@@ -513,7 +516,7 @@ def test_mutual_pairs_cross_rrh(batch):
     for alg in ("MutSIC-DPA", "MutSIC-OPAd", "MutSIC-SOPAd"):
         for i in range(N_DROPS):
             st = batch[alg, i].state
-            for mp in st.mutuals:
+            for mp in st.pairs:
                 seen += 1
                 assert mp.r1 != mp.r2
                 assert mp.k1 != mp.k2
@@ -526,7 +529,7 @@ def test_srrh_lpo_never_mutual(batch):
     for i in range(N_DROPS):
         res = batch["SRRH-LPO", i]
         assert res.mutsic_sc == 0
-        assert not res.state.mutuals
+        assert all(p.r1 == p.r2 for p in res.state.pairs)
 
 
 def test_uc_shares_cross_rrh_only(batch):
@@ -699,7 +702,7 @@ def _fingerprint(res):
                  res.per_user_power_w.tobytes(), res.nonmux_sc,
                  res.mutsic_sc, res.singsic_sc, res.warnings,
                  res.opa_iterations, res.opa_residual, log,
-                 st.phase_iterations, st.config, st.singles, st.mutuals))
+                 st.phase_iterations, st.rho_w, st.pairs))
 
 
 FAMILY_ORDERS = (
@@ -773,18 +776,28 @@ def _family(ch, rho_w=AlgorithmConfig.rho_w):
     return allocators.run_algorithms(ch, ALGORITHMS, rho_w)
 
 
-def test_gains_edited_in_place_miss():
-    ch, twin = (next(drops(LOADED, 1, base_seed=33)) for _ in range(2))
+def test_gains_are_read_only_and_replaced_gains_miss():
+    """A channel holds a read-only copy of its gains: a write raises, the
+    caller's array stays writable and its own, and a channel with edited
+    gains is another object, whose calls miss and equal cold ones."""
+    ch = next(drops(LOADED, 1, base_seed=33))
+    edited = ch.gains.copy()
+    edited[[0, 1]] = edited[[1, 0]]     # users 0 and 1 swap places
+    twin = replace(ch, gains=edited)
+    for channel in (ch, twin):
+        with pytest.raises(ValueError):
+            channel.gains[0, 0, 0] = 1.0
+    assert edited.flags.writeable and np.array_equal(twin.gains, edited)
     before = {alg: _cold(ch, alg, 0.0) for alg in ALGORITHMS}
-    twin.gains[[0, 1]] = twin.gains[[1, 0]]     # users 0 and 1 swap places
     after = {alg: _cold(twin, alg, 0.0) for alg in ALGORITHMS}
     assert after != before
     for run in (_warm_up, _family):
-        ch = next(drops(LOADED, 1, base_seed=33))
         run(ch, 0.0)
-        ch.gains[[0, 1]] = ch.gains[[1, 0]]
-        for alg, res in run(ch, 0.0).items():
+        for alg, res in run(replace(ch, gains=edited), 0.0).items():
             assert _fingerprint(res) == after[alg], (run.__name__, alg)
+    edited[...] = 0.0       # reaches neither channel
+    for alg, res in _family(twin, 0.0).items():
+        assert _fingerprint(res) == after[alg], alg
 
 
 def test_phase_replaced_after_a_warm_call_runs(monkeypatch):
@@ -817,11 +830,14 @@ def test_mutated_result_state_does_not_reach_later_calls():
     cold = {alg: _cold(ch, alg, 0.0) for alg in ALGORITHMS}
     for alg in ALGORITHMS:
         st = run_algorithm(ch, AlgorithmConfig(alg, 0.0)).state
-        with pytest.raises(ValueError):
-            st.by_gain[0, 0] = 1     # shared by every fork: read-only
+        for shared in (st.gains, st.by_gain):     # shared by every fork
+            with pytest.raises(ValueError):
+                shared[0, 0] = 1
+        for pair in st.pairs[:1]:                  # shared too: frozen
+            with pytest.raises(FrozenInstanceError):
+                pair.p1_w = 0.0
         for value in vars(st).values():
-            if isinstance(value, np.ndarray) and value is not ch.gains \
-                    and value.flags.writeable:
+            if isinstance(value, np.ndarray) and value.flags.writeable:
                 value[...] = 0
             elif isinstance(value, (list, dict)):
                 value.clear()
@@ -952,33 +968,38 @@ def test_opa_failure_leaves_srrh_lpo_intact(small_channel, monkeypatch):
 
 def test_fork_is_independent_of_its_parent():
     ch = next(drops(LOADED, 1, base_seed=17))
-    state = AllocationState(ch, AlgorithmConfig("SRRH-LPO", rho_w=0.0))
+    state = AllocationState(ch, False, 0.0)
     worst_best_h(state)
     # oma on a fork advances the fork's cursors and moves its weakest gains
     first = pickle.dumps(vars(state))
-    grown = state.fork(state.config)
+    grown = state.fork()
     oma_phase(grown)
     assert (grown.cursor > state.cursor).any()
     assert not np.array_equal(grown.weakest, state.weakest)
     assert pickle.dumps(vars(state)) == first
     oma_phase(state)
     before = pickle.dumps(vars(state))
-    twin = state.fork(AlgorithmConfig("SRRH", rho_w=0.0))
-    assert twin.config.algorithm == "SRRH"
-    assert state.config.algorithm == "SRRH-LPO"
-    assert twin.channel is state.channel and twin.gains is state.gains
-    assert twin.by_gain is state.by_gain    # never changed, shared
-    for name in ("owner", "n_sole", "floor_sum", "waterline", "frozen_rate",
-                 "frozen_power", "free", "weakest", "cursor"):
-        getattr(twin, name)[...] = 0
-    for name in ("singles", "mutuals", "log"):
-        getattr(twin, name).append(None)
-    twin.phase_iterations["oma"] = (-1, -1)
+    twin = state.fork()
+    assert twin.channel is state.channel and twin.rho_w == state.rho_w
+    # exactly the read-only arrays, never changed, are shared
+    arrays = {name: value for name, value in vars(state).items()
+              if isinstance(value, np.ndarray)}
+    shared = {name for name, value in arrays.items()
+              if getattr(twin, name) is value}
+    assert shared == {name for name, value in arrays.items()
+                      if not value.flags.writeable} == {"gains", "by_gain"}
+    for name, value in vars(twin).items():
+        if name in arrays and name not in shared:
+            value[...] = 0
+        elif isinstance(value, list):
+            value.append(None)
+        elif isinstance(value, dict):
+            value["oma"] = (-1, -1)
     assert pickle.dumps(vars(state)) == before
     # a phase run on a fork leaves the parent as it was too
-    other = state.fork(state.config)
+    other = state.fork()
     allocators.single_sic_pairing(other, "lpo")
-    assert other.singles and pickle.dumps(vars(state)) == before
+    assert other.pairs and pickle.dumps(vars(state)) == before
 
 
 def test_run_algorithms_rejects_repeated_names(tiny_channel):
@@ -990,7 +1011,7 @@ def test_run_algorithms_rejects_repeated_names(tiny_channel):
 # -- first phase in isolation ---------------------------------------------------------
 
 def test_first_phase_gives_everyone_one_subcarrier(small_channel):
-    state = AllocationState(small_channel, AlgorithmConfig("OMA-DAS"))
+    state = AllocationState(small_channel, False, 1e-3)
     worst_best_h(state)
     sc = small_channel.scenario
     assert all(n == 1 for n in state.n_sole)
@@ -1004,7 +1025,7 @@ def test_first_phase_gives_everyone_one_subcarrier(small_channel):
 
 
 def test_first_phase_weakest_user_picks_first(small_channel):
-    state = AllocationState(small_channel, AlgorithmConfig("OMA-DAS"))
+    state = AllocationState(small_channel, False, 1e-3)
     worst_best_h(state)
     first_user = state.log[0].user
     best_links = small_channel.gains.max(axis=(1, 2))

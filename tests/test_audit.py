@@ -112,24 +112,26 @@ def test_detects_loop_budget_overrun():
     assert any("bound" in m for m in audit_result(res))
 
 
-def _with_pairs(algorithm, attr):
+def _with_pairs(algorithm):
     for seed in range(17, 60):
         res = fresh(algorithm, seed)
-        if getattr(res.state, attr):
+        if res.state.pairs:
             return res
-    pytest.fail(f"no drop produced {attr} for {algorithm}")
+    pytest.fail(f"no drop produced a pair for {algorithm}")
 
 
 def test_detects_broken_power_order_in_pair():
-    res = _with_pairs("SRRH-LPO", "singles")
-    sp = res.state.singles[0]
-    res.power_w[sp.k2, sp.n, sp.r] = res.power_w[sp.k1, sp.n, sp.r] * 0.5
+    res = _with_pairs("SRRH-LPO")
+    sp = res.state.pairs[0]
+    assert sp.r1 == sp.r2
+    res.power_w[sp.k2, sp.n, sp.r2] = res.power_w[sp.k1, sp.n, sp.r1] * 0.5
     assert any("below p1" in m for m in audit_result(res))
 
 
 def test_detects_mutual_pair_outside_window():
-    res = _with_pairs("MutSIC-SOPAd", "mutuals")
-    mp = res.state.mutuals[0]
+    res = _with_pairs("MutSIC-SOPAd")
+    mp = res.state.pairs[0]
+    assert mp.r1 != mp.r2
     g21 = float(res.state.gains[mp.k2, mp.n, mp.r1])
     g22 = float(res.state.gains[mp.k2, mp.n, mp.r2])
     hi = res.power_w[mp.k1, mp.n, mp.r1] * g21 / g22

@@ -190,16 +190,29 @@ def test_oracle_counts_allocation_crashes(monkeypatch, capsys):
     assert "allocation crashed" in out and "2 failures" in out
 
 
-def test_module_entry_point(tmp_path, config_json):
-    out = tmp_path / "trials.csv"
-    # the child imports the package this run imported, installed or not
+def _run_module(*args):
+    """`python -m nomadas *args` in a child process that imports the
+    package this run imported, installed or not."""
     src = str(Path(nomadas.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "nomadas", "simulate", "--config",
-         config_json, "--trials", "1", "--algorithms", "OMA-DAS",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, "-m", "nomadas", *args], capture_output=True,
+        text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point(tmp_path, config_json):
+    out = tmp_path / "trials.csv"
+    proc = _run_module("simulate", "--config", config_json, "--trials", "1",
+                       "--algorithms", "OMA-DAS", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(read_csv(TrialRecord, out)) == 1
+
+
+def test_invalid_scenario_is_a_one_line_error(tmp_path):
+    out = tmp_path / "trials.csv"
+    proc = _run_module("simulate", "--rate=-1e6", "--trials", "1",
+                       "--out", str(out))
+    assert proc.returncode != 0
+    assert proc.stderr == \
+        "invalid scenario: cell radius and rate demand must be positive\n"
+    assert not out.exists()

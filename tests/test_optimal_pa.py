@@ -20,15 +20,12 @@ def rates_from(state, P):
     """Per-user rates of a power tensor under the state's assignment."""
     G, s2, bw = state.gains, state.sigma2_w, state.sc_bw_hz
     rates = np.zeros(state.num_users)
-    for sp in state.singles:
-        p1, p2 = P[sp.k1, sp.n, sp.r], P[sp.k2, sp.n, sp.r]
-        rates[sp.k1] += rate_single(p1, G[sp.k1, sp.n, sp.r], s2, bw)
-        rates[sp.k2] += rate_second(p2, p1, G[sp.k2, sp.n, sp.r], s2, bw)
-    for mp in state.mutuals:
-        rates[mp.k1] += rate_single(P[mp.k1, mp.n, mp.r1],
-                                    G[mp.k1, mp.n, mp.r1], s2, bw)
-        rates[mp.k2] += rate_single(P[mp.k2, mp.n, mp.r2],
-                                    G[mp.k2, mp.n, mp.r2], s2, bw)
+    for p in state.pairs:
+        p1, p2 = P[p.k1, p.n, p.r1], P[p.k2, p.n, p.r2]
+        # a same-RRH joiner decodes under the incumbent's power
+        heard = p1 if p.r1 == p.r2 else 0.0
+        rates[p.k1] += rate_single(p1, G[p.k1, p.n, p.r1], s2, bw)
+        rates[p.k2] += rate_second(p2, heard, G[p.k2, p.n, p.r2], s2, bw)
     for k, n, r in zip(*state.sole_slots()):
         rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
@@ -44,7 +41,7 @@ def _state(algorithm, seed=1, scenario=DENSE_TINY):
 def test_opa_rejects_mutual_pairs():
     for seed in range(40):
         st = _state("MutSIC-DPA", seed)
-        if st.mutuals:
+        if st.pairs:
             with pytest.raises(ValueError, match="mutual"):
                 optimal_power_allocation(st)
             return
@@ -54,7 +51,7 @@ def test_opa_rejects_mutual_pairs():
 def test_oracle_rejects_single_sic_pairs():
     for seed in range(40):
         st = _state("SRRH-LPO", seed)
-        if st.singles:
+        if st.pairs:
             with pytest.raises(ValueError, match="same-RRH"):
                 constrained_mutual_pa_oracle(st)
             return
@@ -85,7 +82,7 @@ def test_opa_improves_singles_and_keeps_rates():
     seen = 0
     for seed in range(30):
         st = _state("SRRH-LPO", seed)
-        if not st.singles:
+        if not st.pairs:
             continue
         seen += 1
         before = st.total_power()
@@ -140,7 +137,7 @@ def test_kkt_jacobian_matches_central_differences(paper_lpo_states,
     rng = np.random.default_rng(53)
     checked_pins = 0
     for st in paper_lpo_states[:4]:
-        assert st.singles
+        assert st.pairs
         _, lay = optimal_pa._kkt_layout(st)
         ns, npair = lay.slot_u.size, lay.pair_u.size
         z0 = _start_point(st, monkeypatch)
@@ -222,7 +219,7 @@ def test_oracle_never_above_sequential():
     found = 0
     for ch in drops(DENSE_TINY, 120, base_seed=5):
         res = run_algorithm(ch, AlgorithmConfig("MutSIC-SOPAd", rho_w=0.0))
-        m = len(res.state.mutuals)
+        m = len(res.state.pairs)
         if not 1 <= m <= 2:
             continue
         found += 1
@@ -240,7 +237,7 @@ def test_oracle_never_above_sequential():
 def test_oracle_meets_demands():
     for ch in drops(DENSE_TINY, 120, base_seed=9):
         res = run_algorithm(ch, AlgorithmConfig("MutSIC-SOPAd", rho_w=0.0))
-        if not res.state.mutuals:
+        if not res.state.pairs:
             continue
         oracle = constrained_mutual_pa_oracle(res.state)
         assert rates_from(res.state, oracle.power_w) == pytest.approx(

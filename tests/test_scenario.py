@@ -35,6 +35,12 @@ def test_more_users_than_subcarriers_rejected():
 @pytest.mark.parametrize("bad", [
     dict(num_users=0), dict(num_rrhs=0), dict(num_subcarriers=0),
     dict(bandwidth_hz=0.0), dict(noise_psd_w_per_hz=-1e-21),
+    dict(bandwidth_hz=math.nan), dict(cell_radius_m=0.0),
+    dict(cell_radius_m=-500.0), dict(cell_radius_m=math.nan),
+    dict(rate_demand_bps=-1e6), dict(rate_demand_bps=0.0),
+    dict(rate_demand_bps=math.nan), dict(min_distance_m=-1.0),
+    dict(min_distance_m=math.nan), dict(shadowing_db=-8.0),
+    dict(shadowing_db=math.nan),
 ])
 def test_invalid_fields_rejected(bad):
     with pytest.raises(ValueError):

@@ -17,8 +17,7 @@ from .harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                       trial_seed, write_csv)
 from .mutual_sic import (dpa_adjust, mutual_sic_feasible, power_window,
                          rate_condition_terms)
-from .optimal_pa import (OpaResult, OracleInfeasible, OracleResult,
-                         constrained_mutual_pa_oracle,
+from .optimal_pa import (OpaResult, mutual_power_optimum,
                          optimal_power_allocation)
 from .scenario import Scenario, drop_users, hexagon_contains, load_scenario, \
     place_rrhs
@@ -32,12 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "AlgorithmConfig", "AllocationResult", "AllocationState",
     "AggregateRow", "AuditReport", "ChannelTensor", "InfeasibleWaterline",
-    "OpaResult", "OracleInfeasible", "OracleResult", "Pair", "RunConfig",
+    "OpaResult", "Pair", "RunConfig",
     "Scenario", "SolveReport", "TrialRecord",
     "aggregate", "apply_sweep", "audit_result",
-    "constrained_mutual_pa_oracle", "dpa_adjust",
-    "drop_users", "ftpa_power", "generate_channel", "hexagon_contains",
-    "load_scenario", "mutual_sic_feasible", "optimal_power_allocation",
+    "dpa_adjust", "drop_users", "ftpa_power", "generate_channel",
+    "hexagon_contains", "load_scenario", "mutual_power_optimum",
+    "mutual_sic_feasible", "optimal_power_allocation",
     "pathloss_gain", "place_rrhs", "power_window", "rate_condition_terms",
     "rate_second", "rate_single", "read_csv", "run_algorithm",
     "run_algorithms", "run_invariant_audit", "run_monte_carlo", "run_trial",

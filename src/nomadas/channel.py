@@ -8,7 +8,7 @@ loss and shadowing, in a dense (users, subcarriers, RRHs) tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,11 @@ class ChannelTensor:
         gains = np.array(self.gains)
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which makes the
+        # copy's gains read-only too
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def generate_channel(scenario: Scenario, rng: np.random.Generator, *,

@@ -8,8 +8,12 @@ Subcommands:
 
 simulate and sweep write per-trial CSVs and, optionally, aggregate CSVs,
 and print each algorithm's saving against the first one in --algorithms.
-Every subcommand exits nonzero when a trial fails or a check does not
-hold, so all four are usable as smoke tests in automation.
+oracle checks SRRH-LPO against the joint power optimum on every drop and
+MutSIC-DPA against the window-constrained optimum on every drop with a
+mutual pair; a solve that does not converge is counted and printed, never
+dropped. Every subcommand exits nonzero when a trial fails or a check does
+not hold, so all four are usable as smoke tests in automation. Invalid
+scenarios and run settings end in a one-line error.
 """
 
 from __future__ import annotations
@@ -21,9 +25,13 @@ from .allocators import ALGORITHMS
 from .audit import run_invariant_audit
 from .harness import (SWEEP_AXES, AggregateRow, RunConfig, TrialRecord,
                       aggregate, run_monte_carlo, run_trial, write_csv)
-from .optimal_pa import (OracleInfeasible, constrained_mutual_pa_oracle,
-                         optimal_power_allocation)
+from .optimal_pa import mutual_power_optimum, optimal_power_allocation
 from .scenario import Scenario, load_scenario
+
+
+# the oracle command's cell: dense enough that MutSIC-DPA pairs users
+ORACLE_CELL = Scenario(cell_radius_m=300.0, num_users=6, num_rrhs=4,
+                       num_subcarriers=8, rate_demand_bps=12e6)
 
 
 def _parse_algorithms(text: str) -> tuple:
@@ -66,12 +74,15 @@ def _add_common(p):
 def _cmd_run(args) -> int:
     """simulate and sweep; simulate sweeps the scenario's own rate."""
     values = args.values.split(",") if args.values else ()
-    config = RunConfig(scenario=_scenario_from(args),
-                       algorithms=_parse_algorithms(args.algorithms),
-                       trials=args.trials, base_seed=args.seed,
-                       sweep_axis=args.axis,
-                       sweep_values=tuple(float(v) for v in values),
-                       workers=args.workers)
+    try:
+        config = RunConfig(scenario=_scenario_from(args),
+                           algorithms=_parse_algorithms(args.algorithms),
+                           trials=args.trials, base_seed=args.seed,
+                           sweep_axis=args.axis,
+                           sweep_values=tuple(float(v) for v in values),
+                           workers=args.workers)
+    except ValueError as exc:
+        raise SystemExit(f"invalid run settings: {exc}") from None
     records = run_monte_carlo(config)
     write_csv(TrialRecord, records, args.out)
     rows = aggregate(records)
@@ -101,41 +112,38 @@ def _cmd_audit(args) -> int:
 def _cmd_oracle(args) -> int:
     """Greedy allocations must never beat the reference optimizers."""
     failures = 0
-    checked_opa = checked_mut = 0
-    # dense enough that MutSIC-DPA pairs users for the window oracle
-    scen = Scenario(cell_radius_m=300.0, num_users=6, num_rrhs=4,
-                    num_subcarriers=8, rate_demand_bps=12e6)
+    # optimum -> [drops checked, solves that did not converge]
+    counts = {"joint power optimum": [0, 0],
+              "window-constrained optimum": [0, 0]}
     for t in range(args.trials):
-        _, results = run_trial(scen, ("SRRH-LPO", "MutSIC-DPA"), args.seed,
-                               t)
+        _, results = run_trial(ORACLE_CELL, ("SRRH-LPO", "MutSIC-DPA"),
+                               args.seed, t)
         (_, lpo), (_, dpa) = results
         crashed = [r for r in (lpo, dpa) if isinstance(r, Exception)]
         if crashed:
             failures += 1
             print(f"trial {t}: allocation crashed: {crashed[0]!r}")
             continue
-        opa = optimal_power_allocation(lpo.state)
-        if opa.converged:
-            checked_opa += 1
-            if opa.total_power_w > lpo.total_power_w * (1 + 1e-9):
-                failures += 1
-                print(f"trial {t}: joint optimum above greedy "
-                      f"({opa.total_power_w:.6e} > "
-                      f"{lpo.total_power_w:.6e})")
-        if 1 <= len(dpa.state.pairs) <= 3:
-            try:
-                oracle = constrained_mutual_pa_oracle(dpa.state)
-            except OracleInfeasible:
+        checks = [("joint power optimum", lpo, optimal_power_allocation)]
+        if dpa.state.pairs:
+            checks.append(("window-constrained optimum", dpa,
+                           mutual_power_optimum))
+        for name, greedy, optimize in checks:
+            opt = optimize(greedy.state)
+            if not opt.converged:
+                counts[name][1] += 1
+                print(f"trial {t}: {name} did not converge")
                 continue
-            checked_mut += 1
-            if oracle.total_power_w > dpa.total_power_w * (1 + 1e-9):
+            counts[name][0] += 1
+            if opt.total_power_w > greedy.total_power_w * (1 + 1e-9):
                 failures += 1
-                print(f"trial {t}: window-constrained optimum above "
-                      f"greedy ({oracle.total_power_w:.6e} > "
-                      f"{dpa.total_power_w:.6e})")
-    print(f"joint power optimum checked on {checked_opa} drops, "
-          f"window-constrained optimum on {checked_mut} drops, "
-          f"{failures} failures")
+                print(f"trial {t}: {name} above greedy "
+                      f"({opt.total_power_w:.6e} > "
+                      f"{greedy.total_power_w:.6e})")
+    (opa, opa_bad), (mut, mut_bad) = counts.values()
+    print(f"joint power optimum checked on {opa} drops ({opa_bad} "
+          f"unconverged), window-constrained optimum on {mut} drops "
+          f"({mut_bad} unconverged), {failures} failures")
     return 0 if failures == 0 else 1
 
 

@@ -61,6 +61,8 @@ class RunConfig:
             raise ValueError("trials and workers must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
+        for value in self.sweep_values:     # raises for an invalid point
+            apply_sweep(self.scenario, self.sweep_axis, value)
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,24 @@
 """Jointly optimal power allocation for a fixed subcarrier assignment.
 
-Once an assignment is fixed, total transmit power is a convex function of
-the per-subcarrier rate variables, so the first-order (KKT) system fully
-characterizes the optimum. Two solvers live here:
+Once an assignment is fixed, the minimum total power is a convex program.
+Two solvers live here:
 
 * ``optimal_power_allocation`` handles sole subcarriers plus same-RRH
   power-multiplexed pairs (the second user decodes under the first user's
-  interference). Equality rate constraints only.
-* ``constrained_mutual_pa_oracle`` handles sole subcarriers plus mutual-SIC
-  pairs, enumerating every active-set combination of the per-pair power
-  windows. Exponential in the pair count, so strictly a reference check
-  for small instances.
-
-Both solve a scale-normalized KKT system: stationarity rows are divided by
-(1 + lambda) and rate rows by (1 + target), so one absolute residual
-tolerance works across users whose marginal powers differ by many orders
-of magnitude. ``optimal_power_allocation`` gives the Newton solver the
-analytic Jacobian of its system; the oracle leaves the solver to take it
-by central differences, which keeps it an independent check.
+  interference). It solves the KKT system in the per-subcarrier rates,
+  equality rate constraints only, scale-normalized: stationarity rows are
+  divided by (1 + lambda) and rate rows by (1 + target), so one absolute
+  residual tolerance works across users whose marginal powers differ by
+  many orders of magnitude. The Newton solver gets the analytic Jacobian.
+* ``mutual_power_optimum`` handles sole subcarriers plus mutual-SIC pairs,
+  each pair's power ratio held inside its window, by a log-barrier Newton
+  method in the powers. Its cost grows polynomially with the pair count,
+  so it checks paper-scale drops; tests check it against an enumeration
+  of the windows' active sets on small ones.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,39 +30,17 @@ from .solver import solve_system
 LN2 = math.log(2.0)
 
 
-class OracleInfeasible(RuntimeError):
-    """No active-set branch of the oracle produced a valid KKT point."""
-
-
 @dataclass(frozen=True)
 class OpaResult:
-    """Outcome of the joint power optimization."""
+    """Outcome of a joint power optimization. residual_norm is the final
+    KKT residual (optimal_power_allocation) or duality gap bound over the
+    total (mutual_power_optimum)."""
 
     power_w: np.ndarray
     total_power_w: float
     converged: bool
     iterations: int
     residual_norm: float
-
-
-@dataclass(frozen=True)
-class OracleBranch:
-    """One active-set combination and its KKT solve outcome."""
-
-    active: tuple
-    total_power_w: float
-    converged: bool
-    feasible: bool
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Best branch of the constrained mutual-SIC power program."""
-
-    total_power_w: float
-    power_w: np.ndarray
-    branch: OracleBranch
-    branches: tuple
 
 
 def _collect_slots(state):
@@ -287,158 +261,127 @@ def optimal_power_allocation(state) -> OpaResult:
                      report.residual_norm)
 
 
-# -- mutual-SIC oracle ---------------------------------------------------------
+# -- mutual-SIC optimum --------------------------------------------------------
 
-def constrained_mutual_pa_oracle(state) -> OracleResult:
-    """Reference optimum for a fixed sole + mutual-SIC assignment.
+def mutual_power_optimum(state) -> OpaResult:
+    """Jointly optimal powers for a fixed sole + mutual-SIC assignment.
 
-    Enumerates all 3^m combinations of {inactive, lower edge, upper edge}
-    for the m per-pair power windows, solves each branch's equality KKT
-    system, keeps branches whose inactive constraints hold and whose
-    multipliers are non-negative, and returns the cheapest. Intended for
-    small instances only.
+    Minimizes the total of the sole-slot and pair powers subject to every
+    user's rate sum reaching its demand, every pair's p2 lying inside its
+    unmargined window [p1 * g11/g12, p1 * g21/g22] and every power being
+    non-negative. The objective and the window edges are linear and each
+    rate sum is concave in the powers, so the program is convex; the
+    log-barrier method with damped Newton centering solves it (Boyd &
+    Vandenberghe, Convex Optimization, ch. 11).
+
+    The start is strictly feasible: the greedy's powers, each pair's ratio
+    moved off its window edges, then all powers scaled up until every
+    rate has slack. Returns the input powers with converged=False when no strictly
+    feasible start exists or a centering step stalls.
     """
     if any(p.r1 == p.r2 for p in state.pairs):
         raise ValueError("oracle does not handle same-RRH pairs")
     s2 = state.sigma2_w
-    sc_bw = state.sc_bw_hz
-    K = state.num_users
     soles, _ = _collect_slots(state)    # no same-RRH pairs: sole slots
     mp = state.pairs
-    m = len(mp)
-    ns = len(soles)
-
-    sole_user = np.array([s[0] for s in soles], dtype=int)
-    sole_u = np.array([s[3] for s in soles]) / s2
+    ns, m = len(soles), len(mp)
     G = state.gains
-    g11 = np.array([float(G[p.k1, p.n, p.r1]) for p in mp])
-    g12 = np.array([float(G[p.k1, p.n, p.r2]) for p in mp])
-    g21 = np.array([float(G[p.k2, p.n, p.r1]) for p in mp])
-    g22 = np.array([float(G[p.k2, p.n, p.r2]) for p in mp])
-    u11 = g11 / s2
-    u22 = g22 / s2
-    lo_ratio = g11 / g12
-    hi_ratio = g21 / g22
-    user1 = np.array([p.k1 for p in mp], dtype=int)
-    user2 = np.array([p.k2 for p in mp], dtype=int)
+    g11, g12, g21, g22 = np.array(
+        [[G[p.k1, p.n, p.r1], G[p.k1, p.n, p.r2], G[p.k2, p.n, p.r1],
+          G[p.k2, p.n, p.r2]] for p in mp]).reshape(m, 4).T
+    lo, hi = g11 / g12, g21 / g22
+    # unknowns x: the sole powers, then every p1, then every p2
+    user = np.array([s[0] for s in soles] + [p.k1 for p in mp]
+                    + [p.k2 for p in mp], dtype=int)
+    u = np.concatenate([[s[3] for s in soles], g11, g22]) / s2
+    ia, ib = ns + np.arange(m), ns + m + np.arange(m)
+    q = state.demands / state.sc_bw_hz
+    K = q.size
 
-    q = state.demands / sc_bw
-    x0 = np.array([math.log2(max(state.waterline[k] * g / s2, 1.0))
-                   for (k, n, r, g) in soles])
-    a0 = np.array([p.rate1_bps / sc_bw for p in mp])
-    b0 = np.array([p.rate2_bps / sc_bw for p in mp])
+    p_now = state.power_tensor()
+    steps = 0
 
-    def powers_of(x, a, b):
-        return (2.0 ** x - 1.0) / sole_u, (2.0 ** a - 1.0) / u11, \
-            (2.0 ** b - 1.0) / u22
+    def failed():
+        return OpaResult(p_now, float(p_now.sum()), False, steps, math.inf)
 
-    def solve_branch(active):
-        act_idx = [j for j in range(m) if active[j] != 0]
-        na = len(act_idx)
-        act_arr = np.array(active, dtype=int) if m else np.zeros(0, int)
-        # constraint gradients wrt (p1, p2): lo edge (lo_ratio, -1),
-        # hi edge (-hi_ratio, 1); inactive pairs carry nu = 0
-        c1 = np.where(act_arr == 1, lo_ratio, -hi_ratio)
-        c2 = np.where(act_arr == 1, -1.0, 1.0)
+    if (hi <= lo).any():
+        return failed()
+    x = np.concatenate([[p_now[k, n, r] for k, n, r, _ in soles],
+                        [p.p1_w for p in mp], [p.p2_w for p in mp]])
+    x = np.maximum(x, 1e-9 * x.max())     # a power at 0 is on its barrier
+    x[ib] = x[ia] * np.clip(x[ib] / x[ia], lo + 1e-3 * (hi - lo),
+                            hi - 1e-3 * (hi - lo))
 
-        def residual(z):
-            # exploratory newton steps can overflow the exponentials; the
-            # resulting inf/nan rows are rejected by the line search
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = z[:ns]
-                a = z[ns:ns + m]
-                b = z[ns + m:ns + 2 * m]
-                lam = z[ns + 2 * m:ns + 2 * m + K]
-                nu_full = np.zeros(m)
-                if na:
-                    nu_full[act_idx] = z[ns + 2 * m + K:]
-                d_sole = LN2 * 2.0 ** x / sole_u
-                da = LN2 * 2.0 ** a / u11
-                db = LN2 * 2.0 ** b / u22
-                f_sole = (d_sole - lam[sole_user]) \
-                    / (1.0 + np.abs(lam[sole_user]))
-                f_a = (da * (1.0 + nu_full * c1) - lam[user1]) \
-                    / (1.0 + np.abs(lam[user1]))
-                f_b = (db * (1.0 + nu_full * c2) - lam[user2]) \
-                    / (1.0 + np.abs(lam[user2]))
-                rates = np.bincount(sole_user, weights=x, minlength=K)
-                if m:
-                    rates = rates \
-                        + np.bincount(user1, weights=a, minlength=K) \
-                        + np.bincount(user2, weights=b, minlength=K)
-                f_rate = (rates - q) / (1.0 + q)
-                parts = [f_sole, f_a, f_b, f_rate]
-                if na:
-                    p1 = (2.0 ** a - 1.0) / u11
-                    p2 = (2.0 ** b - 1.0) / u22
-                    f_act = []
-                    for j in act_idx:
-                        scale = abs(p1[j]) * max(lo_ratio[j], hi_ratio[j]) \
-                            + abs(p2[j]) + 1e-300
-                        if active[j] == 1:
-                            f_act.append((p1[j] * lo_ratio[j] - p2[j])
-                                         / scale)
-                        else:
-                            f_act.append((p2[j] - p1[j] * hi_ratio[j])
-                                         / scale)
-                    parts.append(np.array(f_act))
-                return np.concatenate(parts)
+    def slacks(x):
+        rates = np.bincount(user, weights=np.log2(1.0 + u * x), minlength=K)
+        return np.concatenate([x, x[ib] - lo * x[ia], hi * x[ia] - x[ib],
+                               rates - q])
 
-        lam0 = np.full(K, LN2)
-        for k in range(K):
-            vals = [LN2 * 2.0 ** x0[i] / sole_u[i]
-                    for i in range(ns) if sole_user[i] == k]
-            vals += [LN2 * 2.0 ** a0[j] / u11[j]
-                     for j in range(m) if user1[j] == k]
-            vals += [LN2 * 2.0 ** b0[j] / u22[j]
-                     for j in range(m) if user2[j] == k]
-            if vals:
-                lam0[k] = float(np.mean(vals))
-        z0 = np.concatenate([x0, a0, b0, lam0, np.zeros(na)])
-        report = solve_system(residual, z0, tol=1e-9, max_iter=120)
-        if not report.converged:
-            return None
-        z = report.solution
-        x = z[:ns]
-        a = z[ns:ns + m]
-        b = z[ns + m:ns + 2 * m]
-        nu = z[ns + 2 * m + K:]
-        p_sole, p1, p2 = powers_of(x, a, b)
-        if (p_sole < -1e-12).any() or (p1 < -1e-12).any() \
-                or (p2 < -1e-12).any():
-            return None
-        # inactive window sides must hold, multipliers must be dual-feasible
-        slack = 1e-7
-        for j in range(m):
-            wscale = p1[j] * max(lo_ratio[j], hi_ratio[j]) + p2[j] + 1e-300
-            if active[j] != 1 and \
-                    p1[j] * lo_ratio[j] - p2[j] > slack * wscale:
-                return None
-            if active[j] != 2 and \
-                    p2[j] - p1[j] * hi_ratio[j] > slack * wscale:
-                return None
-        if na and (nu < -1e-7).any():
-            return None
-        total = float(p_sole.sum() + p1.sum() + p2.sum())
-        P = np.zeros(state.gains.shape)
-        for i, (k, n, r, g) in enumerate(soles):
-            P[k, n, r] = p_sole[i]
-        for j, pair in enumerate(mp):
-            P[pair.k1, pair.n, pair.r1] = p1[j]
-            P[pair.k2, pair.n, pair.r2] = p2[j]
-        return total, P
+    def change(x, dx):
+        """The exact change of the slacks from x to x + dx. A slack near 0
+        is far smaller than the terms it is the difference of, so the
+        slacks are carried along the steps, not computed anew."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = np.log1p(u * dx / (1.0 + u * x)) / LN2
+        return np.concatenate([dx, dx[ib] - lo * dx[ia], hi * dx[ia] - dx[ib],
+                               np.bincount(user, weights=rates, minlength=K)])
 
-    branches = []
-    best = None
-    for active in itertools.product((0, 1, 2), repeat=m):
-        sol = solve_branch(active)
-        if sol is None:
-            branches.append(OracleBranch(active, math.inf, False, False))
-            continue
-        total, P = sol
-        branches.append(OracleBranch(active, total, True, True))
-        if best is None or total < best[0]:
-            best = (total, P, branches[-1])
-    if best is None:
-        raise OracleInfeasible("no active-set branch converged")
-    return OracleResult(best[0], best[1], best[2], tuple(branches))
+    for i in range(60):
+        grow = 1.0 + 1e-3 * 2.0 ** i
+        if (slacks(x * grow)[-K:] > 0).all():
+            break
+    else:
+        return failed()
+    # powers in units of the start's total, so the objective is about 1
+    ref = float(x.sum()) * grow
+    x = x * grow / ref
+    u = u * ref
+    s = slacks(x)
+    t = float(s.size)       # a duality gap bound of the start's total
+    while True:
+        for _ in range(100):
+            sx, slo, shi, srate = np.split(s, [x.size, x.size + m,
+                                               x.size + 2 * m])
+            d = u / (LN2 * (1.0 + u * x))       # d rate / d power
+            grad = t - 1.0 / sx - d / srate[user]
+            grad[ia] += lo / slo - hi / shi
+            grad[ib] += 1.0 / shi - 1.0 / slo
+            hess = np.diag(1.0 / sx ** 2 + LN2 * d ** 2 / srate[user])
+            col = np.zeros((x.size, K))
+            col[np.arange(x.size), user] = d / srate[user]
+            hess += col @ col.T
+            wa, wb = 1.0 / slo ** 2, 1.0 / shi ** 2
+            hess[ia, ia] += lo ** 2 * wa + hi ** 2 * wb
+            hess[ib, ib] += wa + wb
+            hess[ia, ib] -= lo * wa + hi * wb
+            hess[ib, ia] -= lo * wa + hi * wb
+            dx = -np.linalg.solve(hess, grad)
+            decrement = -float(grad @ dx)
+            if decrement <= 1e-10:
+                break
+            step = 1.0
+            while True:     # backtracking; a nan decrement ends here
+                ds = change(x, step * dx)
+                # the barrier's change, without its large t * total term
+                if (s + ds > 0).all() and t * step * dx.sum() \
+                        - np.log1p(ds / s).sum() <= -0.25 * step * decrement:
+                    break
+                step *= 0.5
+                if step < 1e-12:
+                    return failed()
+            x, s = x + step * dx, s + ds
+            steps += 1
+        else:
+            return failed()
+        gap = s.size / (t * x.sum())
+        if gap <= 1e-12:
+            break
+        t *= 20.0
+
+    P = np.zeros(G.shape)
+    for i, (k, n, r, _) in enumerate(soles):
+        P[k, n, r] = x[i] * ref
+    for j, p in enumerate(mp):
+        P[p.k1, p.n, p.r1] = x[ia[j]] * ref
+        P[p.k2, p.n, p.r2] = x[ib[j]] * ref
+    return OpaResult(P, float(P.sum()), True, steps, gap)

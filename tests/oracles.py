@@ -2,18 +2,23 @@
 
 Everything here deliberately avoids the closed-form shortcuts under test:
 waterlines come from bisection on the monotone rate-of-waterline map, power
-deltas from full recomputation of user totals, and the local power optimum
-from dense grid search. Slow and simple on purpose.
+deltas from full recomputation of user totals, the local power optimum
+from dense grid search, and the mutual-SIC power optimum from one KKT solve
+per active set of the pair windows (3^m of them, with central-difference
+Jacobians). Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from nomadas.optimal_pa import LN2, OpaResult, _collect_slots
+from nomadas.solver import solve_system
 
 # the four link gains of a cross-RRH pair, in the kernels' tuple order
 PairGains = namedtuple("PairGains", "g11 g12 g21 g22")
@@ -221,3 +226,184 @@ def opa_kkt_residual(state, result: OpaResult) -> float:
     q = state.demands / state.sc_bw_hz
     res.extend(((rates - q) / (1.0 + q)).tolist())
     return float(np.max(np.abs(res)))
+
+
+class OracleInfeasible(RuntimeError):
+    """No active-set branch of the oracle produced a valid KKT point."""
+
+
+@dataclass(frozen=True)
+class OracleBranch:
+    """One active-set combination and its KKT solve outcome."""
+
+    active: tuple
+    total_power_w: float
+    converged: bool
+    feasible: bool
+
+
+@dataclass(frozen=True)
+class OracleResult:
+    """Best branch of the constrained mutual-SIC power program."""
+
+    total_power_w: float
+    power_w: np.ndarray
+    branch: OracleBranch
+    branches: tuple
+
+
+# -- mutual-SIC window-branch enumeration -------------------------------------
+
+def constrained_mutual_pa_oracle(state) -> OracleResult:
+    """Reference optimum for a fixed sole + mutual-SIC assignment.
+
+    Enumerates all 3^m combinations of {inactive, lower edge, upper edge}
+    for the m per-pair power windows, solves each branch's equality KKT
+    system, keeps branches whose inactive constraints hold and whose
+    multipliers are non-negative, and returns the cheapest. Intended for
+    small instances only.
+    """
+    if any(p.r1 == p.r2 for p in state.pairs):
+        raise ValueError("oracle does not handle same-RRH pairs")
+    s2 = state.sigma2_w
+    sc_bw = state.sc_bw_hz
+    K = state.num_users
+    soles, _ = _collect_slots(state)    # no same-RRH pairs: sole slots
+    mp = state.pairs
+    m = len(mp)
+    ns = len(soles)
+
+    sole_user = np.array([s[0] for s in soles], dtype=int)
+    sole_u = np.array([s[3] for s in soles]) / s2
+    G = state.gains
+    g11 = np.array([float(G[p.k1, p.n, p.r1]) for p in mp])
+    g12 = np.array([float(G[p.k1, p.n, p.r2]) for p in mp])
+    g21 = np.array([float(G[p.k2, p.n, p.r1]) for p in mp])
+    g22 = np.array([float(G[p.k2, p.n, p.r2]) for p in mp])
+    u11 = g11 / s2
+    u22 = g22 / s2
+    lo_ratio = g11 / g12
+    hi_ratio = g21 / g22
+    user1 = np.array([p.k1 for p in mp], dtype=int)
+    user2 = np.array([p.k2 for p in mp], dtype=int)
+
+    q = state.demands / sc_bw
+    x0 = np.array([math.log2(max(state.waterline[k] * g / s2, 1.0))
+                   for (k, n, r, g) in soles])
+    a0 = np.array([p.rate1_bps / sc_bw for p in mp])
+    b0 = np.array([p.rate2_bps / sc_bw for p in mp])
+
+    def powers_of(x, a, b):
+        return (2.0 ** x - 1.0) / sole_u, (2.0 ** a - 1.0) / u11, \
+            (2.0 ** b - 1.0) / u22
+
+    def solve_branch(active):
+        act_idx = [j for j in range(m) if active[j] != 0]
+        na = len(act_idx)
+        act_arr = np.array(active, dtype=int) if m else np.zeros(0, int)
+        # constraint gradients wrt (p1, p2): lo edge (lo_ratio, -1),
+        # hi edge (-hi_ratio, 1); inactive pairs carry nu = 0
+        c1 = np.where(act_arr == 1, lo_ratio, -hi_ratio)
+        c2 = np.where(act_arr == 1, -1.0, 1.0)
+
+        def residual(z):
+            # exploratory newton steps can overflow the exponentials; the
+            # resulting inf/nan rows are rejected by the line search
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = z[:ns]
+                a = z[ns:ns + m]
+                b = z[ns + m:ns + 2 * m]
+                lam = z[ns + 2 * m:ns + 2 * m + K]
+                nu_full = np.zeros(m)
+                if na:
+                    nu_full[act_idx] = z[ns + 2 * m + K:]
+                d_sole = LN2 * 2.0 ** x / sole_u
+                da = LN2 * 2.0 ** a / u11
+                db = LN2 * 2.0 ** b / u22
+                f_sole = (d_sole - lam[sole_user]) \
+                    / (1.0 + np.abs(lam[sole_user]))
+                f_a = (da * (1.0 + nu_full * c1) - lam[user1]) \
+                    / (1.0 + np.abs(lam[user1]))
+                f_b = (db * (1.0 + nu_full * c2) - lam[user2]) \
+                    / (1.0 + np.abs(lam[user2]))
+                rates = np.bincount(sole_user, weights=x, minlength=K)
+                if m:
+                    rates = rates \
+                        + np.bincount(user1, weights=a, minlength=K) \
+                        + np.bincount(user2, weights=b, minlength=K)
+                f_rate = (rates - q) / (1.0 + q)
+                parts = [f_sole, f_a, f_b, f_rate]
+                if na:
+                    p1 = (2.0 ** a - 1.0) / u11
+                    p2 = (2.0 ** b - 1.0) / u22
+                    f_act = []
+                    for j in act_idx:
+                        scale = abs(p1[j]) * max(lo_ratio[j], hi_ratio[j]) \
+                            + abs(p2[j]) + 1e-300
+                        if active[j] == 1:
+                            f_act.append((p1[j] * lo_ratio[j] - p2[j])
+                                         / scale)
+                        else:
+                            f_act.append((p2[j] - p1[j] * hi_ratio[j])
+                                         / scale)
+                    parts.append(np.array(f_act))
+                return np.concatenate(parts)
+
+        lam0 = np.full(K, LN2)
+        for k in range(K):
+            vals = [LN2 * 2.0 ** x0[i] / sole_u[i]
+                    for i in range(ns) if sole_user[i] == k]
+            vals += [LN2 * 2.0 ** a0[j] / u11[j]
+                     for j in range(m) if user1[j] == k]
+            vals += [LN2 * 2.0 ** b0[j] / u22[j]
+                     for j in range(m) if user2[j] == k]
+            if vals:
+                lam0[k] = float(np.mean(vals))
+        z0 = np.concatenate([x0, a0, b0, lam0, np.zeros(na)])
+        report = solve_system(residual, z0, tol=1e-9, max_iter=120)
+        if not report.converged:
+            return None
+        z = report.solution
+        x = z[:ns]
+        a = z[ns:ns + m]
+        b = z[ns + m:ns + 2 * m]
+        nu = z[ns + 2 * m + K:]
+        p_sole, p1, p2 = powers_of(x, a, b)
+        if (p_sole < -1e-12).any() or (p1 < -1e-12).any() \
+                or (p2 < -1e-12).any():
+            return None
+        # inactive window sides must hold, multipliers must be dual-feasible
+        slack = 1e-7
+        for j in range(m):
+            wscale = p1[j] * max(lo_ratio[j], hi_ratio[j]) + p2[j] + 1e-300
+            if active[j] != 1 and \
+                    p1[j] * lo_ratio[j] - p2[j] > slack * wscale:
+                return None
+            if active[j] != 2 and \
+                    p2[j] - p1[j] * hi_ratio[j] > slack * wscale:
+                return None
+        if na and (nu < -1e-7).any():
+            return None
+        total = float(p_sole.sum() + p1.sum() + p2.sum())
+        P = np.zeros(state.gains.shape)
+        for i, (k, n, r, g) in enumerate(soles):
+            P[k, n, r] = p_sole[i]
+        for j, pair in enumerate(mp):
+            P[pair.k1, pair.n, pair.r1] = p1[j]
+            P[pair.k2, pair.n, pair.r2] = p2[j]
+        return total, P
+
+    branches = []
+    best = None
+    for active in itertools.product((0, 1, 2), repeat=m):
+        sol = solve_branch(active)
+        if sol is None:
+            branches.append(OracleBranch(active, math.inf, False, False))
+            continue
+        total, P = sol
+        branches.append(OracleBranch(active, total, True, True))
+        if best is None or total < best[0]:
+            best = (total, P, branches[-1])
+    if best is None:
+        raise OracleInfeasible("no active-set branch converged")
+    return OracleResult(best[0], best[1], best[2], tuple(branches))

@@ -18,14 +18,14 @@ from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
 from nomadas.mutual_sic import (_dp1, _dp2, _stationarity, dpa_adjust,
                                 opad_cases)
-from nomadas.optimal_pa import (constrained_mutual_pa_oracle,
-                                optimal_power_allocation)
+from nomadas.optimal_pa import optimal_power_allocation
 from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
                                rate_second, waterline_add, waterline_from_rate,
                                waterline_rate_shift)
 
 from conftest import drops
-from oracles import (SIGMA2_REF, bisection_waterline, grid_best_second_power,
+from oracles import (SIGMA2_REF, bisection_waterline,
+                     constrained_mutual_pa_oracle, grid_best_second_power,
                      opa_kkt_residual, pairing_delta_closed_over_grid,
                      sample_pair_instance, total_power_at_rate)
 

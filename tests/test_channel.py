@@ -1,6 +1,8 @@
 """Link gain generation: path loss, shadowing, fading."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -105,3 +107,16 @@ def test_shadowing_standard_deviation():
         samples.append(10.0 * np.log10(t.gains[:, 0, :]).ravel())
     std = float(np.std(np.concatenate(samples)))
     assert std == pytest.approx(8.0, abs=0.3)
+
+
+# -- copies -------------------------------------------------------------------------
+
+@pytest.mark.parametrize("duplicate", [
+    lambda ch: pickle.loads(pickle.dumps(ch)), copy.deepcopy],
+    ids=["pickle", "deepcopy"])
+def test_copied_channel_keeps_read_only_gains(duplicate):
+    ch = generate_channel(Scenario(), np.random.default_rng(0))
+    twin = duplicate(ch)
+    assert not twin.gains.flags.writeable
+    assert np.array_equal(twin.gains, ch.gains)
+    assert twin.sigma2_w == ch.sigma2_w and twin.scenario == ch.scenario

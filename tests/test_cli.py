@@ -14,7 +14,8 @@ from nomadas import ALGORITHMS
 from nomadas import allocators, cli
 from nomadas.audit import AuditReport
 from nomadas.cli import _parse_algorithms, build_parser, main
-from nomadas.harness import AggregateRow, TrialRecord, read_csv
+from nomadas.harness import AggregateRow, TrialRecord, read_csv, run_trial
+from nomadas.optimal_pa import OpaResult
 
 DEFAULT_ALGS = ("OMA-DAS", "SRRH", "SRRH-LPO")
 
@@ -172,6 +173,30 @@ def test_oracle_checks_window_constrained_optimum(capsys):
     assert int(checked.group(1)) > 0
 
 
+@pytest.mark.parametrize("converges", [True, False],
+                         ids=["solver", "unconverged"])
+def test_oracle_counts_every_mutual_drop(converges, monkeypatch, capsys):
+    """A drop with a mutual pair is checked or counted as unconverged."""
+    trials = 20
+    mutual = sum(bool(res.state.pairs) for t in range(trials) for _, res in
+                 run_trial(cli.ORACLE_CELL, ("MutSIC-DPA",), 0, t)[1])
+    if not converges:
+        def unconverged(state):
+            P = state.power_tensor()
+            return OpaResult(P, float(P.sum()), False, 0, float("inf"))
+
+        monkeypatch.setattr(cli, "mutual_power_optimum", unconverged)
+    rc = main(["oracle", "--trials", str(trials)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    checked, bad = map(int, re.search(
+        r"window-constrained optimum on (\d+) drops \((\d+) unconverged\)",
+        out).groups())
+    assert mutual > 0 and checked + bad == mutual
+    assert bad == (0 if converges else mutual)
+    assert out.count("window-constrained optimum did not converge") == bad
+
+
 def test_audit_takes_no_workers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--workers", "7"])
@@ -208,11 +233,21 @@ def test_module_entry_point(tmp_path, config_json):
     assert len(read_csv(TrialRecord, out)) == 1
 
 
-def test_invalid_scenario_is_a_one_line_error(tmp_path):
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--rate=-1e6", "--trials", "1"],
+     "invalid scenario: cell radius and rate demand must be positive"),
+    (["simulate", "--trials", "0"],
+     "invalid run settings: trials and workers must be positive"),
+    (["simulate", "--workers", "0", "--trials", "1"],
+     "invalid run settings: trials and workers must be positive"),
+    (["sweep", "--axis", "users", "--values=100", "--trials", "1"],
+     "invalid run settings: needs at least one subcarrier per user"),
+    (["sweep", "--axis", "rate", "--values=-1e6", "--trials", "1"],
+     "invalid run settings: cell radius and rate demand must be positive"),
+], ids=["rate", "trials", "workers", "sweep-users", "sweep-rate"])
+def test_invalid_scenario_is_a_one_line_error(args, message, tmp_path):
     out = tmp_path / "trials.csv"
-    proc = _run_module("simulate", "--rate=-1e6", "--trials", "1",
-                       "--out", str(out))
+    proc = _run_module(*args, "--out", str(out))
     assert proc.returncode != 0
-    assert proc.stderr == \
-        "invalid scenario: cell radius and rate demand must be positive\n"
+    assert proc.stderr == message + "\n"
     assert not out.exists()

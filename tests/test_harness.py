@@ -43,6 +43,14 @@ def test_config_rejects_nonpositive_counts(field):
         RunConfig(SMALL, **field)
 
 
+@pytest.mark.parametrize("axis, value, message", [
+    ("users", 100, "subcarrier per user"), ("rate", -1e6, "rate demand")])
+def test_config_rejects_invalid_sweep_point(axis, value, message):
+    """A bad point fails when the run is configured, not in a worker."""
+    with pytest.raises(ValueError, match=message):
+        RunConfig(SMALL, sweep_axis=axis, sweep_values=(2, value))
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(ValueError, match="base_seed"):
         RunConfig(SMALL, base_seed=-1)

@@ -1,4 +1,6 @@
-"""Joint power optimization for fixed assignments, and its branch oracle."""
+"""Joint power optimization for fixed assignments: the single-SIC KKT
+solve, and the mutual-SIC barrier solve against the window-branch
+enumeration."""
 
 import numpy as np
 import pytest
@@ -6,12 +8,11 @@ import pytest
 from nomadas import (AlgorithmConfig, Scenario, generate_channel,
                      run_algorithm, solver)
 from nomadas import optimal_pa
-from nomadas.optimal_pa import (constrained_mutual_pa_oracle,
-                                optimal_power_allocation)
+from nomadas.optimal_pa import mutual_power_optimum, optimal_power_allocation
 from nomadas.waterfill import rate_second, rate_single
 
 from conftest import TINY, drops
-from oracles import opa_kkt_residual
+from oracles import constrained_mutual_pa_oracle, opa_kkt_residual
 
 DENSE_TINY = TINY.with_(num_users=6, rate_demand_bps=12e6, num_rrhs=4)
 
@@ -52,8 +53,10 @@ def test_oracle_rejects_single_sic_pairs():
     for seed in range(40):
         st = _state("SRRH-LPO", seed)
         if st.pairs:
-            with pytest.raises(ValueError, match="same-RRH"):
-                constrained_mutual_pa_oracle(st)
+            for optimum in (mutual_power_optimum,
+                            constrained_mutual_pa_oracle):
+                with pytest.raises(ValueError, match="same-RRH"):
+                    optimum(st)
             return
     pytest.fail("no drop produced a single-SIC pair")
 
@@ -74,6 +77,9 @@ def test_oracle_matches_waterfilling_without_pairs():
     res = constrained_mutual_pa_oracle(st)
     assert len(res.branches) == 1
     assert res.total_power_w == pytest.approx(st.total_power(), rel=1e-6)
+    barrier = mutual_power_optimum(st)
+    assert barrier.converged
+    assert barrier.total_power_w == pytest.approx(st.total_power(), rel=1e-9)
 
 
 # -- paired assignments ----------------------------------------------------------------
@@ -244,3 +250,78 @@ def test_oracle_meets_demands():
             res.state.demands, rel=1e-6)
         return
     pytest.fail("no drop produced a mutual pair")
+
+
+# -- the barrier solve against the enumeration and the greedy ------------------
+
+MUTUAL_MODES = ("MutSIC-DPA", "MutSIC-SOPAd", "MutSIC-OPAd")
+
+
+def window_excess(state, P):
+    """Largest relative distance of a pair's p2 outside its window."""
+    G = state.gains
+    worst = 0.0
+    for p in state.pairs:
+        p1, p2 = P[p.k1, p.n, p.r1], P[p.k2, p.n, p.r2]
+        lo = p1 * G[p.k1, p.n, p.r1] / G[p.k1, p.n, p.r2]
+        hi = p1 * G[p.k2, p.n, p.r1] / G[p.k2, p.n, p.r2]
+        worst = max(worst, (lo - p2) / p2, (p2 - hi) / p2)
+    return worst
+
+
+def test_mutual_optimum_matches_enumeration():
+    """On 1-3 pairs the barrier solve equals every branch of the window
+    enumeration's best, meets the demands and keeps the windows."""
+    checked = 0
+    for alg in MUTUAL_MODES:
+        for ch in drops(DENSE_TINY, 40, base_seed=5):
+            st = run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0)).state
+            if not 1 <= len(st.pairs) <= 3:
+                continue
+            res = mutual_power_optimum(st)
+            ref = constrained_mutual_pa_oracle(st)
+            assert res.converged
+            assert res.total_power_w == pytest.approx(ref.total_power_w,
+                                                      rel=1e-8)
+            assert res.total_power_w == pytest.approx(
+                float(res.power_w.sum()), rel=1e-12)
+            assert rates_from(st, res.power_w) == pytest.approx(
+                st.demands, rel=1e-6)
+            assert window_excess(st, res.power_w) <= 1e-12
+            assert (res.power_w >= 0.0).all()
+            checked += 1
+    assert checked >= 50
+
+
+def test_mutual_optimum_never_above_greedy_at_paper_scale():
+    """Paper-cell drops carry 10-20 pairs, far beyond the enumeration."""
+    for alg in MUTUAL_MODES:
+        for ch in drops(Scenario(), 5, base_seed=2):
+            res = run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+            assert res.state.pairs
+            opt = mutual_power_optimum(res.state)
+            assert opt.converged
+            assert res.total_power_w >= opt.total_power_w * (1.0 - 1e-9)
+            assert rates_from(res.state, opt.power_w) == pytest.approx(
+                res.state.demands, rel=1e-6)
+            assert window_excess(res.state, opt.power_w) <= 1e-12
+
+
+def test_mutual_optimum_without_interior_keeps_input_powers():
+    """A pair whose window is empty has no strictly feasible point: the
+    solve reports it instead of raising."""
+    for ch in drops(DENSE_TINY, 40, base_seed=5):
+        st = run_algorithm(ch, AlgorithmConfig("MutSIC-DPA")).state
+        if st.pairs:
+            break
+    p = st.pairs[0]
+    gains = st.gains.copy()
+    # g21 / g22 = g11 / g12 / 2: the upper edge below the lower one
+    gains[p.k2, p.n, p.r1] = 0.5 * gains[p.k2, p.n, p.r2] \
+        * gains[p.k1, p.n, p.r1] / gains[p.k1, p.n, p.r2]
+    st = st.fork()
+    st.gains = gains
+    res = mutual_power_optimum(st)
+    assert not res.converged
+    assert np.array_equal(res.power_w, st.power_tensor())
+    assert res.total_power_w == float(st.power_tensor().sum())

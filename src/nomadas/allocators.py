@@ -201,13 +201,19 @@ class AllocationState:
         """Sole holders per subcarrier (two only under MutSIC-UC)."""
         return np.count_nonzero(self.owner >= 0, axis=1)
 
-    def sole_slots(self):
-        """(user, subcarrier, RRH) arrays of the sole holdings, ordered by
-        user, then subcarrier, then RRH."""
-        ns, rs = np.nonzero(self.owner >= 0)
-        ks = self.owner[ns, rs]
-        order = np.argsort(ks, kind="stable")
-        return ks[order], ns[order], rs[order]
+    def links(self):
+        """(user, subcarrier, RRH, power) arrays of every transmitting
+        link: the sole holdings by user, then subcarrier, then RRH, at
+        their waterline powers; then the first link of every pair, in
+        pairs order; then the second links, in the same order."""
+        ks, ns, rs = np.nonzero(
+            self.owner == np.arange(self.num_users)[:, None, None])
+        p = self.waterline[ks] - self.sigma2_w / self.gains[ks, ns, rs]
+        ends = [(q.k1, q.n, q.r1, q.p1_w) for q in self.pairs] \
+            + [(q.k2, q.n, q.r2, q.p2_w) for q in self.pairs]
+        k, n, r, p = np.vstack([np.column_stack([ks, ns, rs, p]),
+                                np.reshape(ends, (-1, 4))]).T
+        return k.astype(int), n.astype(int), r.astype(int), p
 
     def sole_gains(self, k: int) -> np.ndarray:
         return self.gains[k][self.owner == k]
@@ -257,12 +263,8 @@ class AllocationState:
     def power_tensor(self) -> np.ndarray:
         """Dense (users, subcarriers, RRHs) transmit powers."""
         P = np.zeros(self.gains.shape)
-        ks, ns, rs = self.sole_slots()
-        g = self.gains[ks, ns, rs]
-        P[ks, ns, rs] = self.waterline[ks] - self.sigma2_w / g
-        for p in self.pairs:
-            P[p.k1, p.n, p.r1] = p.p1_w
-            P[p.k2, p.n, p.r2] = p.p2_w
+        k, n, r, p = self.links()
+        P[k, n, r] = p
         return P
 
 

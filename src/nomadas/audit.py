@@ -16,25 +16,10 @@ from .allocators import AllocationResult
 from .harness import run_trial
 from .mutual_sic import power_window, rate_condition_terms
 from .scenario import Scenario
-from .waterfill import (InfeasibleWaterline, rate_second, rate_single,
-                        waterline_from_rate)
+from .waterfill import InfeasibleWaterline, rate_second, waterline_from_rate
 
 RATE_RTOL = 1e-6
 WINDOW_RTOL = 1e-12
-
-
-def _role_map(state):
-    """Subcarrier occupancy: n -> list of (role, user, rrh, gain)."""
-    roles = {}
-    G = state.gains
-    for k, n, r in zip(*state.sole_slots()):
-        roles.setdefault(n, []).append(("sole", k, r, float(G[k, n, r])))
-    for p in state.pairs:
-        named = ("first", "second") if p.r1 == p.r2 else ("mut1", "mut2")
-        roles.setdefault(p.n, []).extend(
-            (role, k, r, float(G[k, p.n, r]))
-            for role, k, r in zip(named, (p.k1, p.k2), (p.r1, p.r2)))
-    return roles
 
 
 def audit_result(result: AllocationResult) -> list[str]:
@@ -43,27 +28,33 @@ def audit_result(result: AllocationResult) -> list[str]:
     alg = result.algorithm
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
+    G = state.gains
     P = result.power_w
     v = []
 
-    # occupancy: at most two users per subcarrier, counters consistent
-    roles = _role_map(state)
-    shared_sole = 0
-    for n, entries in roles.items():
-        if len(entries) > 2:
-            v.append(f"subcarrier {n} carries {len(entries)} users")
-        if len(entries) == 2 and {e[0] for e in entries} == {"sole"}:
-            # only the unconstrained benchmark may double-book a
-            # subcarrier with two floating users, and only across RRHs
-            if result.algorithm != "MutSIC-UC":
-                v.append(f"subcarrier {n} has two sole owners")
-            elif entries[0][1] == entries[1][1]:
-                v.append(f"subcarrier {n} shared by one user twice")
-            elif entries[0][2] == entries[1][2]:
-                v.append(f"subcarrier {n} shared within one RRH")
-            else:
-                shared_sole += 1
+    # occupancy: at most two users per subcarrier, counters consistent;
+    # the links are the soles, then the pairs' first, then second links
+    ks, ns, rs, _ = state.links()
+    m = len(state.pairs)
     S = state.num_subcarriers
+    users = np.bincount(ns, minlength=S)
+    for n in np.flatnonzero(users > 2):
+        v.append(f"subcarrier {n} carries {users[n]} users")
+    sole = np.arange(ks.size) < ks.size - 2 * m
+    shared_sole = 0
+    for n in np.flatnonzero((users == 2)
+                            & (np.bincount(ns[sole], minlength=S) == 2)):
+        # only the unconstrained benchmark may double-book a subcarrier
+        # with two floating users, and only across RRHs
+        a, b = np.flatnonzero(sole & (ns == n))
+        if result.algorithm != "MutSIC-UC":
+            v.append(f"subcarrier {n} has two sole owners")
+        elif ks[a] == ks[b]:
+            v.append(f"subcarrier {n} shared by one user twice")
+        elif rs[a] == rs[b]:
+            v.append(f"subcarrier {n} shared within one RRH")
+        else:
+            shared_sole += 1
     n_sing = sum(p.r1 == p.r2 for p in state.pairs)
     n_mut = len(state.pairs) - n_sing + shared_sole
     if result.mutsic_sc != n_mut or result.singsic_sc != n_sing \
@@ -72,9 +63,7 @@ def audit_result(result: AllocationResult) -> list[str]:
 
     # power appears only on assigned slots and is never negative
     mask = np.zeros(P.shape, dtype=bool)
-    for n, entries in roles.items():
-        for _, k, r, _g in entries:
-            mask[k, n, r] = True
+    mask[ks, ns, rs] = True
     if np.count_nonzero(P[~mask]):
         v.append("power on an unassigned (user, subcarrier, RRH) slot")
     if P.min() < -1e-15:
@@ -83,19 +72,16 @@ def audit_result(result: AllocationResult) -> list[str]:
         # the rate helpers reject the corrupt values
         P = np.maximum(P, 0.0)
 
-    # every user's demand is met exactly, recomputed from the tensor
-    rates = np.zeros(state.num_users)
-    for n, entries in roles.items():
-        by_role = {e[0]: e for e in entries}
-        if "first" in by_role:
-            _, k1, r, g1 = by_role["first"]
-            _, k2, _, g2 = by_role["second"]
-            rates[k1] += rate_single(P[k1, n, r], g1, s2, sc_bw)
-            rates[k2] += rate_second(P[k2, n, r], P[k1, n, r], g2, s2,
-                                     sc_bw)
-        else:
-            for role, k, r, g in entries:
-                rates[k] += rate_single(P[k, n, r], g, s2, sc_bw)
+    # every user's demand is met exactly, recomputed from the tensor: a
+    # same-RRH second link hears its first link's power, every other link
+    # hears none
+    p = P[ks, ns, rs]
+    first = np.arange(ks.size - 2 * m, ks.size - m)
+    heard = np.zeros(ks.size)
+    heard[first + m] = np.where(rs[first] == rs[first + m], p[first], 0.0)
+    rates = np.bincount(ks, weights=rate_second(p, heard, G[ks, ns, rs], s2,
+                                                sc_bw),
+                        minlength=state.num_users)
     for k in range(state.num_users):
         if abs(rates[k] - state.demands[k]) > RATE_RTOL * state.demands[k]:
             v.append(f"user {k} rate {rates[k]:.6e} misses demand "
@@ -105,7 +91,7 @@ def audit_result(result: AllocationResult) -> list[str]:
     # powered; mutual pairs: power window and exact decodability margins
     for pair in state.pairs:
         n = pair.n
-        gains = tuple(float(state.gains[k, n, r]) for k in (pair.k1, pair.k2)
+        gains = tuple(float(G[k, n, r]) for k in (pair.k1, pair.k2)
                       for r in (pair.r1, pair.r2))     # g11, g12, g21, g22
         p1, p2 = float(P[pair.k1, n, pair.r1]), float(P[pair.k2, n, pair.r2])
         if pair.r1 == pair.r2:

@@ -57,17 +57,24 @@ def _scenario_from(args) -> Scenario:
     return scen
 
 
-def _seed(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative: {text}")
-    return int(text)
+def _int_at_least(least: int, message: str):
+    """An argparse type: an integer of at least `least`, else `message`."""
+    def parse(text: str) -> int:
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{message}: {text}")
+        return int(text)
+    return parse
+
+
+_seed = _int_at_least(0, "seed must be non-negative")
+_positive = _int_at_least(1, "must be positive")  # 0 trials check nothing
 
 
 def _add_common(p):
     p.add_argument("--config", help="scenario JSON file (defaults built in)")
     p.add_argument("--algorithms", default="OMA-DAS,SRRH,SRRH-LPO",
                    help="comma-separated algorithm names, or 'all'")
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive, default=50)
     p.add_argument("--seed", type=_seed, default=0)
 
 
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo at one operating point")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--rate", type=float, help="override rate demand (bit/s)")
     p.add_argument("--out", required=True, help="per-trial CSV path")
     p.add_argument("--aggregate-out", help="aggregate CSV path")
@@ -164,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="Monte Carlo across a parameter axis")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive, default=1)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values")
@@ -178,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("oracle", help="greedy vs reference optimizers")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive, default=20)
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_oracle)
 

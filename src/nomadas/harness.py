@@ -28,12 +28,12 @@ from .allocators import ALGORITHMS, run_algorithms
 from .channel import generate_channel
 from .scenario import Scenario
 
-# sweep axis -> (the Scenario field it replaces, that field's type)
+# sweep axis -> the Scenario field it replaces
 SWEEP_AXES = {
-    "rate": ("rate_demand_bps", float),
-    "users": ("num_users", int),
-    "rrhs": ("num_rrhs", int),
-    "subcarriers": ("num_subcarriers", int),
+    "rate": "rate_demand_bps",
+    "users": "num_users",
+    "rrhs": "num_rrhs",
+    "subcarriers": "num_subcarriers",
 }
 
 
@@ -119,11 +119,11 @@ class AggregateRow:
 
 
 def apply_sweep(scenario: Scenario, axis: str, value) -> Scenario:
-    """Scenario with one swept parameter replaced."""
+    """Scenario with one swept parameter replaced; Scenario checks the
+    value (a count must be integral)."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    field, kind = SWEEP_AXES[axis]
-    return scenario.with_(**{field: kind(value)})
+    return scenario.with_(**{SWEEP_AXES[axis]: value})
 
 
 def trial_seed(base_seed: int, trial: int) -> int:
@@ -168,7 +168,7 @@ def sweep_points(config: RunConfig) -> tuple:
     """The swept values, or the scenario's own value of the axis."""
     if config.sweep_values:
         return tuple(config.sweep_values)
-    return (getattr(config.scenario, SWEEP_AXES[config.sweep_axis][0]),)
+    return (getattr(config.scenario, SWEEP_AXES[config.sweep_axis]),)
 
 
 def run_monte_carlo(config: RunConfig) -> list:

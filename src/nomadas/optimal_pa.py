@@ -43,24 +43,6 @@ class OpaResult:
     residual_norm: float
 
 
-def _collect_slots(state):
-    """Flatten a state's assignment into slot and pair index arrays.
-
-    A slot is any subcarrier decoded interference-free by its first user:
-    all sole holdings, by user, then subcarrier, then RRH, plus the first
-    position of every same-RRH pair.
-    """
-    slots = [(k, n, r, float(state.gains[k, n, r]))     # (user, n, r, gain)
-             for k, n, r in zip(*state.sole_slots())]
-    pairs = []      # (slot_index, user2, gain2)
-    for p in state.pairs:
-        if p.r1 == p.r2:
-            g1, g2 = (float(state.gains[k, p.n, p.r1]) for k in (p.k1, p.k2))
-            pairs.append((len(slots), p.k2, g2))
-            slots.append((p.k1, p.n, p.r1, g1))
-    return slots, pairs
-
-
 class _KktLayout(NamedTuple):
     """Index arrays of the KKT system of a sole + single-SIC assignment.
 
@@ -78,16 +60,20 @@ class _KktLayout(NamedTuple):
 
 
 def _kkt_layout(state):
-    """The state's slots (see _collect_slots) and their _KktLayout."""
-    s2 = state.sigma2_w
-    slots, pairs = _collect_slots(state)
-    return slots, _KktLayout(
-        slot_user=np.array([s[0] for s in slots], dtype=int),
-        slot_u=np.array([s[3] for s in slots]) / s2,
-        pair_slot=np.array([p[0] for p in pairs], dtype=int),
-        pair_user=np.array([p[1] for p in pairs], dtype=int),
-        pair_u=np.array([p[2] for p in pairs]) / s2,
-        q=state.demands / state.sc_bw_hz)
+    """The state's links (AllocationState.links) and their _KktLayout.
+
+    The slots, each decoded interference-free by its user, are every
+    link but the last m: the sole holdings, then the m pairs' first
+    links. The pairs' second links, the last m links, stack on the last
+    m slots.
+    """
+    links = k, n, r, _ = state.links()
+    m = len(state.pairs)
+    ns = k.size - m
+    u = state.gains[k, n, r] / state.sigma2_w
+    return links, _KktLayout(
+        slot_user=k[:ns], slot_u=u[:ns], pair_slot=ns - m + np.arange(m),
+        pair_user=k[ns:], pair_u=u[ns:], q=state.demands / state.sc_bw_hz)
 
 
 def _marginals(lay, x, y):
@@ -178,25 +164,19 @@ def optimal_power_allocation(state) -> OpaResult:
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
     K = state.num_users
-    slots, lay = _kkt_layout(state)
+    (k, n, r, p), lay = _kkt_layout(state)
     ns, npair = lay.slot_u.size, lay.pair_u.size
 
     # start from the realized allocation: x, y are per-subcarrier rates
     p_now = state.power_tensor()
     input_total = float(p_now.sum())
-    x0 = np.empty(ns)
-    for i, (k, n, r, g) in enumerate(slots):
-        x0[i] = math.log2(1.0 + p_now[k, n, r] * g / s2)
-    y0 = np.array([p.rate2_bps / sc_bw for p in state.pairs])
+    x0 = np.log2(1.0 + p[:ns] * state.gains[k, n, r][:ns] / s2)
+    y0 = np.array([q.rate2_bps / sc_bw for q in state.pairs])
 
-    lam0 = np.zeros(K)
-    cnt = np.zeros(K)
-    m_slot, m_pair = _marginals(lay, x0, y0)
-    np.add.at(lam0, lay.slot_user, m_slot)
-    np.add.at(cnt, lay.slot_user, 1.0)
-    np.add.at(lam0, lay.pair_user, m_pair)
-    np.add.at(cnt, lay.pair_user, 1.0)
-    lam0 /= np.maximum(cnt, 1.0)
+    # each user's mean marginal over its links, slots then pairs
+    lam0 = np.bincount(k, weights=np.concatenate(_marginals(lay, x0, y0)),
+                       minlength=K)
+    lam0 /= np.maximum(np.bincount(k, minlength=K), 1)
 
     pin_x = np.zeros(ns, dtype=bool)
     pin_y = np.zeros(npair, dtype=bool)
@@ -243,14 +223,11 @@ def optimal_power_allocation(state) -> OpaResult:
         return OpaResult(p_now, input_total, False, report.iterations,
                          report.residual_norm)
 
-    P = np.zeros(state.gains.shape)
     p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
-    for i, (k, n, r, g) in enumerate(slots):
-        P[k, n, r] = p1[i]
-    for j, p in enumerate(state.pairs):
-        i = lay.pair_slot[j]
-        P[p.k2, p.n, p.r2] = 0.0 if pin_y[j] else \
-            (2.0 ** y[j] - 1.0) * (p1[i] + 1.0 / lay.pair_u[j])
+    p2 = np.where(pin_y, 0.0, (2.0 ** y - 1.0)
+                  * (p1[lay.pair_slot] + 1.0 / lay.pair_u))
+    P = np.zeros(state.gains.shape)
+    P[k, n, r] = np.concatenate([p1, p2])
     total = float(P.sum())
     if total > input_total * (1.0 + 1e-9) + 1e-15:
         # a stationary point that does not improve the start is not the
@@ -282,19 +259,18 @@ def mutual_power_optimum(state) -> OpaResult:
     if any(p.r1 == p.r2 for p in state.pairs):
         raise ValueError("oracle does not handle same-RRH pairs")
     s2 = state.sigma2_w
-    soles, _ = _collect_slots(state)    # no same-RRH pairs: sole slots
-    mp = state.pairs
-    ns, m = len(soles), len(mp)
-    G = state.gains
-    g11, g12, g21, g22 = np.array(
-        [[G[p.k1, p.n, p.r1], G[p.k1, p.n, p.r2], G[p.k2, p.n, p.r1],
-          G[p.k2, p.n, p.r2]] for p in mp]).reshape(m, 4).T
-    lo, hi = g11 / g12, g21 / g22
-    # unknowns x: the sole powers, then every p1, then every p2
-    user = np.array([s[0] for s in soles] + [p.k1 for p in mp]
-                    + [p.k2 for p in mp], dtype=int)
-    u = np.concatenate([[s[3] for s in soles], g11, g22]) / s2
+    # the unknowns x are the links' powers: the soles', then every p1,
+    # then every p2
+    user, n, r, x = state.links()
+    m = len(state.pairs)
+    ns = user.size - 2 * m
     ia, ib = ns + np.arange(m), ns + m + np.arange(m)
+    G = state.gains
+    g = G[user, n, r]
+    g11, g12 = g[ia], G[user[ia], n[ia], r[ib]]
+    g21, g22 = G[user[ib], n[ib], r[ia]], g[ib]
+    lo, hi = g11 / g12, g21 / g22
+    u = g / s2
     q = state.demands / state.sc_bw_hz
     K = q.size
 
@@ -306,8 +282,6 @@ def mutual_power_optimum(state) -> OpaResult:
 
     if (hi <= lo).any():
         return failed()
-    x = np.concatenate([[p_now[k, n, r] for k, n, r, _ in soles],
-                        [p.p1_w for p in mp], [p.p2_w for p in mp]])
     x = np.maximum(x, 1e-9 * x.max())     # a power at 0 is on its barrier
     x[ib] = x[ia] * np.clip(x[ib] / x[ia], lo + 1e-3 * (hi - lo),
                             hi - 1e-3 * (hi - lo))
@@ -379,9 +353,5 @@ def mutual_power_optimum(state) -> OpaResult:
         t *= 20.0
 
     P = np.zeros(G.shape)
-    for i, (k, n, r, _) in enumerate(soles):
-        P[k, n, r] = x[i] * ref
-    for j, p in enumerate(mp):
-        P[p.k1, p.n, p.r1] = x[ia[j]] * ref
-        P[p.k2, p.n, p.r2] = x[ib[j]] * ref
+    P[user, n, r] = x * ref
     return OpaResult(P, float(P.sum()), True, steps, gap)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -23,8 +24,9 @@ class Scenario:
     """Static description of one simulated cell.
 
     rate_demand_bps applies to every user; shadowing_db is the standard
-    deviation of the lognormal shadowing in dB. Drops come from the rng a
-    caller passes to generate_channel, not from the scenario.
+    deviation of the lognormal shadowing in dB. The three counts take any
+    integral number, stored as int. Drops come from the rng a caller
+    passes to generate_channel, not from the scenario.
     """
 
     cell_radius_m: float = 500.0
@@ -38,6 +40,12 @@ class Scenario:
     shadowing_db: float = 8.0
 
     def __post_init__(self):
+        for name in ("num_users", "num_rrhs", "num_subcarriers"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real)
+                    and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_users < 1 or self.num_rrhs < 1 or self.num_subcarriers < 1:
             raise ValueError("users, RRHs and subcarriers must be positive")
         if self.num_users > self.num_subcarriers:
@@ -65,29 +73,24 @@ class Scenario:
         return replace(self, **kwargs)
 
 
-_CONFIG_KEYS = {
-    "cell_radius_m", "num_users", "num_rrhs", "num_subcarriers",
-    "bandwidth_hz", "noise_psd", "rate_demand_bps",
-}
-
-
 def load_scenario(path) -> Scenario:
     """Read a Scenario from a JSON config file.
 
-    Recognized keys: cell_radius_m, num_users, num_rrhs, num_subcarriers,
-    bandwidth_hz, noise_psd (W/Hz), rate_demand_bps. Unknown keys are an
-    error so typos do not silently fall back to defaults; the drops' seed
-    is a run setting (--seed), not part of the scenario.
+    The keys are Scenario's fields, with noise_psd (W/Hz) as another name
+    for noise_psd_w_per_hz. Unknown keys are an error so typos do not
+    silently fall back to defaults; the drops' seed is a run setting
+    (--seed), not part of the scenario.
     """
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - _CONFIG_KEYS
+    if "noise_psd" in raw:
+        if "noise_psd_w_per_hz" in raw:
+            raise ValueError("noise_psd and noise_psd_w_per_hz both given")
+        raw["noise_psd_w_per_hz"] = raw.pop("noise_psd")
+    unknown = set(raw) - {f.name for f in fields(Scenario)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {k: raw[k] for k in raw if k != "noise_psd"}
-    if "noise_psd" in raw:
-        kwargs["noise_psd_w_per_hz"] = float(raw["noise_psd"])
-    return Scenario(**kwargs)
+    return Scenario(**raw)
 
 
 def hexagon_contains(xy, radius_m) -> np.ndarray:

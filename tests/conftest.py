@@ -36,6 +36,14 @@ def small_channel():
     return generate_channel(SMALL, np.random.default_rng(1))
 
 
+def sole_links(state):
+    """(user, subcarrier, RRH) arrays of a state's sole holdings: its
+    links without the two links of each pair at the end."""
+    ks, ns, rs, _ = state.links()
+    end = ks.size - 2 * len(state.pairs)
+    return ks[:end], ns[:end], rs[:end]
+
+
 def drops(scenario, count, base_seed=0):
     """Deterministic sequence of channel realizations, seeded as the
     harness seeds its trials, so two base seeds never share a drop."""

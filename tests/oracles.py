@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nomadas.optimal_pa import LN2, OpaResult, _collect_slots
+from nomadas.optimal_pa import LN2, OpaResult
 from nomadas.solver import solve_system
 
 # the four link gains of a cross-RRH pair, in the kernels' tuple order
@@ -164,6 +164,13 @@ def edge_root_bisection(c, g11, g22, sigma2_w, w2, p1i, n1, n2):
             hi = mid
 
 
+def _link_tuples(state):
+    """The state's links as (user, n, r, gain) tuples, in links() order."""
+    ks, ns, rs, _ = state.links()
+    return [(int(k), int(n), int(r), float(state.gains[k, n, r]))
+            for k, n, r in zip(ks, ns, rs)]
+
+
 def opa_kkt_residual(state, result: OpaResult) -> float:
     """Normalized KKT residual of an OpaResult, recomputed from scratch.
 
@@ -173,7 +180,13 @@ def opa_kkt_residual(state, result: OpaResult) -> float:
     max(0, lambda - marginal at zero) instead of a stationarity row.
     """
     s2 = state.sigma2_w
-    slots, pairs = _collect_slots(state)
+    # slots: every link but the second links of the m same-RRH pairs,
+    # which stack on the last m slots
+    links = _link_tuples(state)
+    m = len(state.pairs)
+    slots = links[:len(links) - m]
+    pairs = [(len(slots) - m + j, k2, g2)      # (slot index, user2, gain2)
+             for j, (k2, _, _, g2) in enumerate(links[len(slots):])]
     K = state.num_users
     P = result.power_w
     x = np.array([math.log2(1.0 + P[k, n, r] * g / s2)
@@ -268,9 +281,10 @@ def constrained_mutual_pa_oracle(state) -> OracleResult:
     s2 = state.sigma2_w
     sc_bw = state.sc_bw_hz
     K = state.num_users
-    soles, _ = _collect_slots(state)    # no same-RRH pairs: sole slots
     mp = state.pairs
     m = len(mp)
+    links = _link_tuples(state)
+    soles = links[:len(links) - 2 * m]     # the sole holdings
     ns = len(soles)
 
     sole_user = np.array([s[0] for s in soles], dtype=int)

@@ -16,7 +16,7 @@ from nomadas import allocators
 from nomadas.allocators import _freeze_pair, oma_phase, worst_best_h
 from nomadas.waterfill import rate_second, rate_single
 
-from conftest import SMALL, drops
+from conftest import SMALL, drops, sole_links
 
 # heavy spectral load so the pairing phases actually fire; zero acceptance
 # threshold because desk-scale powers sit far below the default 1 mW
@@ -46,7 +46,7 @@ def achieved_rates(result):
         heard = p1 if p.r1 == p.r2 else 0.0
         rates[p.k1] += rate_single(p1, G[p.k1, p.n, p.r1], s2, bw)
         rates[p.k2] += rate_second(p2, heard, G[p.k2, p.n, p.r2], s2, bw)
-    for k, n, r in zip(*st.sole_slots()):
+    for k, n, r in zip(*sole_links(st)):
         rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
 
@@ -79,6 +79,34 @@ def test_powers_nonnegative_finite(batch, alg):
 def test_at_most_two_users_per_subcarrier(batch, alg):
     for i in range(N_DROPS):
         assert occupancy(batch[alg, i]).max() <= 2
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_links_list_every_transmitting_link_once(batch, alg):
+    """links(): the sole holdings by (user, subcarrier, RRH) at their
+    waterline powers, then each pair's first link, then each pair's second
+    link, both in pairs order; scattered, they are power_tensor()."""
+    for i in range(N_DROPS):
+        st = batch[alg, i].state
+        ks, ns, rs, p = st.links()
+        m = len(st.pairs)
+        assert len({*zip(ks, ns, rs)}) == ks.size
+        P = st.power_tensor()
+        assert {*zip(*np.nonzero(P))} <= {*zip(ks, ns, rs)}
+        dense = np.zeros(P.shape)
+        dense[ks, ns, rs] = p
+        assert dense.tobytes() == P.tobytes()
+        sole = slice(0, ks.size - 2 * m)
+        assert np.array_equal(st.owner[ns[sole], rs[sole]], ks[sole])
+        assert (st.owner >= 0).sum() == ks.size - 2 * m
+        assert np.array_equal(np.lexsort((rs[sole], ns[sole], ks[sole])),
+                              np.arange(ks.size - 2 * m))
+        assert np.array_equal(
+            p[sole], st.waterline[ks[sole]]
+            - st.sigma2_w / st.gains[ks[sole], ns[sole], rs[sole]])
+        ends = [(q.k1, q.n, q.r1, q.p1_w) for q in st.pairs] \
+            + [(q.k2, q.n, q.r2, q.p2_w) for q in st.pairs]
+        assert list(zip(ks, ns, rs, p))[ks.size - 2 * m:] == ends
 
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
@@ -283,7 +311,7 @@ def test_served_users_meet_demand_at_every_step(monkeypatch):
     def checked_log(state, *args):
         nonlocal checked
         s2, K = state.sigma2_w, state.num_users
-        ks, ns, rs = state.sole_slots()
+        ks, ns, rs = sole_links(state)
         g = state.gains[ks, ns, rs]
         sole = rate_single(state.waterline[ks] - s2 / g, g, s2,
                            state.sc_bw_hz)
@@ -310,7 +338,7 @@ def test_freeze_pair_rejects_joiner_below_floor(small_channel):
     state = AllocationState(small_channel, False, 1e-3)
     worst_best_h(state)
     oma_phase(state)
-    ks, ns, rs = state.sole_slots()
+    ks, ns, rs = sole_links(state)
     k1, n, r1 = int(ks[0]), int(ns[0]), int(rs[0])
     k2 = int(ks[ks != k1][0])
     r2 = (r1 + 1) % small_channel.scenario.num_rrhs
@@ -537,7 +565,7 @@ def test_uc_shares_cross_rrh_only(batch):
     for i in range(N_DROPS):
         st = batch["MutSIC-UC", i].state
         holders = {}
-        for k, n, r in zip(*st.sole_slots()):
+        for k, n, r in zip(*sole_links(st)):
             holders.setdefault(n, []).append((k, r))
         for n, occ in holders.items():
             assert len(occ) <= 2

@@ -51,7 +51,7 @@ def test_audit_counts_crashes(monkeypatch):
 # -- tampering is detected -------------------------------------------------------
 
 def _assigned_slot(result):
-    ks, ns, rs = result.state.sole_slots()
+    ks, ns, rs, _ = result.state.links()
     return ks[0], ns[0], rs[0]
 
 

@@ -142,6 +142,25 @@ def test_negative_seed_is_a_usage_error(command, capsys):
     assert "seed must be non-negative" in capsys.readouterr().err
 
 
+_RUNS = {"simulate": ["simulate", "--out", "unused.csv"],
+         "sweep": ["sweep", "--axis", "rate", "--values", "1e6", "--out",
+                   "unused.csv"],
+         "audit": ["audit"], "oracle": ["oracle"]}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (c, "--trials", v) for c in _RUNS for v in ("0", "-3")] + [
+    (c, "--workers", "0") for c in ("simulate", "sweep")])
+def test_non_positive_count_is_a_usage_error(command, option, value,
+                                             capsys):
+    """Zero trials would pass every check without running one."""
+    with pytest.raises(SystemExit) as exc:
+        main(_RUNS[command] + [option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be positive: {value}" \
+        in capsys.readouterr().err
+
+
 def test_audit_clean_run_exits_zero(config_json, capsys):
     rc = main(["audit", "--config", config_json, "--trials", "2",
                "--algorithms", "all"])
@@ -236,15 +255,13 @@ def test_module_entry_point(tmp_path, config_json):
 @pytest.mark.parametrize("args, message", [
     (["simulate", "--rate=-1e6", "--trials", "1"],
      "invalid scenario: cell radius and rate demand must be positive"),
-    (["simulate", "--trials", "0"],
-     "invalid run settings: trials and workers must be positive"),
-    (["simulate", "--workers", "0", "--trials", "1"],
-     "invalid run settings: trials and workers must be positive"),
     (["sweep", "--axis", "users", "--values=100", "--trials", "1"],
      "invalid run settings: needs at least one subcarrier per user"),
+    (["sweep", "--axis", "users", "--values=2.5", "--trials", "1"],
+     "invalid run settings: num_users must be an integer, got 2.5"),
     (["sweep", "--axis", "rate", "--values=-1e6", "--trials", "1"],
      "invalid run settings: cell radius and rate demand must be positive"),
-], ids=["rate", "trials", "workers", "sweep-users", "sweep-rate"])
+], ids=["rate", "sweep-users", "sweep-users-fraction", "sweep-rate"])
 def test_invalid_scenario_is_a_one_line_error(args, message, tmp_path):
     out = tmp_path / "trials.csv"
     proc = _run_module(*args, "--out", str(out))

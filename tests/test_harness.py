@@ -78,6 +78,17 @@ def test_apply_sweep_axes(axis, value, attr):
     assert swept.cell_radius_m == SMALL.cell_radius_m
 
 
+def test_count_axes_take_integral_values_only():
+    """A fractional count is an error, not a silently truncated run; an
+    integral float runs as its int."""
+    assert apply_sweep(SMALL, "users", 5.0).num_users == 5
+    for axis in ("users", "rrhs", "subcarriers"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            apply_sweep(SMALL, axis, 2.5)
+    with pytest.raises(ValueError, match="must be an integer"):
+        RunConfig(SMALL, sweep_axis="users", sweep_values=(4, 2.5))
+
+
 def test_apply_sweep_unknown_axis():
     with pytest.raises(ValueError, match="sweep axis"):
         apply_sweep(SMALL, "noise", 1.0)

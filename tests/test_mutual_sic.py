@@ -293,6 +293,33 @@ def _opad(inst):
     return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0]), int(case[0])
 
 
+def test_empty_margined_window_pins_todays_opad_and_dpa():
+    """ROADMAP item 6: a row whose unmargined window is open but whose
+    mu-margined window is empty, (1+mu) g11/g12 > (1-mu) g21/g22.
+
+    Pins today's behaviour, not a decision: dpa_adjust rejects the row,
+    while opad_cases still returns an edge solution, on the lower margined
+    edge (case 2) for one incumbent and on the upper (case 3) for another,
+    each p2 inside the unmargined window but outside the margined one.
+    Whether mu should bind OPAd as it binds DPA is item 6's open question;
+    settling it changes this test on purpose.
+    """
+    mu, s2 = 0.01, SIGMA2_REF
+    g11, g12, g21, g22 = 1e-8, 1e-8, 1.015e-9, 1e-9
+    c_lo, c_hi = (1.0 + mu) * g11 / g12, (1.0 - mu) * g21 / g22
+    assert mutual_sic_feasible((g11, g12, g21, g22)) and c_lo > c_hi
+    w1 = s2 / g11 * np.array([3.0, 30.0])
+    w2 = s2 / g22 * 3.0
+    p1i = w1 - s2 / g11
+    gains = tuple(np.full(2, g) for g in (g11, g12, g21, g22))
+    p2_wf = waterline_add(w2, 3, g22, s2) - s2 / g22
+    assert not dpa_adjust(np.full(2, p2_wf), gains, p1i, mu)[1].any()
+    p1, p2, _, _, case = opad_cases(gains, s2, w1, w2, p1i, 4, 3, mu)
+    assert case.tolist() == [2, 3]
+    assert p2 / p1 == pytest.approx([c_lo, c_hi], rel=1e-12)
+    assert ((g11 / g12 < p2 / p1) & (p2 / p1 < g21 / g22)).all()
+
+
 def test_opad_cases_rows_are_independent():
     """opad_cases on stacked rows equals opad_cases on each row alone,
     bitwise. The pairing phases' price table relies on it: one call prices

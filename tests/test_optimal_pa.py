@@ -11,7 +11,7 @@ from nomadas import optimal_pa
 from nomadas.optimal_pa import mutual_power_optimum, optimal_power_allocation
 from nomadas.waterfill import rate_second, rate_single
 
-from conftest import TINY, drops
+from conftest import TINY, drops, sole_links
 from oracles import constrained_mutual_pa_oracle, opa_kkt_residual
 
 DENSE_TINY = TINY.with_(num_users=6, rate_demand_bps=12e6, num_rrhs=4)
@@ -27,7 +27,7 @@ def rates_from(state, P):
         heard = p1 if p.r1 == p.r2 else 0.0
         rates[p.k1] += rate_single(p1, G[p.k1, p.n, p.r1], s2, bw)
         rates[p.k2] += rate_second(p2, heard, G[p.k2, p.n, p.r2], s2, bw)
-    for k, n, r in zip(*state.sole_slots()):
+    for k, n, r in zip(*sole_links(state)):
         rates[k] += rate_single(P[k, n, r], G[k, n, r], s2, bw)
     return rates
 

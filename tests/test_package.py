@@ -49,6 +49,15 @@ def test_public_kernels_have_a_package_caller(module):
     assert not unused, f"{module}: only tests call {unused}"
 
 
+def test_assignment_state_stays_in_allocators():
+    """Only allocators reads the state's occupancy and cursor arrays;
+    every other module lists the assignment through state.links()."""
+    private = {"owner", "by_gain", "cursor", "weakest", "sole_slots"}
+    leaks = {p.stem: sorted(private & _names_used(p.stem))
+             for p in PKG.glob("*.py") if p.stem != "allocators"}
+    assert not any(leaks.values()), leaks
+
+
 def test_exported_names_resolve():
     assert len(set(nomadas.__all__)) == len(nomadas.__all__)
     missing = [n for n in nomadas.__all__ if not hasattr(nomadas, n)]

@@ -47,6 +47,19 @@ def test_invalid_fields_rejected(bad):
         Scenario(**bad)
 
 
+@pytest.mark.parametrize("field", ["num_users", "num_rrhs",
+                                   "num_subcarriers"])
+def test_counts_are_integers(field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        Scenario(**{field: 2.5})
+    for bad in (math.nan, math.inf, "4"):
+        with pytest.raises(ValueError):
+            Scenario(**{field: bad})
+    for value in (16.0, np.int64(16)):
+        count = getattr(Scenario(**{field: value}), field)
+        assert type(count) is int and count == 16
+
+
 def test_load_scenario_roundtrip(tmp_path):
     cfg = {"cell_radius_m": 400.0, "num_users": 10, "num_rrhs": 5,
            "num_subcarriers": 32, "bandwidth_hz": 5e6,
@@ -72,6 +85,27 @@ def test_load_scenario_rejects_unknown_key(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text(json.dumps({"num_user": 8}))
     with pytest.raises(ValueError, match="num_user"):
+        load_scenario(path)
+
+
+def test_load_scenario_accepts_every_field(tmp_path):
+    """Every Scenario field is a config key, the c5 knobs among them, and
+    an integral float count loads as an int."""
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"shadowing_db": 6.0, "min_distance_m": 35.0,
+                                "num_users": 15.0,
+                                "noise_psd_w_per_hz": 2e-21}))
+    sc = load_scenario(path)
+    assert (sc.shadowing_db, sc.min_distance_m) == (6.0, 35.0)
+    assert type(sc.num_users) is int and sc.num_users == 15
+    assert sc.noise_psd_w_per_hz == 2e-21
+
+
+def test_load_scenario_rejects_both_noise_names(tmp_path):
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({"noise_psd": 4e-21,
+                                "noise_psd_w_per_hz": 4e-21}))
+    with pytest.raises(ValueError, match="noise_psd"):
         load_scenario(path)
 
 

@@ -9,7 +9,8 @@ Two solvers live here:
   equality rate constraints only, scale-normalized: stationarity rows are
   divided by (1 + lambda) and rate rows by (1 + target), so one absolute
   residual tolerance works across users whose marginal powers differ by
-  many orders of magnitude. The Newton solver gets the analytic Jacobian.
+  many orders of magnitude. Each Newton step is block-eliminated down to
+  a K x K system in the users' multipliers.
 * ``mutual_power_optimum`` handles sole subcarriers plus mutual-SIC pairs,
   each pair's power ratio held inside its window, by a log-barrier Newton
   method in the powers. Its cost grows polynomially with the pair count,
@@ -25,9 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .solver import solve_system
+from .solver import solve_linear, solve_system
 
 LN2 = math.log(2.0)
+# a pair's 2x2 KKT block is singular to working precision when its pair
+# row's diagonal exceeds the slot coupling by less than this share of it
+# (_kkt_system)
+SINGULAR_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,60 +97,108 @@ def _marginals(lay, x, y):
 
 
 def _kkt_system(lay, pin_x, pin_y):
-    """Normalized KKT residual of a _KktLayout and its analytic Jacobian.
+    """Normalized KKT residual of a _KktLayout and its Newton step.
 
     Rows, in order: slot stationarity (A - lam)/(1 + |lam|), pair
     stationarity (B - lam)/(1 + |lam|) with the user's lam, and per-user
     rate (sum of the user's x and y - q)/(1 + q). The row of a pinned rate
     (pin_x, pin_y) is the rate itself. Both functions build on _marginals.
+
+    Over the rates v = (x, y) and lam the Jacobian is [[D, B], [C, 0]]: D
+    couples a slot only with the pair stacked on it (a 2x2 block), B ties
+    each stationarity row to its user's multiplier and C sums each user's
+    rates. newton_step eliminates the rates (Boyd & Vandenberghe, Convex
+    Optimization, 10.2-10.3): the K x K Schur complement S = C D^-1 B gives
+    S dlam = f_rate - C D^-1 f_stat, then dv = -D^-1 (f_stat + B dlam). A
+    pair whose block is singular to working precision borders S with its
+    rate step instead, so the reduced system stays exact.
     """
     ns, npair, K = lay.slot_u.size, lay.pair_u.size, lay.q.size
-    n = ns + npair + K
-    ix = np.arange(ns)
-    iy = ns + np.arange(npair)
-    # the user block: rate row k and multiplier column k share an index
-    kx = ns + npair + lay.slot_user
-    ky = ns + npair + lay.pair_user
+    nv = ns + npair
     sp = lay.pair_slot
+    iy = ns + np.arange(npair)
+    user = np.concatenate([lay.slot_user, lay.pair_user])
+    pinned = np.concatenate([pin_x, pin_y])
+    c = 1.0 / (1.0 + lay.q[user])     # C's entry in each rate's column
+    # S's entries: each rate's own user, then each pair's two cross terms
+    schur_at = K * np.concatenate([user, user[sp], user[iy]]) \
+        + np.concatenate([user, user[iy], user[sp]])
 
     def terms(z):
-        x, y, lam = z[:ns], z[ns:ns + npair], z[ns + npair:]
-        a, b = _marginals(lay, x, y)
-        return x, y, a, b, lam[lay.slot_user], lam[lay.pair_user]
+        lam = z[nv:][user]
+        return (np.concatenate(_marginals(lay, z[:ns], z[ns:nv])), lam,
+                1.0 + np.abs(lam))
 
     def residual(z):
         # exploratory newton steps can overflow the exponentials; the
         # resulting inf/nan rows are rejected by the line search
         with np.errstate(over="ignore", invalid="ignore"):
-            x, y, a, b, lx, ly = terms(z)
-            f_slot = np.where(pin_x, x, (a - lx) / (1.0 + np.abs(lx)))
-            f_pair = np.where(pin_y, y, (b - ly) / (1.0 + np.abs(ly)))
-            rates = np.bincount(lay.slot_user, weights=x, minlength=K) \
-                + np.bincount(lay.pair_user, weights=y, minlength=K)
-            f_rate = (rates - lay.q) / (1.0 + lay.q)
-            return np.concatenate([f_slot, f_pair, f_rate])
+            m, lam, d = terms(z)
+            f_stat = np.where(pinned, z[:nv], (m - lam) / d)
+            rates = np.bincount(user, weights=z[:nv], minlength=K)
+            return np.concatenate([f_stat, (rates - lay.q) / (1.0 + lay.q)])
 
-    def jacobian(z):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, a, b, lx, ly = terms(z)
-            d = 1.0 + np.abs(lx)
-            e = 1.0 + np.abs(ly)
-            jac = np.zeros((n, n))
-            jac[ix, ix] = LN2 * a / d
-            jac[sp, iy] = LN2 * a[sp] / d[sp]
-            jac[ix, kx] = -(d + (a - lx) * np.sign(lx)) / d ** 2
-            jac[iy, iy] = LN2 * b / e
-            # dB/dx_s = ln2^2 * 2^(y + x_s) / u_s = ln2 * A_s
-            jac[iy, sp] = LN2 * a[sp] / e
-            jac[iy, ky] = -(e + (b - ly) * np.sign(ly)) / e ** 2
-            for rows, pinned in ((ix, pin_x), (iy, pin_y)):
-                jac[rows[pinned]] = 0.0
-                jac[rows[pinned], rows[pinned]] = 1.0
-            jac[kx, ix] = 1.0 / (1.0 + lay.q[lay.slot_user])
-            jac[ky, iy] = 1.0 / (1.0 + lay.q[lay.pair_user])
-            return jac
+    def newton_step(z, f):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            m, lam, d = terms(z)
+            # D's diagonal and, for slot s with pair j, its entries (s, j)
+            # and (j, s); dB/dx_s = ln2^2 * 2^(y + x_s) / u_s = ln2 * A_s
+            diag = np.where(pinned, 1.0, LN2 * m / d)
+            up = np.where(pin_x[sp], 0.0, LN2 * m[sp] / d[sp])
+            low = np.where(pin_y, 0.0, LN2 * m[sp] / d[ns:])
+            # B's entry in each row, in its user's column
+            b = np.where(pinned, 0.0, -(d + (m - lam) * np.sign(lam)) / d ** 2)
+            # unpinned, up = diag[sp] and diag[iy] - low = ln2 (B - A) / d,
+            # so a block's determinant is diag[sp] * gap, taken without
+            # cancellation
+            gap = LN2 ** 2 * 2.0 ** z[ns:nv] * (
+                1.0 / lay.pair_u - 1.0 / lay.slot_u[sp]) / d[ns:]
+            det = np.where(pin_y, diag[sp],
+                           np.where(pin_x[sp], diag[iy], diag[sp] * gap))
+            # a block singular to working precision (B equals A to it once
+            # 2^x_s >> u_s / v) is not inverted: its slot row gives dx + dy,
+            # and dy joins dlam as an unknown of the reduced system
+            bordered = np.flatnonzero(~pin_x[sp] & ~pin_y
+                               & (gap < SINGULAR_GAP * diag[iy]))
+            s1, s2 = sp[bordered], iy[bordered]
+            col = K + np.arange(bordered.size)
+            # D^-1: reciprocals, and each 2x2 block inverted in closed form
+            inv = 1.0 / diag
+            inv[sp], inv[iy] = diag[iy] / det, diag[sp] / det
+            inv_up, inv_low = -up / det, -low / det
+            inv[s1], inv[s2] = 1.0 / diag[s1], 0.0
+            inv_up[bordered] = inv_low[bordered] = 0.0
 
-    return residual, jacobian
+            def d_inv(w):
+                out = inv * w
+                out[sp] += inv_up * w[iy]
+                out[iy] += inv_low * w[sp]
+                return out
+
+            f_stat, f_rate = f[:nv], f[nv:]
+            entries = np.concatenate([c * inv * b, c[sp] * inv_up * b[iy],
+                                      c[iy] * inv_low * b[sp]])
+            reduced = np.zeros((col.size + K, col.size + K))
+            reduced[:K, :K] = np.bincount(schur_at, weights=entries,
+                                          minlength=K * K).reshape(K, K)
+            rhs = f_rate - np.bincount(user, weights=c * d_inv(f_stat),
+                                       minlength=K)
+            # each bordered pair: dy's share of both users' rate rows, and
+            # its pair row less low / diag[sp] times its slot row
+            rho = low[bordered] / diag[s1]
+            reduced[user[s1], col] = c[s1]
+            reduced[user[s2], col] = -c[s2]
+            reduced[col, user[s1]] = -rho * b[s1]
+            reduced[col, user[s2]] = b[s2]
+            reduced[col, col] = gap[bordered]
+            sol = solve_linear(reduced, np.concatenate(
+                [rhs, rho * f_stat[s1] - f_stat[s2]]))
+            dv = -d_inv(f_stat + b * sol[user])
+            dv[s1] -= sol[K:]
+            dv[s2] = sol[K:]
+            return np.concatenate([dv, sol[:K]])
+
+    return residual, newton_step
 
 
 def optimal_power_allocation(state) -> OpaResult:
@@ -155,7 +208,7 @@ def optimal_power_allocation(state) -> OpaResult:
     the slot untransmits), so the KKT system is solved with an active-set
     loop: solve the equality system, pin variables that went negative to
     zero, release pins whose multipliers turn infeasible, repeat. Each
-    solve is damped Newton on the analytic Jacobian of _kkt_system. Starts
+    solve is damped Newton with _kkt_system's block-eliminated step. Starts
     from the state's realized rates and falls back to the input powers
     (converged=False) if any solve stalls or fails to improve.
     """
@@ -183,8 +236,8 @@ def optimal_power_allocation(state) -> OpaResult:
     z0 = np.concatenate([x0, y0, lam0])
     report = None
     for _ in range(2 + ns + npair):
-        residual, jacobian = _kkt_system(lay, pin_x, pin_y)
-        report = solve_system(residual, z0, jac=jacobian)
+        residual, newton_step = _kkt_system(lay, pin_x, pin_y)
+        report = solve_system(residual, z0, step=newton_step)
         if not report.converged:
             return OpaResult(p_now, input_total, False, report.iterations,
                              report.residual_norm)

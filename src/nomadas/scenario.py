@@ -24,7 +24,8 @@ class Scenario:
     """Static description of one simulated cell.
 
     rate_demand_bps applies to every user; shadowing_db is the standard
-    deviation of the lognormal shadowing in dB. The three counts take any
+    deviation of the lognormal shadowing in dB. Every field is a real
+    number (a string or a bool is an error); the three counts take any
     integral number, stored as int. Drops come from the rng a caller
     passes to generate_channel, not from the scenario.
     """
@@ -40,10 +41,14 @@ class Scenario:
     shadowing_db: float = 8.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # a bool is a Real, but True is no count or rate
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("num_users", "num_rrhs", "num_subcarriers"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real)
-                    and float(value).is_integer()):
+            if not float(value).is_integer():
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.num_users < 1 or self.num_rrhs < 1 or self.num_subcarriers < 1:
@@ -79,10 +84,16 @@ def load_scenario(path) -> Scenario:
     The keys are Scenario's fields, with noise_psd (W/Hz) as another name
     for noise_psd_w_per_hz. Unknown keys are an error so typos do not
     silently fall back to defaults; the drops' seed is a run setting
-    (--seed), not part of the scenario.
+    (--seed), not part of the scenario. A file that cannot be read or
+    does not hold one JSON object is a ValueError too.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    if not isinstance(raw, dict):
+        raise ValueError("a config file holds one JSON object")
     if "noise_psd" in raw:
         if "noise_psd_w_per_hz" in raw:
             raise ValueError("noise_psd and noise_psd_w_per_hz both given")

@@ -1,8 +1,9 @@
 """Damped Newton root finding for the optimal power allocation systems.
 
-solve_system takes the caller's Jacobian when one is given and falls back
-to central differences otherwise. It reports the residual actually
-achieved instead of trusting step size.
+solve_system takes the caller's Newton step when one is given (SRRH-OPA's
+is block-eliminated, see optimal_pa) and falls back to a dense solve on
+central differences otherwise. It reports the residual actually achieved
+instead of trusting step size.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class SolveReport:
 def _jacobian(f, x, fx):
     """Central-difference Jacobian, one column per variable.
 
-    Costs 2n evaluations of f; solve_system uses it only without `jac`.
+    Costs 2n evaluations of f; solve_system uses it only without `step`.
     """
     n = x.size
     jac = np.empty((fx.size, n))
@@ -44,13 +45,21 @@ def _jacobian(f, x, fx):
     return jac
 
 
-def solve_system(f, x0, tol=1e-8, max_iter=80, jac=None):
+def solve_linear(a, b):
+    """The solution of a x = b, least squares when a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def solve_system(f, x0, tol=1e-8, max_iter=80, step=None):
     """Damped Newton for f(x) = 0 with x0 as the starting point.
 
-    jac(x), when given, returns the Jacobian of f at x; without it the
-    Jacobian is taken by central differences (_jacobian), 2n calls of f per
-    Newton step. With it, f is called only at the start and in the line
-    search.
+    step(x, fx), when given, returns the Newton step at x, the solution d
+    of J(x) d = -fx; without it the Jacobian is taken by central
+    differences (_jacobian), 2n calls of f per Newton step, and solved
+    densely. With it, f is called only at the start and in the line search.
 
     Steps are halved until the max-norm residual strictly decreases, so the
     residual history is non-increasing; converged is False when damping
@@ -64,18 +73,17 @@ def solve_system(f, x0, tol=1e-8, max_iter=80, jac=None):
         return SolveReport(x, resid, 0, True, tuple(history))
 
     for it in range(1, max_iter + 1):
-        jx = _jacobian(f, x, fx) if jac is None else jac(x)
-        try:
-            step = np.linalg.solve(jx, -fx)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jx, -fx, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if step is None:
+            dx = solve_linear(_jacobian(f, x, fx), -fx)
+        else:
+            dx = step(x, fx)
+        if not np.all(np.isfinite(dx)):
             return SolveReport(x, resid, it - 1, False, tuple(history))
 
         t = 1.0
         accepted = False
         while t >= 2.0 ** -30:
-            x_try = x + t * step
+            x_try = x + t * dx
             f_try = np.asarray(f(x_try), dtype=float)
             r_try = float(np.max(np.abs(f_try)))
             if np.isfinite(r_try) and r_try < resid:

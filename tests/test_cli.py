@@ -268,3 +268,28 @@ def test_invalid_scenario_is_a_one_line_error(args, message, tmp_path):
     assert proc.returncode != 0
     assert proc.stderr == message + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"rate_demand_bps": "9e6"},
+     "invalid scenario: rate_demand_bps must be a number, got '9e6'"),
+    ({"rate_demand_bps": True},
+     "invalid scenario: rate_demand_bps must be a number, got True"),
+    ({"num_users": False},
+     "invalid scenario: num_users must be a number, got False"),
+], ids=["string", "bool", "bool-count"])
+def test_config_value_of_wrong_type_is_a_one_line_error(config, message,
+                                                        tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(config))
+    proc = _run_module("audit", "--config", str(path), "--trials", "1")
+    assert proc.returncode != 0
+    assert proc.stderr == message + "\n"
+
+
+def test_missing_config_file_is_a_one_line_error(tmp_path):
+    path = tmp_path / "no" / "such.json"
+    proc = _run_module("audit", "--config", str(path), "--trials", "1")
+    assert proc.returncode != 0
+    assert proc.stderr == (f"invalid scenario: cannot read {path}: "
+                           "No such file or directory\n")

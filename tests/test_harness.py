@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nomadas import AlgorithmConfig, generate_channel, run_algorithm
+from nomadas import AlgorithmConfig, Scenario, generate_channel, run_algorithm
 from nomadas.allocators import run_algorithms
 from nomadas import harness, optimal_pa
 from nomadas.harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
@@ -153,6 +153,32 @@ def test_worker_pool_matches_serial():
     serial = run_monte_carlo(RunConfig(**cfg))
     pooled = run_monte_carlo(RunConfig(**cfg, workers=2))
     assert pooled == serial
+
+
+def test_worker_pool_matches_serial_with_joint_power_allocation(monkeypatch):
+    """Paper-cell SRRH-OPA in two pool workers gives the serial records,
+    whole: the joint optimization's iterations and KKT residual too, on
+    trials whose KKT systems reach 100 unknowns."""
+    cfg = dict(scenario=Scenario(), algorithms=("SRRH-LPO", "SRRH-OPA"),
+               trials=4, base_seed=2)
+    unknowns = []
+    real = optimal_pa.solve_system
+
+    def counted(f, z0, **kwargs):
+        unknowns.append(np.size(z0))
+        return real(f, z0, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(optimal_pa, "solve_system", counted)
+        serial = run_monte_carlo(RunConfig(**cfg))
+    assert max(unknowns) >= 100
+    pooled = run_monte_carlo(RunConfig(**cfg, workers=2))
+    assert pooled == serial
+    opa = [(r.opa_iterations, r.opa_residual) for r in serial
+           if r.algorithm == "SRRH-OPA"]
+    assert [(r.opa_iterations, r.opa_residual) for r in pooled
+            if r.algorithm == "SRRH-OPA"] == opa
+    assert not any(r.failed or r.warnings for r in serial)
 
 
 def test_failures_are_captured(monkeypatch):

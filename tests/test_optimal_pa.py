@@ -8,6 +8,8 @@ import pytest
 from nomadas import (AlgorithmConfig, Scenario, generate_channel,
                      run_algorithm, solver)
 from nomadas import optimal_pa
+from nomadas.allocators import ALGORITHMS, run_algorithms
+from nomadas.harness import trial_seed
 from nomadas.optimal_pa import mutual_power_optimum, optimal_power_allocation
 from nomadas.waterfill import rate_second, rate_single
 
@@ -111,7 +113,7 @@ def test_opa_power_tensor_consistent():
     assert (res.power_w >= 0.0).all()
 
 
-# -- the analytic KKT Jacobian ------------------------------------------------------
+# -- the block-eliminated Newton step -------------------------------------------
 
 # every halving of the Newton step the line search may try, t = 1 .. 2^-30
 LINE_SEARCH_TRIES = 31
@@ -138,8 +140,20 @@ def _start_point(state, monkeypatch):
     return starts[0]
 
 
-def test_kkt_jacobian_matches_central_differences(paper_lpo_states,
-                                                  monkeypatch):
+@pytest.mark.parametrize("bordered", [False, True],
+                         ids=["eliminated", "bordered"])
+def test_newton_step_solves_difference_jacobian(paper_lpo_states,
+                                                    monkeypatch, bordered):
+    """The block-eliminated step solves the system of the central-difference
+    Jacobian J, at perturbed points with multipliers of both signs and with
+    forced pins: J step + f is within 1e-6 of each row's scale |J| |step|
+    + |f|. (J is the independent oracle; its solve is no forward oracle,
+    as these Jacobians' condition numbers reach 1e8 and J's entries carry
+    differencing errors of about 1e-8.) Bordered: every unpinned pair
+    keeps its rate step next to the multipliers, as a pair whose 2x2 block
+    is singular to working precision does."""
+    if bordered:
+        monkeypatch.setattr(optimal_pa, "SINGULAR_GAP", np.inf)
     rng = np.random.default_rng(53)
     checked_pins = 0
     for st in paper_lpo_states[:4]:
@@ -162,15 +176,17 @@ def test_kkt_jacobian_matches_central_differences(paper_lpo_states,
                 pin_x[lay.pair_slot[0]] = True
                 pin_y[rng.choice(npair, min(npair, 2), replace=False)] = True
                 checked_pins += 1
-            residual, jacobian = optimal_pa._kkt_system(lay, pin_x, pin_y)
+            residual, newton_step = optimal_pa._kkt_system(lay, pin_x, pin_y)
             for z in points:
-                jac = jacobian(z)
-                fd = solver._jacobian(residual, z, residual(z))
-                scale = np.max(np.abs(jac))
-                assert np.max(np.abs(jac - fd)) <= 1e-6 * scale
+                f = residual(z)
+                step = newton_step(z, f)
+                jac = solver._jacobian(residual, z, f)
+                scale = np.abs(jac) @ np.abs(step) + np.abs(f)
+                assert np.all(np.abs(jac @ step + f) <= 1e-6 * scale)
+                # a pinned rate's row is the rate itself
                 pinned = np.concatenate([pin_x, pin_y])
-                rows = np.flatnonzero(pinned)
-                assert np.array_equal(jac[rows], np.eye(z.size)[rows])
+                assert np.array_equal(step[:ns + npair][pinned],
+                                      -f[:ns + npair][pinned])
     assert checked_pins == 4
 
 
@@ -205,17 +221,81 @@ def test_opa_newton_steps_use_no_differences(paper_lpo_states, monkeypatch):
 
 
 def test_opa_totals_match_difference_jacobian(paper_lpo_states, monkeypatch):
-    analytic = [optimal_power_allocation(st) for st in paper_lpo_states]
+    """Without the step, solve_system solves the central-difference
+    Jacobian densely: the same optima. With it, no difference runs."""
+    def no_differences(*args):
+        raise AssertionError("central differences used despite step")
 
-    def without_jac(f, z0, jac=None, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_jacobian", no_differences)
+        stepped = [optimal_power_allocation(st) for st in paper_lpo_states]
+
+    def without_step(f, z0, step=None, **kwargs):
         return solver.solve_system(f, z0, **kwargs)
 
-    monkeypatch.setattr(optimal_pa, "solve_system", without_jac)
-    for st, res in zip(paper_lpo_states, analytic):
+    monkeypatch.setattr(optimal_pa, "solve_system", without_step)
+    for st, res in zip(paper_lpo_states, stepped):
         fd = optimal_power_allocation(st)
         assert res.converged and fd.converged
         assert res.total_power_w == pytest.approx(fd.total_power_w,
                                                   rel=1e-10, abs=0.0)
+
+
+def _recording_solve(monkeypatch):
+    """Shapes of the matrices np.linalg.solve gets from now on."""
+    shapes = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        shapes.append(np.shape(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return shapes
+
+
+def test_opa_converges_through_singular_pair_blocks(monkeypatch):
+    """On 12 Mb/s paper-cell drops 73 and 191 (base seed 0) a pair's second
+    rate falls during the first solve until its 2x2 KKT block is singular
+    to working precision. Eliminated, that block stalled the solve;
+    bordered, it converges to a KKT point that meets the demands."""
+    scen = Scenario(rate_demand_bps=12e6)
+    for t in (73, 191):
+        ch = generate_channel(scen, np.random.default_rng(trial_seed(0, t)))
+        st = run_algorithm(ch, AlgorithmConfig("SRRH-LPO")).state
+        with monkeypatch.context() as m:
+            shapes = _recording_solve(m)
+            res = optimal_power_allocation(st)
+        assert max(rows for rows, _ in shapes) > st.num_users
+        assert res.converged
+        assert opa_kkt_residual(st, res) < 1e-6
+        assert rates_from(st, res.power_w) == pytest.approx(st.demands,
+                                                            rel=1e-6)
+        assert res.total_power_w < st.total_power()
+
+
+def test_production_path_solves_no_kkt_sized_system(monkeypatch):
+    """All 11 algorithms on a dense-40u drop (40 users, 128 subcarriers,
+    5 Mb/s), where SRRH-OPA's KKT systems have 100 or more unknowns: every
+    matrix np.linalg.solve gets is the reduced system in the multipliers,
+    K x K plus a row and column per bordered pair, and stays below 100
+    unknowns, where OpenBLAS starts to thread its LU."""
+    scen = Scenario(num_users=40, num_subcarriers=128, rate_demand_bps=5e6)
+    unknowns = []
+    real = optimal_pa.solve_system
+
+    def counted(f, z0, **kwargs):
+        unknowns.append(np.size(z0))
+        return real(f, z0, **kwargs)
+
+    monkeypatch.setattr(optimal_pa, "solve_system", counted)
+    shapes = _recording_solve(monkeypatch)
+    results = run_algorithms(next(drops(scen, 1)), ALGORITHMS)
+    assert not any(isinstance(r, Exception) for r in results.values())
+    K = scen.num_users
+    assert shapes and min(unknowns) >= 100
+    assert all(rows == cols and K <= rows < 100 for rows, cols in shapes)
+    assert sum(rows == K for rows, _ in shapes) > len(shapes) / 2
 
 
 # -- branch oracle against the sequential allocator ---------------------------------

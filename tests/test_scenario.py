@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -114,6 +115,29 @@ def test_load_scenario_rejects_seed_key(tmp_path):
     path = tmp_path / "cell.json"
     path.write_text(json.dumps({"num_users": 8, "seed": 5}))
     with pytest.raises(ValueError, match="seed"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("bad", ["9e6", True, False, np.True_, None],
+                         ids=["str", "True", "False", "np.True_", "None"])
+@pytest.mark.parametrize("field", [f.name for f in fields(Scenario)])
+def test_non_numeric_fields_rejected(field, bad):
+    """A string or a bool is no number: True would run at 1 b/s."""
+    with pytest.raises(ValueError, match=f"{field} must be a number"):
+        Scenario(**{field: bad})
+
+
+def test_load_scenario_rejects_missing_file(tmp_path):
+    path = tmp_path / "no" / "such.json"
+    with pytest.raises(ValueError, match="cannot read .*such.json"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"rate"'])
+def test_load_scenario_rejects_non_object(tmp_path, text):
+    path = tmp_path / "cell.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="one JSON object"):
         load_scenario(path)
 
 

@@ -1,4 +1,4 @@
-"""Newton system solver: convergence reporting, damping, caller Jacobians."""
+"""Newton system solver: convergence reporting, damping, caller steps."""
 
 import math
 
@@ -92,7 +92,7 @@ def test_system_reports_failure_honestly():
     assert report.residual_norm > 0.0
 
 
-# -- caller-supplied Jacobian -------------------------------------------------------
+# -- caller-supplied Newton step -------------------------------------------------------
 
 def _circle_line(z):
     x, y = z
@@ -119,7 +119,8 @@ def _exp_system_jac(z):
     (_exp_system, _exp_system_jac, [3.0, 3.0]),
 ])
 def test_system_with_jacobian_matches_differences(f, jac, x0, monkeypatch):
-    """jac replaces the differences: same root, f only in the line search."""
+    """A step from the caller's Jacobian replaces the differences: same
+    root, f only in the line search."""
     fd = solve_system(f, np.array(x0))
     calls = {"f": 0}
 
@@ -128,10 +129,13 @@ def test_system_with_jacobian_matches_differences(f, jac, x0, monkeypatch):
         return f(z)
 
     def no_differences(*args):
-        raise AssertionError("central differences used despite jac")
+        raise AssertionError("central differences used despite step")
+
+    def step(z, fz):
+        return np.linalg.solve(jac(z), -fz)
 
     monkeypatch.setattr(solver, "_jacobian", no_differences)
-    report = solve_system(counted, np.array(x0), jac=jac)
+    report = solve_system(counted, np.array(x0), step=step)
     assert report.converged and fd.converged
     np.testing.assert_allclose(report.solution, fd.solution, rtol=0.0,
                                atol=1e-10)
@@ -139,3 +143,11 @@ def test_system_with_jacobian_matches_differences(f, jac, x0, monkeypatch):
     assert np.all(np.diff(hist) <= 0.0)
     # one call at x0, then at least one line-search try per Newton step
     assert report.iterations + 1 <= calls["f"] <= 1 + 31 * report.iterations
+
+
+def test_singular_system_falls_back_to_least_squares():
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    x = solver.solve_linear(a, np.array([2.0, 2.0]))
+    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(solver.solve_linear(np.eye(2), [3.0, 4.0]),
+                               [3.0, 4.0])

@@ -11,10 +11,10 @@ g22 = |h(user2, r2)|^2. Every function takes the gains as the tuple
 (g11, g12, g21, g22) of scalars or broadcasting arrays.
 
 opad_cases is the one joint (p1, p2) optimizer: MutSIC-OPAd runs it on
-every candidate row and MutSIC-SOPAd on its selected row alone. It picks
-among its three cases with its own deltas (_dp1 + _dp2); the allocator's
-one pair pricer then prices the powers it returns as it prices every
-mode's powers, through the rates they carry.
+every candidate row and MutSIC-SOPAd on its selected row alone. It prices
+case 1 against the one window edge convexity leaves (both edges of an empty
+margined window) with its own deltas (_dp1 + _dp2); the allocator's one
+pair pricer then prices the powers it returns, as every mode's, by rate.
 """
 
 from __future__ import annotations
@@ -189,60 +189,60 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
 def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     """Jointly optimal (p1, p2) of (arrays of) mutual pair candidates.
 
-    The one OPAd solver: MutSIC-OPAd calls it on all candidate rows,
-    MutSIC-SOPAd on the one row it selected with DPA prices. Case 1 keeps
-    p1 and waterfills p2 onto the joiner's sole set, as DPA does; cases 2
-    and 3 pin p2 to the lower or upper margined window edge and solve the
-    stationarity for p1. The feasible case with the lowest joint delta
-    dp1 + dp2 wins, the lowest case on ties; a NaN delta never wins.
+    Case 1 keeps p1 and waterfills p2 onto the joiner's sole set, as DPA
+    does; cases 2 and 3 pin p2 to the lower or upper margined window edge
+    and solve the stationarity for p1. As dp1 + dp2 is convex with its
+    minimum at case 1's point (p1i, p2_1) and the margined window is a
+    cone, a row prices case 1 against the one edge p2_1 lies beyond (the
+    lower where p2_1 < lo - POWER_ATOL, else the upper), or against both
+    edges where its margined window is empty (c_lo >= c_hi). The lowest
+    feasible delta wins, the lowest case on ties; a NaN delta never wins.
 
-    gains_arrays is the tuple (g11, g12, g21, g22); every argument
-    broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0 and zero
-    powers and deltas where no case is feasible. Candidates must already
-    satisfy the waterline-decrease admission test (w2 * g22 > sigma2) and
+    Every argument broadcasts. Returns (p1, p2, dp1, dp2, case) with case = 0
+    and zero powers and deltas where no case is feasible. Candidates must
+    already pass the waterline-decrease admission test (w2 * g22 > sigma2) and
     n1 >= 2, n2 >= 1; entries violating those are masked out here as well.
     """
-    g11, g12, g21, g22 = [np.asarray(a, dtype=float) for a in gains_arrays]
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    p1i = np.asarray(p1i, dtype=float)
-    n1 = np.asarray(n1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    shape = np.broadcast(g11, g12, g21, g22, w1, w2, p1i, n1, n2).shape
-    garr = (g11, g12, g21, g22)
-
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (
+        *gains_arrays, w1, w2, p1i, n1, n2)))
+    shape, size = args[0].shape, args[0].size
+    g11, g12, g21, g22, w1, w2, p1i, n1, n2 = args = [a.ravel() for a in args]
     admissible = admits_waterline_decrease(g22, w2, sigma2_w) & (n1 >= 2) \
         & (n2 >= 1) & (p1i > 0.0)
 
-    # inadmissible rows (n1 < 2 in particular) still flow through the
-    # closed forms before they are masked, so silence their float noise
+    # silence inadmissible rows (n1 < 2) in the closed forms, masked later
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p2_1 = waterline_add(w2, n2, g22, sigma2_w) - sigma2_w / g22
-        lo, hi = power_window(garr, p1i)
+        lo, hi = power_window((g11, g12, g21, g22), p1i)
         ok1 = (p2_1 >= lo - POWER_ATOL) & (p2_1 <= hi + POWER_ATOL) \
-            & (p2_1 > 0.0)
-
-        # both edges in one root call, p2 = c * p1 on the lower (case 2)
-        # and the upper (case 3) margined edge; a row whose margined ray
-        # leaves the window is never bracketed
-        c = np.stack([(1.0 + mu) * g11 / g12, (1.0 - mu) * g21 / g22])
-        ray_ok = np.stack([c[0] <= g21 / g22 * (1.0 + POWER_ATOL),
-                           c[1] >= g11 / g12 * (1.0 - POWER_ATOL)])
-        p1_edge, ok_edge = _edge_case_roots(c, garr, sigma2_w, w1, w2, p1i,
-                                            n1, n2, admissible & ray_ok)
-
-        # the three cases stacked on a leading axis, one argmin picks
-        p1 = np.concatenate([np.broadcast_to(p1i, (1,) + shape), p1_edge])
-        p2 = np.concatenate([np.broadcast_to(p2_1, (1,) + shape),
-                             c * p1_edge])
-        ok = np.concatenate([np.broadcast_to(ok1, (1,) + shape), ok_edge]) \
-            & admissible
-        dp1 = _dp1(p1, g11, sigma2_w, w1, p1i, n1)
-        dp2 = _dp2(p2, g22, sigma2_w, w2, n2)
-        total = dp1 + dp2
-    total = np.where(ok & ~np.isnan(total), total, np.inf)
-    pick = np.argmin(total, axis=0)[None]
-    found = np.take_along_axis(total, pick, 0)[0] < np.inf
-    p1, p2, dp1, dp2 = (np.where(found, np.take_along_axis(a, pick, 0)[0],
-                                 0.0) for a in (p1, p2, dp1, dp2))
-    return p1, p2, dp1, dp2, np.where(found, pick[0] + 1, 0)
+            & (p2_1 > 0.0) & admissible
+        one = np.array([p1i, p2_1, np.zeros(size),    # dp1(p1i) = 0
+                        _dp2(p2_1, g22, sigma2_w, w2, n2)])
+        # each row's near edge (the lower for an empty margined window),
+        # then each empty window's upper edge
+        empty = (1.0 + mu) * g11 / g12 >= (1.0 - mu) * g21 / g22
+        far = np.flatnonzero(empty)
+        rows = [*args, admissible, ~((p2_1 < lo - POWER_ATOL) | empty)]
+        if far.size:
+            rows = [np.concatenate([a, a[far]]) for a in rows]
+            rows[-1][size:] = True
+        g11, g12, g21, g22, w1, w2, p1i, n1, n2, admissible, upper = rows
+        # p2 = c * p1; a ray that leaves the window is never bracketed
+        c = np.where(upper, (1.0 - mu) * g21 / g22, (1.0 + mu) * g11 / g12)
+        ray = np.where(upper, c >= g11 / g12 * (1.0 - POWER_ATOL),
+                       c <= g21 / g22 * (1.0 + POWER_ATOL))
+        p1, ok = _edge_case_roots(c, (g11, g12, g21, g22), sigma2_w, w1, w2,
+                                  p1i, n1, n2, admissible & ray)
+        edge = np.array([p1, c * p1, _dp1(p1, g11, sigma2_w, w1, p1i, n1),
+                         _dp2(c * p1, g22, sigma2_w, w2, n2)])
+    total, total1 = (np.where(m & ~np.isnan(t), t, np.inf) for m, t in (
+        (ok, edge[2] + edge[3]), (ok1, one[3])))
+    if far.size:            # an empty window's lower edge wins ties
+        swap = total[size:] < total[far]
+        for a in (edge.T, total, upper):
+            a[far[swap]] = a[size:][swap]
+    pick1 = total1 <= total[:size]      # case 1 wins ties
+    found = np.minimum(total1, total[:size]) < np.inf
+    out = np.where(found, np.where(pick1, one, edge[:, :size]), 0.0)
+    case = np.where(found, np.where(pick1, 1, 2 + upper[:size]), 0)
+    return (*out.reshape((4,) + shape), case.reshape(shape))

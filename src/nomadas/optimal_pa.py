@@ -44,7 +44,7 @@ class OpaResult:
     power_w: np.ndarray
     total_power_w: float
     converged: bool
-    iterations: int
+    iterations: int         # Newton steps, over all solves of the call
     residual_norm: float
 
 
@@ -234,12 +234,13 @@ def optimal_power_allocation(state) -> OpaResult:
     pin_x = np.zeros(ns, dtype=bool)
     pin_y = np.zeros(npair, dtype=bool)
     z0 = np.concatenate([x0, y0, lam0])
-    report = None
+    steps = 0       # Newton iterations over every active-set solve
     for _ in range(2 + ns + npair):
         residual, newton_step = _kkt_system(lay, pin_x, pin_y)
         report = solve_system(residual, z0, step=newton_step)
+        steps += report.iterations
         if not report.converged:
-            return OpaResult(p_now, input_total, False, report.iterations,
+            return OpaResult(p_now, input_total, False, steps,
                              report.residual_norm)
         z = report.solution
         x, y, lam = z[:ns], z[ns:ns + npair], z[ns + npair:]
@@ -273,7 +274,7 @@ def optimal_power_allocation(state) -> OpaResult:
             continue
         break
     else:
-        return OpaResult(p_now, input_total, False, report.iterations,
+        return OpaResult(p_now, input_total, False, steps,
                          report.residual_norm)
 
     p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
@@ -285,10 +286,9 @@ def optimal_power_allocation(state) -> OpaResult:
     if total > input_total * (1.0 + 1e-9) + 1e-15:
         # a stationary point that does not improve the start is not the
         # optimum of this convex program; keep the input allocation
-        return OpaResult(p_now, input_total, False, report.iterations,
+        return OpaResult(p_now, input_total, False, steps,
                          report.residual_norm)
-    return OpaResult(P, total, True, report.iterations,
-                     report.residual_norm)
+    return OpaResult(P, total, True, steps, report.residual_norm)
 
 
 # -- mutual-SIC optimum --------------------------------------------------------

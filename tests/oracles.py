@@ -3,9 +3,10 @@
 Everything here deliberately avoids the closed-form shortcuts under test:
 waterlines come from bisection on the monotone rate-of-waterline map, power
 deltas from full recomputation of user totals, the local power optimum
-from dense grid search, and the mutual-SIC power optimum from one KKT solve
+from dense grid search, the mutual-SIC power optimum from one KKT solve
 per active set of the pair windows (3^m of them, with central-difference
-Jacobians). Slow and simple on purpose.
+Jacobians), and the joint pair powers from all three of opad_cases's cases
+on every row. Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nomadas.mutual_sic import _dp1, _dp2, _edge_case_roots, power_window
 from nomadas.optimal_pa import LN2, OpaResult
 from nomadas.solver import solve_system
+from nomadas.waterfill import (POWER_ATOL, admits_waterline_decrease,
+                               waterline_add)
 
 # the four link gains of a cross-RRH pair, in the kernels' tuple order
 PairGains = namedtuple("PairGains", "g11 g12 g21 g22")
@@ -162,6 +166,50 @@ def edge_root_bisection(c, g11, g22, sigma2_w, w2, p1i, n1, n2):
             lo = mid
         else:
             hi = mid
+
+
+def three_case_opad(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
+    """mutual_sic.opad_cases priced by brute force over its three cases.
+
+    Every row solves both margined window edges and the feasible case with
+    the lowest dp1 + dp2 wins, the lowest case on ties; a NaN delta never
+    wins. This ignores the convexity argument opad_cases rests on (only
+    case 1 and one edge can win a row), so equal outputs check it; both
+    share the closed forms and the edge root solver.
+    """
+    g11, g12, g21, g22 = [np.asarray(a, dtype=float) for a in gains_arrays]
+    w1, w2, p1i, n1, n2 = (np.asarray(a, dtype=float)
+                           for a in (w1, w2, p1i, n1, n2))
+    shape = np.broadcast(g11, g12, g21, g22, w1, w2, p1i, n1, n2).shape
+    garr = (g11, g12, g21, g22)
+    admissible = admits_waterline_decrease(g22, w2, sigma2_w) & (n1 >= 2) \
+        & (n2 >= 1) & (p1i > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p2_1 = waterline_add(w2, n2, g22, sigma2_w) - sigma2_w / g22
+        lo, hi = power_window(garr, p1i)
+        ok1 = (p2_1 >= lo - POWER_ATOL) & (p2_1 <= hi + POWER_ATOL) \
+            & (p2_1 > 0.0)
+        # both edges, p2 = c * p1 on the lower (case 2) and the upper
+        # (case 3) margined edge; a ray that leaves the window is skipped
+        c = np.stack([(1.0 + mu) * g11 / g12, (1.0 - mu) * g21 / g22])
+        ray_ok = np.stack([c[0] <= g21 / g22 * (1.0 + POWER_ATOL),
+                           c[1] >= g11 / g12 * (1.0 - POWER_ATOL)])
+        p1_edge, ok_edge = _edge_case_roots(c, garr, sigma2_w, w1, w2, p1i,
+                                            n1, n2, admissible & ray_ok)
+        p1 = np.concatenate([np.broadcast_to(p1i, (1,) + shape), p1_edge])
+        p2 = np.concatenate([np.broadcast_to(p2_1, (1,) + shape),
+                             c * p1_edge])
+        ok = np.concatenate([np.broadcast_to(ok1, (1,) + shape), ok_edge]) \
+            & admissible
+        dp1 = _dp1(p1, g11, sigma2_w, w1, p1i, n1)
+        dp2 = _dp2(p2, g22, sigma2_w, w2, n2)
+        total = dp1 + dp2
+    total = np.where(ok & ~np.isnan(total), total, np.inf)
+    pick = np.argmin(total, axis=0)[None]
+    found = np.take_along_axis(total, pick, 0)[0] < np.inf
+    p1, p2, dp1, dp2 = (np.where(found, np.take_along_axis(a, pick, 0)[0],
+                                 0.0) for a in (p1, p2, dp1, dp2))
+    return p1, p2, dp1, dp2, np.where(found, pick[0] + 1, 0)
 
 
 def _link_tuples(state):

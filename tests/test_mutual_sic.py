@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nomadas import (dpa_adjust, mutual_sic_feasible, power_window,
-                     rate_condition_terms, rate_second, rate_single)
-from nomadas import mutual_sic
+from nomadas import (ALGORITHMS, Scenario, dpa_adjust, mutual_sic_feasible,
+                     power_window, rate_condition_terms, rate_second,
+                     rate_single, run_algorithms)
+from nomadas import allocators, mutual_sic
 from nomadas.mutual_sic import _dp1, _dp2, opad_cases
 from nomadas.waterfill import POWER_ATOL, waterline_add
 
+from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline, edge_root_bisection,
-                     sample_pair_instance, total_power_at_rate)
+                     sample_pair_instance, three_case_opad,
+                     total_power_at_rate)
 
 gains_st = st.floats(min_value=1e-9, max_value=1e3)
 
@@ -341,6 +344,126 @@ def test_opad_cases_rows_are_independent():
     assert {1, 2, 3} <= set(stacked[4].tolist())
 
 
+def _same_bits(got, want):
+    """Equal dtype, shape and bits, NaN matching NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(got)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and np.array_equal(nan, np.isnan(want)) \
+        and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _tied_window_instance(rng):
+    """A sampled instance whose margined window is one ray: (1+mu) g11/g12
+    equals (1-mu) g21/g22 in floating point, g21 nudged until it does."""
+    while True:
+        inst = sample_pair_instance(rng)
+        g, mu = inst["gains"], inst["mu"]
+        g21 = (1.0 + mu) * g.g11 / g.g12 * g.g22 / (1.0 - mu)
+        for _ in range(8):
+            if (1.0 + mu) * g.g11 / g.g12 == (1.0 - mu) * g21 / g.g22:
+                return dict(inst, gains=type(g)(g.g11, g.g12, g21, g.g22))
+            g21 = np.nextafter(g21, np.inf)
+
+
+def _side(inst):
+    """Where case 1's p2 lies against the power window: below, in, above."""
+    g, s2 = inst["gains"], inst["sigma2_w"]
+    lo, hi = power_window(tuple(g), inst["p1i"])
+    p2_1 = waterline_add(inst["w2"], inst["n2"], g.g22, s2) - s2 / g.g22
+    return "below" if p2_1 < lo - POWER_ATOL else \
+        "above" if p2_1 > hi + POWER_ATOL else "in"
+
+
+def _oracle_rows():
+    """opad_cases rows of every kind; returns them, their kinds and sides.
+
+    A row's kind is its _side, or "empty" for an empty margined window
+    (sampled ones, the two of
+    test_empty_margined_window_pins_todays_opad_and_dpa, one where the
+    window is a single ray and 40 whose margined edges are crossed but
+    stay inside the window), or one of three inadmissible kinds: "n1" (no
+    spare incumbent subcarrier), "w2" (the joiner's waterline under the
+    noise floor) and "p1i" (no incumbent power).
+    """
+    rng = np.random.default_rng(61)
+    s2, mu = SIGMA2_REF, 0.01
+    insts = [sample_pair_instance(rng, require_window=i % 2 == 0)
+             for i in range(400)]
+    g = type(insts[0]["gains"])(1e-8, 1e-8, 1.015e-9, 1e-9)
+    for scale in (3.0, 30.0):
+        w1 = s2 / g.g11 * scale
+        insts.append(dict(gains=g, sigma2_w=s2, w1=w1, w2=s2 / g.g22 * 3.0,
+                          p1i=w1 - s2 / g.g11, n1=4, n2=3, mu=mu))
+    insts.append(_tied_window_instance(rng))
+    for _ in range(40):
+        # both margined edge rays inside the window, in the wrong order
+        inst = sample_pair_instance(rng)
+        g = inst["gains"]
+        ratio = rng.uniform(1.0 / (1.0 - mu), (1.0 + mu) / (1.0 - mu))
+        insts.append(dict(inst, gains=type(g)(
+            g.g11, g.g12, g.g22 * g.g11 / g.g12 * ratio, g.g22)))
+    kinds = [_side(inst) for inst in insts]
+    for i, inst in enumerate(insts):
+        g = inst["gains"]
+        if (1.0 + mu) * g.g11 / g.g12 >= (1.0 - mu) * g.g21 / g.g22:
+            kinds[i] = "empty"
+    for kind in ("n1", "w2", "p1i"):
+        for _ in range(5):
+            inst = dict(sample_pair_instance(rng))
+            if kind == "n1":
+                inst["n1"] = 1
+            elif kind == "w2":
+                inst["w2"] = 0.5 * s2 / inst["gains"].g22
+            else:
+                inst["p1i"] = 0.0
+            insts.append(inst)
+            kinds.append(kind)
+    return insts, np.array(kinds), np.array([_side(i) for i in insts])
+
+
+def test_opad_cases_matches_three_case_oracle():
+    """opad_cases prices case 1 and one edge per row (both edges where the
+    margined window is empty); oracles.three_case_opad prices all three
+    cases on every row. All five outputs agree bit for bit, on one batch
+    of every kind of row, on the empty windows alone, and on every row
+    called alone, as MutSIC-SOPAd's one-row refine calls it or with
+    scalars; the batch as a 2-d array gives the same bits."""
+    insts, kinds, sides = _oracle_rows()
+    got = opad_cases(*_cases_args(insts))
+    for col, ref in zip(got, three_case_opad(*_cases_args(insts))):
+        assert _same_bits(col, ref)
+    case = got[4]
+    for kind, cases in (("in", {1}), ("below", {2}), ("above", {3}),
+                        ("empty", {2, 3}), ("n1", {0}), ("w2", {0}),
+                        ("p1i", {0})):
+        assert cases <= set(case[kinds == kind].tolist()), kind
+    # in an empty margined window the edge p2_1 lies beyond can lose
+    empty = kinds == "empty"
+    assert (empty & (sides == "below") & (case == 3)).any()
+    assert (empty & (sides == "above") & (case == 2)).any()
+
+    alone = [insts[i] for i in np.flatnonzero(empty)]
+    for col, ref in zip(opad_cases(*_cases_args(alone)),
+                        three_case_opad(*_cases_args(alone))):
+        assert _same_bits(col, ref)
+    # the batch as a 2-d array
+    gains, s2, w1, w2, p1i, n1, n2, mu = _cases_args(insts)
+    two_d = (tuple(g.reshape(2, -1) for g in gains), s2,
+             *(a.reshape(2, -1) for a in (w1, w2, p1i, n1, n2)), mu)
+    for col, ref in zip(opad_cases(*two_d), got):
+        assert _same_bits(col, ref.reshape(2, -1))
+    for i, inst in enumerate(insts):
+        gains, s2, w1, w2, p1i, n1, n2, mu = _cases_args([inst])
+        if i % 2:   # one row, with the joiner's w2 and n2 as scalars
+            args = (gains, s2, w1, w2[0], p1i, n1, n2[0], mu)
+        else:       # every argument a scalar
+            args = (tuple(g[0] for g in gains), s2, w1[0], w2[0], p1i[0],
+                    n1[0], n2[0], mu)
+        for col, ref in zip(opad_cases(*args), three_case_opad(*args)):
+            assert _same_bits(col, ref)
+
+
 def _edge_ratio(inst, case):
     """p2 / p1 on the margined window edge of case 2 (lower) or 3 (upper)."""
     g, mu = inst["gains"], inst["mu"]
@@ -577,6 +700,37 @@ def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
     ray_miss = np.arange(60) % 3 == 2
     assert (bad_case[~ray_miss] == 0).all()
     assert (bad_case[ray_miss] <= 1).all()
+
+
+def test_production_path_brackets_one_edge_per_row(monkeypatch):
+    """All 11 algorithms on three paper-cell drops: every _edge_case_roots
+    call opad_cases makes may bracket at most one row per candidate row
+    plus one per empty margined window. Solving both edges of every row,
+    as the three-case oracle does, brackets about two per row."""
+    limits, bracketable = [], []
+    cases, roots = allocators.opad_cases, mutual_sic._edge_case_roots
+
+    def counted_cases(gains, s2, w1, w2, p1i, n1, n2, mu):
+        g11, g12, g21, g22 = gains
+        rows = np.broadcast(*gains, w1, w2, p1i, n1, n2).size
+        empty = np.count_nonzero((1.0 + mu) * g11 / g12
+                                 >= (1.0 - mu) * g21 / g22)
+        limits.append(rows + empty)
+        bracketable.append(0)
+        return cases(gains, s2, w1, w2, p1i, n1, n2, mu)
+
+    def counted_roots(c, *args):
+        bracketable[-1] += np.count_nonzero(
+            np.broadcast_to(args[-1], np.shape(c)))
+        return roots(c, *args)
+
+    monkeypatch.setattr(allocators, "opad_cases", counted_cases)
+    monkeypatch.setattr(mutual_sic, "_edge_case_roots", counted_roots)
+    for ch in drops(Scenario(), 3):
+        results = run_algorithms(ch, ALGORITHMS)
+        assert not any(isinstance(r, Exception) for r in results.values())
+    assert len(limits) > 30 and sum(bracketable) > 1000
+    assert all(b <= n for b, n in zip(bracketable, limits))
 
 
 # -- edge roots against a scalar bisection oracle --------------------------------------

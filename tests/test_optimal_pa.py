@@ -2,6 +2,8 @@
 solve, and the mutual-SIC barrier solve against the window-branch
 enumeration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,42 @@ def test_opa_converges_through_singular_pair_blocks(monkeypatch):
         assert rates_from(st, res.power_w) == pytest.approx(st.demands,
                                                             rel=1e-6)
         assert res.total_power_w < st.total_power()
+
+
+def test_opa_iterations_count_every_active_set_solve(monkeypatch):
+    """On 12 Mb/s drop 73 (base seed 0, SRRH-LPO state) the active-set loop
+    solves twice, in 19 and 5 Newton steps: the result, and SRRH-OPA's
+    record, count all 24, not the last solve's 5. A fallback return counts
+    every solve as well, the one that failed included."""
+    ch = generate_channel(Scenario(rate_demand_bps=12e6),
+                          np.random.default_rng(trial_seed(0, 73)))
+    st = run_algorithm(ch, AlgorithmConfig("SRRH-LPO")).state
+    steps = []
+    real = optimal_pa.solve_system
+
+    def counted(f, z0, **kwargs):
+        report = real(f, z0, **kwargs)
+        steps.append(report.iterations)
+        return report
+
+    with monkeypatch.context() as m:
+        m.setattr(optimal_pa, "solve_system", counted)
+        res = optimal_power_allocation(st)
+    assert steps == [19, 5]
+    assert res.converged and res.iterations == 24
+    assert run_algorithm(ch, AlgorithmConfig("SRRH-OPA")).opa_iterations \
+        == 24
+
+    def second_fails(f, z0, **kwargs):
+        report = counted(f, z0, **kwargs)
+        return replace(report, converged=len(steps) < 2)
+
+    steps.clear()
+    monkeypatch.setattr(optimal_pa, "solve_system", second_fails)
+    res = optimal_power_allocation(st)
+    assert steps == [19, 5]
+    assert not res.converged and res.iterations == 24
+    assert np.array_equal(res.power_w, st.power_tensor())
 
 
 def test_production_path_solves_no_kkt_sized_system(monkeypatch):

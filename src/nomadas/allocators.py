@@ -11,7 +11,9 @@ algorithm to its antenna set, its rounds after OMA and that last step.
 
 Every round after the first runs the same greedy descent (_descend): the
 most power-hungry active user proposes its best step, which is taken while
-it lowers total power by more than rho_w; otherwise the user retires.
+it lowers total power by more than rho_w; otherwise the user retires. A
+taken step names the users whose power it changed, the grower or the
+pair's two users, and only their powers are evaluated again (user_power).
 
 State bookkeeping: a subcarrier is free until assigned. Then owner[n, r]
 names the user that holds it alone through RRH r, its power floating on
@@ -187,12 +189,18 @@ class AllocationState:
 
     # -- bookkeeping helpers -------------------------------------------------
 
-    def user_powers(self) -> np.ndarray:
-        """Per-user power: frozen powers plus the waterfill of the sole
+    def user_power(self, k: int) -> float:
+        """User k's power: its frozen power plus the waterfill of its sole
         holdings, n_sole * waterline - floor_sum (none without any)."""
-        return np.where(self.n_sole == 0, self.frozen_power,
-                        self.n_sole * self.waterline - self.floor_sum
-                        + self.frozen_power)
+        n = self.n_sole[k]
+        if n == 0:
+            return float(self.frozen_power[k])
+        return float(n * self.waterline[k] - self.floor_sum[k]
+                     + self.frozen_power[k])
+
+    def user_powers(self) -> np.ndarray:
+        """user_power of every user, by index."""
+        return np.array([self.user_power(k) for k in range(self.num_users)])
 
     def total_power(self) -> float:
         return float(self.user_powers().sum())
@@ -305,7 +313,8 @@ def worst_best_h(state: AllocationState) -> None:
     """
     G, s2 = state.gains, state.sigma2_w
     unassigned = set(range(state.num_users))
-    before = state.total_power()
+    powers = state.user_powers()
+    before = float(powers.sum())
     while unassigned:
         best_k, best_gain = -1, math.inf
         for k in sorted(unassigned):
@@ -318,7 +327,7 @@ def worst_best_h(state: AllocationState) -> None:
                                            + math.log(s2 / best_gain))
         state._add_sole(best_k, n, r)
         unassigned.discard(best_k)
-        powers = state.user_powers()
+        powers[best_k] = state.user_power(best_k)
         after = float(powers.sum())
         state._log("wbh", best_k, n, True, powers[best_k], before, after)
         before = after
@@ -334,10 +343,11 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     largest power (lowest index on ties) proposes one step: propose(k)
     returns (subcarrier, dp, commit). A step that lowers total power by
     more than rho_w is taken: commit() applies it and returns the
-    (subcarrier, dp) to log. Otherwise the user retires from the phase and
-    the proposal's subcarrier and dp are logged. The user powers are
-    evaluated once per taken step; a retirement changes nothing, so the
-    totals carry over. The iteration count and its bound `limit` add up in
+    (subcarrier, dp) to log and the users whose power it changed; only
+    their powers are evaluated again (user_power). Otherwise the user
+    retires from the phase and the proposal's subcarrier and dp are
+    logged; a retirement changes no power, so the totals carry over. The
+    iteration count and its bound `limit` add up in
     state.phase_iterations[tag]. `active`, the mask of the users not yet
     retired, starts all True; a caller whose proposer reads it passes it.
     """
@@ -346,19 +356,27 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
         active = np.ones(state.num_users, dtype=bool)
     powers = state.user_powers()
     before = float(powers.sum())
+    # the active users' powers, -inf for the retired ones
+    masked = np.where(active, powers, -np.inf)
+    left = int(active.sum())
     iters = 0
-    while more() and active.any():
+    while left and more():
         iters += 1
-        k = int(np.argmax(np.where(active, powers, -np.inf)))
+        k = int(masked.argmax())
         n, dp, commit = propose(k)
         accepted = bool(dp < -rho)
         after = before
         if accepted:
-            n, dp = commit()
-            powers = state.user_powers()
+            n, dp, changed = commit()
+            for u in changed:
+                powers[u] = state.user_power(u)
+                if active[u]:
+                    masked[u] = powers[u]
             after = float(powers.sum())
         else:
             active[k] = False
+            masked[k] = -np.inf
+            left -= 1
         state._log(tag, k, n, accepted, dp, before, after)
         before = after
     prev = state.phase_iterations.get(tag, (0, 0))
@@ -391,7 +409,7 @@ def oma_phase(state: AllocationState) -> None:
         def commit():
             state.waterline[k] = w_new
             state._add_sole(k, n, r)
-            return n, dp
+            return n, dp, (k,)
         return n, dp, commit
 
     _descend(state, "oma", int(state.free.sum()) + state.num_users,
@@ -440,7 +458,7 @@ def uc_extension_phase(state: AllocationState) -> None:
         def commit():
             state.waterline[k] = wn
             state._add_sole(k, n, r)
-            return n, dp
+            return n, dp, (k,)
         return n, dp, commit
 
     _descend(state, "uc", 2 * state.num_subcarriers + state.num_users,
@@ -545,46 +563,44 @@ class _PairTable:
         g11, g22 = g[0], g[3]
         p1 = p1i = w1 - s2 / g11
         mode = mode or self.mode
-        if mode == "ftpa":
-            with np.errstate(divide="ignore", over="ignore"):
+        # a row that divides by zero, overflows or turns NaN fails a screen
+        # below or is priced inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if mode == "ftpa":
                 p2 = ftpa_power(p1, g11, g22, FTPA_ALPHA)
-            valid = np.ones(rows.size, dtype=bool)
-        elif mode == "lpo":
-            p2, reject = _lpo_core(w2, p1, g22, s2, n2, SIC_MARGIN)
-            valid = ~reject
-        elif mode == "dpa":
-            with np.errstate(invalid="ignore"):
+                valid = np.ones(rows.size, dtype=bool)
+            elif mode == "lpo":
+                p2, reject = _lpo_core(w2, p1, g22, s2, n2, SIC_MARGIN)
+                valid = ~reject
+            elif mode == "dpa":
                 w_add = waterline_add(w2, n2, g22, s2)
-            p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
-        else:
-            p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
-                                            SIC_MARGIN)
-            valid = case > 0
-        if not self.same_rrh:
-            xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
-            valid &= (p2 > 0) & admits_waterline_decrease(g22, w2, s2) \
-                & (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
+                p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
+            else:
+                p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
+                                                SIC_MARGIN)
+                valid = case > 0
+            if not self.same_rrh:
+                xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
+                valid &= (p2 > 0) & admits_waterline_decrease(g22, w2, s2) \
+                    & (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
 
-        with np.errstate(invalid="ignore", over="ignore"):
             rate2 = rate_second(np.where(valid, p2, 0.0),
                                 p1 if self.same_rrh else 0.0, g22, s2, sc_bw)
             w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
             valid &= w2_new >= g2_floor
             dp = delta_power_noma(w2, w2_new, n2, p2)
-        w1_new = w1
-        if p1 is not p1i:
-            rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
-            rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
-            moved = np.abs(p1 - p1i) > POWER_ATOL
-            valid &= ~moved | (n1 >= 2)
-            with np.errstate(invalid="ignore", divide="ignore"):
+            w1_new = w1
+            if p1 is not p1i:
+                rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
+                rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
+                moved = np.abs(p1 - p1i) > POWER_ATOL
+                valid &= ~moved | (n1 >= 2)
                 w1_new = np.where(
                     n1 >= 2,
                     waterline_rate_shift(w1, rate1_old - rate1,
                                          np.maximum(n1 - 1, 1), sc_bw),
                     w1)
-            valid &= np.where(moved, w1_new >= rest_floor, True)
-            with np.errstate(invalid="ignore", over="ignore"):
+                valid &= np.where(moved, w1_new >= rest_floor, True)
                 dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) + dp
         return np.where(valid, dp, np.inf), p1, p2, rate2, w1_new, w2_new
 
@@ -655,7 +671,7 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool) -> None:
             _freeze_pair(state, Pair(n, k1, r1, p1, rate1, k2, r2, p2, rate2),
                          w1_new, w2_new)
             table.commit(row)
-            return n, dp
+            return n, dp, (k1, k2)
         shown = same_rrh and dp_best < math.inf
         return int(table.n[row]) if shown else -1, dp_best, commit
 

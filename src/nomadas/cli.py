@@ -101,7 +101,8 @@ def _cmd_run(args) -> int:
               f"{row.paired_saving:+6.1%} vs {config.algorithms[0]}  "
               f"plain/mutual/single sc {row.mean_nonmux_sc:.1f}/"
               f"{row.mean_mutsic_sc:.1f}/{row.mean_singsic_sc:.1f}  "
-              f"over {row.n_trials} trials ({row.n_failed} failed)")
+              f"over {row.n_trials} trials ({row.n_failed} failed, "
+              f"{row.n_warned} warned)")
     return 1 if any(row.n_failed for row in rows) else 0
 
 

@@ -110,6 +110,7 @@ class AggregateRow:
     sweep_value: float
     n_trials: int
     n_failed: int
+    n_warned: int           # trials that carry a warning
     mean_power_w: float
     std_power_w: float
     mean_nonmux_sc: float
@@ -189,7 +190,8 @@ def run_monte_carlo(config: RunConfig) -> list:
 
 
 def aggregate(records) -> list:
-    """Per-cell means over non-failed trials, insertion-ordered.
+    """Per-cell means over non-failed trials, insertion-ordered, with the
+    counts of failed trials and of trials that carry a warning.
 
     The paired saving of a cell is taken against the first record's
     algorithm at the same sweep value.
@@ -201,14 +203,15 @@ def aggregate(records) -> list:
     rows = []
     for (alg, value), recs in groups.items():
         ok = [r for r in recs if not r.failed]
-        n_failed = len(recs) - len(ok)
+        counts = (len(ok), len(recs) - len(ok),
+                  sum(bool(r.warnings) for r in recs))
         if not ok:
-            rows.append(AggregateRow(alg, recs[0].sweep_axis, value, 0,
-                                     n_failed, *[float("nan")] * 6))
+            rows.append(AggregateRow(alg, recs[0].sweep_axis, value, *counts,
+                                     *[float("nan")] * 6))
             continue
         powers = np.array([r.total_power_w for r in ok])
         rows.append(AggregateRow(
-            alg, recs[0].sweep_axis, value, len(ok), n_failed,
+            alg, recs[0].sweep_axis, value, *counts,
             float(powers.mean()), float(powers.std()),
             float(np.mean([r.nonmux_sc for r in ok])),
             float(np.mean([r.mutsic_sc for r in ok])),

@@ -98,10 +98,12 @@ def _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2):
     return sigma2_w, g11, d1, db, e1, e2, w2 * db
 
 
-def _phi(p1, terms):
-    """phi(p1) and dphi/dp1, where (1 + c) - phi is the stationarity.
+def _phi(p1, terms, slope=True):
+    """phi(p1), with dphi/dp1 unless slope is False.
 
-    phi = a^(-m1) + c*K*b^(-m2) is a sum of two decreasing power laws with
+    (1 + c) - phi is the derivative of dp1(p1) + dp2(c*p1) in p1, the
+    stationarity whose root is the edge optimum. phi = a^(-m1) +
+    c*K*b^(-m2) is a sum of two decreasing power laws with
     a = (sigma2 + p1*g11) / (sigma2 + p1i*g11), b = 1 + c*p1*g22/sigma2,
     m1 = n1/(n1 - 1), m2 = (n2 + 1)/n2 and K = w2*g22/sigma2; terms come
     from _phi_terms.
@@ -111,13 +113,9 @@ def _phi(p1, terms):
     b = 1.0 + p1 * db
     t1 = a ** e1
     t2 = w2db * b ** e2
+    if not slope:
+        return t1 + t2
     return t1 + t2, e1 * t1 * g11 / (a * d1) + e2 * t2 * db / b
-
-
-def _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2):
-    """Derivative of dp1(p1) + dp2(c*p1) in p1; root is the edge optimum."""
-    phi, _ = _phi(p1, _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2))
-    return (1.0 + c) - phi
 
 
 def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
@@ -131,44 +129,40 @@ def _edge_case_roots(c, gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
     cap for every other row. The stationarity (1 + c) - phi(p1) is
     increasing in p1, negative near 0 under the admission precondition, and
     tends to 1 + c > 0, so a root exists whenever the numerics can bracket
-    it. From the bracket's top, Newton steps are taken on log(phi) against
-    log(p1), where the two power laws in phi are nearly straight; a step
-    that leaves the bracket falls back to the bracket's geometric midpoint.
-    A row stops once its raw Newton step is at most 4e-16 relative, or once
-    the next point would not move it (rounding noise in phi can keep the
-    raw step just above that), and the loop ends when every bracketed row
-    has stopped or after 100 steps.
+    it: the bracket [lo, hi] holds phi(lo) > 1 + c > phi(hi), both finite,
+    and is searched on phi alone. From the bracket's top, Newton steps are
+    taken on log(phi) against log(p1), where the two power laws in phi are
+    nearly straight; a step that leaves the bracket falls back to the
+    bracket's geometric midpoint. A row stops once its raw Newton step is
+    at most 4e-16 relative, or once the next point would not move it
+    (rounding noise in phi can keep the raw step just above that), and the
+    loop ends when every bracketed row has stopped or after 100 steps.
     """
-
-    def g_of(p1):
-        return _stationarity(p1, c, gains_arrays, sigma2_w, w1, w2, p1i,
-                             n1, n2)
-
+    terms = _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2)
+    target = 1.0 + c
     shape = np.broadcast(c, p1i, w1, w2, n1).shape
     lo = np.broadcast_to(p1i * 1e-12, shape).astype(float).copy()
     hi = np.broadcast_to(p1i * 1.0, shape).astype(float).copy()
-    glo = g_of(lo)
-    ghi = g_of(hi)
+    phi_lo = _phi(lo, terms, slope=False)
+    phi_hi = _phi(hi, terms, slope=False)
     for _ in range(80):
-        grow = admissible & (ghi <= 0.0)
-        if not np.any(grow):
+        grow = admissible & (phi_hi >= target)
+        if not grow.any():
             break
         hi = np.where(grow, hi * 4.0, hi)
-        ghi = np.where(grow, g_of(hi), ghi)
+        phi_hi = np.where(grow, _phi(hi, terms, slope=False), phi_hi)
     for _ in range(40):
-        shrink = admissible & (glo >= 0.0)
-        if not np.any(shrink):
+        shrink = admissible & (phi_lo <= target)
+        if not shrink.any():
             break
         lo = np.where(shrink, lo * 0.125, lo)
-        glo = np.where(shrink, g_of(lo), glo)
-    ok = admissible & (glo < 0.0) & (ghi > 0.0) & np.isfinite(glo) \
-        & np.isfinite(ghi)
+        phi_lo = np.where(shrink, _phi(lo, terms, slope=False), phi_lo)
+    ok = admissible & (phi_lo > target) & (phi_hi < target) \
+        & np.isfinite(phi_lo) & np.isfinite(phi_hi)
     lo = np.where(ok, lo, 1.0)
     hi = np.where(ok, hi, 2.0)
-    target = 1.0 + c
     p1 = hi.copy()
     running = ok.copy()
-    terms = _phi_terms(c, gains_arrays, sigma2_w, w2, p1i, n1, n2)
     # a step that overflows lands outside the bracket like any other
     with np.errstate(over="ignore", divide="ignore"):
         for _ in range(100):

@@ -27,7 +27,7 @@ def rate_single(power_w, gain, sigma2_w, sc_bw_hz):
 
     sc_bw_hz is the per-subcarrier bandwidth (total bandwidth / subcarriers).
     """
-    if np.any(np.asarray(power_w) < 0.0):
+    if (np.asarray(power_w) < 0.0).any():
         raise ValueError("power must be non-negative")
     return sc_bw_hz * np.log2(1.0 + power_w * gain / sigma2_w)
 
@@ -38,7 +38,7 @@ def rate_second(p2_w, p1_w, gain2, sigma2_w, sc_bw_hz):
     The first user's signal at power p1_w is received as interference through
     the second user's own gain.
     """
-    if np.any(np.asarray(p2_w) < 0.0) or np.any(np.asarray(p1_w) < 0.0):
+    if (np.asarray(p2_w) < 0.0).any() or (np.asarray(p1_w) < 0.0).any():
         raise ValueError("powers must be non-negative")
     return sc_bw_hz * np.log2(1.0 + p2_w * gain2 / (p1_w * gain2 + sigma2_w))
 

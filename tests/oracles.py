@@ -138,22 +138,30 @@ def sample_pair_instance(rng, require_window=True, mu=0.01):
                 "p1i": w1 - s2 / g11, "n1": n1, "n2": n2, "mu": mu}
 
 
-def edge_root_bisection(c, g11, g22, sigma2_w, w2, p1i, n1, n2):
-    """Root in p1 of d/dp1 [dp1(p1) + dp2(c*p1)], by pure scalar bisection.
+def edge_stationarity(p1, c, g11, g22, sigma2_w, w2, p1i, n1, n2):
+    """d/dp1 [dp1(p1) + dp2(c*p1)], zero at the edge case's optimum.
 
-    The derivative is written term by term from the two users' closed-form
-    deltas: the incumbent's 1 - a^(-n1/(n1-1)) with
+    Written term by term from the two users' closed-form deltas: the
+    incumbent's 1 - a^(-n1/(n1-1)) with
     a = (sigma2 + p1*g11) / (sigma2 + p1i*g11), plus c times the joiner's
-    1 - w2*(g22/sigma2)*(1 + c*p1*g22/sigma2)^(-(n2+1)/n2). It increases in
-    p1, so halving a sign-change bracket until the midpoint no longer moves
-    pins the root to the last representable bit.
+    1 - w2*(g22/sigma2)*(1 + c*p1*g22/sigma2)^(-(n2+1)/n2).
+    """
+    a = (sigma2_w + p1 * g11) / (sigma2_w + p1i * g11)
+    joiner = 1.0 - w2 * (g22 / sigma2_w) \
+        * (1.0 + c * p1 * g22 / sigma2_w) ** (-(n2 + 1.0) / n2)
+    return 1.0 - a ** (-n1 / (n1 - 1.0)) + c * joiner
+
+
+def edge_root_bisection(c, g11, g22, sigma2_w, w2, p1i, n1, n2):
+    """Root in p1 of edge_stationarity, by pure scalar bisection.
+
+    The stationarity increases in p1, so halving a sign-change bracket
+    until the midpoint no longer moves pins the root to the last
+    representable bit.
     """
 
     def deriv(p1):
-        a = (sigma2_w + p1 * g11) / (sigma2_w + p1i * g11)
-        joiner = 1.0 - w2 * (g22 / sigma2_w) \
-            * (1.0 + c * p1 * g22 / sigma2_w) ** (-(n2 + 1.0) / n2)
-        return 1.0 - a ** (-n1 / (n1 - 1.0)) + c * joiner
+        return edge_stationarity(p1, c, g11, g22, sigma2_w, w2, p1i, n1, n2)
 
     lo, hi = 0.0, p1i
     while deriv(hi) <= 0.0:

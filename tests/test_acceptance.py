@@ -16,8 +16,7 @@ from nomadas import (ALGORITHMS, AlgorithmConfig, InfeasibleWaterline,
                      Scenario, run_algorithm)
 from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
-from nomadas.mutual_sic import (_dp1, _dp2, _stationarity, dpa_adjust,
-                                opad_cases)
+from nomadas.mutual_sic import _dp1, _dp2, dpa_adjust, opad_cases
 from nomadas.optimal_pa import optimal_power_allocation
 from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
                                rate_second, waterline_add, waterline_from_rate,
@@ -25,9 +24,10 @@ from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
 
 from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline,
-                     constrained_mutual_pa_oracle, grid_best_second_power,
-                     opa_kkt_residual, pairing_delta_closed_over_grid,
-                     sample_pair_instance, total_power_at_rate)
+                     constrained_mutual_pa_oracle, edge_stationarity,
+                     grid_best_second_power, opa_kkt_residual,
+                     pairing_delta_closed_over_grid, sample_pair_instance,
+                     total_power_at_rate)
 
 FIG_ALGS = ("OMA-CAS", "NOMA-CAS", "OMA-DAS", "SRRH", "SRRH-LPO", "SRRH-OPA")
 EXTENDED = FIG_ALGS + ("MutSIC-SOPAd", "MutAndSingSIC")
@@ -390,8 +390,8 @@ def test_c6d_joint_pair_optimum():
             edges += 1
             c = (1.0 + mu) * gains.g11 / gains.g12 if case[0] == 2 \
                 else (1.0 - mu) * gains.g21 / gains.g22
-            worst_resid = max(worst_resid, abs(float(_stationarity(
-                p1[0], c, tuple(gains), s2, inst["w1"], inst["w2"],
+            worst_resid = max(worst_resid, abs(float(edge_stationarity(
+                p1[0], c, gains.g11, gains.g22, s2, inst["w2"],
                 inst["p1i"], n1, n2))))
     ok = worst_excess <= 1e-9 and worst_resid < 1e-8
     _check("criterion 6d", ok,

@@ -151,7 +151,7 @@ def _scalar_user_powers(state):
 
 
 def test_user_powers_equal_scalar_loop(batch):
-    """The vectorized user_powers repeats the scalar formula bit for bit."""
+    """user_powers repeats a count of the holdings in owner bit for bit."""
     emptied = 0
     for res in batch.values():
         st = res.state
@@ -285,7 +285,7 @@ def test_descend_breaks_power_ties_by_lowest_index(tiny_channel):
 
         def commit():       # user 1 drops to a tie with user 0
             state.frozen_power[k] = 2.0
-            return 5, -1.0
+            return 5, -1.0, (k,)
         return 5, -1.0, commit
 
     allocators._descend(state, "tie", 4, lambda: True, propose)

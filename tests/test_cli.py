@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import nomadas
 from nomadas import ALGORITHMS
-from nomadas import allocators, cli
+from nomadas import allocators, cli, optimal_pa
 from nomadas.audit import AuditReport
 from nomadas.cli import _parse_algorithms, build_parser, main
 from nomadas.harness import AggregateRow, TrialRecord, read_csv, run_trial
@@ -130,7 +131,7 @@ def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
     assert rc == 1
     out = capsys.readouterr().out
     assert "rate=2e+06" in out
-    assert "(2 failed)" in out
+    assert "(2 failed, 0 warned)" in out
 
 
 @pytest.mark.parametrize("command", [
@@ -214,6 +215,33 @@ def test_oracle_counts_every_mutual_drop(converges, monkeypatch, capsys):
     assert mutual > 0 and checked + bad == mutual
     assert bad == (0 if converges else mutual)
     assert out.count("window-constrained optimum did not converge") == bad
+
+
+def test_summary_counts_warned_trials(tmp_path, config_json, monkeypatch,
+                                      capsys):
+    """Every SRRH-OPA trial falls back to its waterfilled powers when the
+    last active-set solve does not converge: each warns, none fails, and
+    the summary and the aggregate CSV count the warned trials."""
+    real = optimal_pa.solve_system
+
+    def unconverged(f, z0, **kwargs):
+        return replace(real(f, z0, **kwargs), converged=False)
+
+    monkeypatch.setattr(optimal_pa, "solve_system", unconverged)
+    out, agg = tmp_path / "t.csv", tmp_path / "agg.csv"
+    rc = main(["simulate", "--config", config_json, "--trials", "3",
+               "--algorithms", "SRRH-LPO,SRRH-OPA", "--out", str(out),
+               "--aggregate-out", str(agg)])
+    assert rc == 0
+    records = read_csv(TrialRecord, out)
+    assert [bool(r.warnings) for r in records] == [False, True] * 3
+    assert not any(r.failed for r in records)
+    lpo, opa = read_csv(AggregateRow, agg)
+    assert (lpo.n_failed, lpo.n_warned) == (0, 0)
+    assert (opa.n_trials, opa.n_failed, opa.n_warned) == (3, 0, 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("over 3 trials (0 failed, 0 warned)")
+    assert lines[1].endswith("over 3 trials (0 failed, 3 warned)")
 
 
 def test_audit_takes_no_workers(capsys):

@@ -374,13 +374,14 @@ GOLDEN_TRIAL_CSV = (
     "wbh:6/6 oma:40/52 single:9/21,4,2.5e-13",
 )
 GOLDEN_AGGREGATE_CSV = (
-    "algorithm,sweep_axis,sweep_value,n_trials,n_failed,mean_power_w,"
-    "std_power_w,mean_nonmux_sc,mean_mutsic_sc,mean_singsic_sc,paired_saving",
-    "OMA-DAS,rate,9000000.0,2,0,0.15000000000000002,0.15000000000000002,"
+    "algorithm,sweep_axis,sweep_value,n_trials,n_failed,n_warned,"
+    "mean_power_w,std_power_w,mean_nonmux_sc,mean_mutsic_sc,mean_singsic_sc,"
+    "paired_saving",
+    "OMA-DAS,rate,9000000.0,2,0,0,0.15000000000000002,0.15000000000000002,"
     "40.5,0.0,0.0,0.0",
-    "SRRH,rate,9000000.0,1,1,0.25,0.0,30.0,0.0,10.0,0.16666666666666674",
-    "OMA-DAS,rate,12000000.0,1,0,2.5,0.0,64.0,0.0,0.0,0.0",
-    "SRRH,rate,12000000.0,1,0,1.75,0.0,50.0,0.0,14.0,0.30000000000000004",
+    "SRRH,rate,9000000.0,1,1,1,0.25,0.0,30.0,0.0,10.0,0.16666666666666674",
+    "OMA-DAS,rate,12000000.0,1,0,0,2.5,0.0,64.0,0.0,0.0,0.0",
+    "SRRH,rate,12000000.0,1,0,0,1.75,0.0,50.0,0.0,14.0,0.30000000000000004",
 )
 
 

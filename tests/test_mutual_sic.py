@@ -16,7 +16,7 @@ from nomadas.waterfill import POWER_ATOL, waterline_add
 
 from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline, edge_root_bisection,
-                     sample_pair_instance, three_case_opad,
+                     edge_stationarity, sample_pair_instance, three_case_opad,
                      total_power_at_rate)
 
 gains_st = st.floats(min_value=1e-9, max_value=1e3)
@@ -475,9 +475,9 @@ def _edge_ratio(inst, case):
 def _edge_residual(inst, p1, case):
     """Edge-case stationarity at p1; zero at the case's optimum."""
     g = inst["gains"]
-    return float(mutual_sic._stationarity(
-        p1, _edge_ratio(inst, case), tuple(g), inst["sigma2_w"],
-        inst["w1"], inst["w2"], inst["p1i"], inst["n1"], inst["n2"]))
+    return float(edge_stationarity(
+        p1, _edge_ratio(inst, case), g.g11, g.g22, inst["sigma2_w"],
+        inst["w2"], inst["p1i"], inst["n1"], inst["n2"]))
 
 
 def _dpa_reference(inst):
@@ -639,6 +639,33 @@ def test_opad_cases_edge_powers_are_stationary(case_batch):
         assert abs(_edge_residual(insts[j], p1[j], int(case[j]))) < 1e-8
 
 
+def _count_phi(monkeypatch):
+    """Count, from now on, the _edge_case_roots calls, the _phi_terms calls
+    and the _phi evaluations, all and those of the bracket phase (the ones
+    without the slope); returns the live counts."""
+    calls = {"roots": 0, "terms": 0, "phi": 0, "bracket": 0}
+    roots, terms, phi = (mutual_sic._edge_case_roots, mutual_sic._phi_terms,
+                         mutual_sic._phi)
+
+    def counted_roots(*args):
+        calls["roots"] += 1
+        return roots(*args)
+
+    def counted_terms(*args):
+        calls["terms"] += 1
+        return terms(*args)
+
+    def counted_phi(p1, terms, slope=True):
+        calls["phi"] += 1
+        calls["bracket"] += not slope
+        return phi(p1, terms, slope)
+
+    monkeypatch.setattr(mutual_sic, "_edge_case_roots", counted_roots)
+    monkeypatch.setattr(mutual_sic, "_phi_terms", counted_terms)
+    monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
+    return calls
+
+
 def _ray_miss(rng):
     """A sampled instance whose margined edge rays both leave the window."""
     while True:
@@ -675,25 +702,14 @@ def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
     mixed = good[:30] + bad + good[30:]
     is_good = np.array([True] * 30 + [False] * 60 + [True] * 30)
 
-    calls = {"stationarity": 0, "phi": 0}
-    stationarity, phi = mutual_sic._stationarity, mutual_sic._phi
-
-    def counted_stationarity(*args):
-        calls["stationarity"] += 1
-        return stationarity(*args)
-
-    def counted_phi(*args):
-        calls["phi"] += 1
-        return phi(*args)
-
-    monkeypatch.setattr(mutual_sic, "_stationarity", counted_stationarity)
-    monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
+    calls = _count_phi(monkeypatch)
     alone = opad_cases(*_cases_args(good))
     calls_alone = dict(calls)
-    calls.update(stationarity=0, phi=0)
+    calls.update(dict.fromkeys(calls, 0))
     out = opad_cases(*_cases_args(mixed))
-    assert calls["stationarity"] <= calls_alone["stationarity"]
+    assert 0 < calls["bracket"] <= calls_alone["bracket"]
     assert calls["phi"] <= calls_alone["phi"]
+    assert calls["terms"] == calls["roots"] == calls_alone["roots"] == 1
     for mixed_col, alone_col in zip(out, alone):
         assert np.array_equal(mixed_col[is_good], alone_col)
     bad_case = out[4][~is_good]
@@ -772,21 +788,10 @@ def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
     rng = np.random.default_rng(43 + tiny_root)
     c, g11, g12, g21, g22, w1, w2, p1i, n1, n2 = _edge_rows(rng, 120,
                                                               tiny_root)
-    counts = {"phi": 0, "bracket": 0}
-    phi, stationarity = mutual_sic._phi, mutual_sic._stationarity
-
-    def counted_phi(*args):
-        counts["phi"] += 1
-        return phi(*args)
-
-    def counted_stationarity(*args):
-        counts["bracket"] += 1
-        return stationarity(*args)
-
-    monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
-    monkeypatch.setattr(mutual_sic, "_stationarity", counted_stationarity)
+    counts = _count_phi(monkeypatch)
     p1, ok = mutual_sic._edge_case_roots(c, (g11, g12, g21, g22), SIGMA2_REF,
                                          w1, w2, p1i, n1, n2, True)
+    assert counts["roots"] == counts["terms"] == 1
     assert ok.all()
     if tiny_root:
         assert (p1 < 1e-6 * p1i).all()
@@ -794,7 +799,9 @@ def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
         want = edge_root_bisection(c[i], g11[i], g22[i], SIGMA2_REF, w2[i],
                                    p1i[i], n1[i], n2[i])
         assert p1[i] == pytest.approx(want, rel=1e-12, abs=0.0)
-    # every bracket-phase evaluation goes through _stationarity; the rest
-    # are Newton steps, which must stop far below the 100-step cap
+    # the bracket phase evaluates phi without its slope, at least at both
+    # ends; the rest are Newton steps, which must stop far below the
+    # 100-step cap
+    assert counts["bracket"] >= 2
     newton_steps = counts["phi"] - counts["bracket"]
     assert 0 < newton_steps <= 30

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from nomadas import ALGORITHMS, AlgorithmConfig, Scenario, run_algorithm
-from nomadas import generate_channel
+from nomadas import allocators, generate_channel
+from nomadas.allocators import AllocationState
 
 from conftest import SMALL, TINY
 
@@ -95,6 +96,43 @@ def test_totals_match_pinned(runs, pinned):
         for key, want in pinned.items():
             assert got[key]["total_power_w"] == pytest.approx(
                 want["total_power_w"], rel=1e-10, abs=0.0), (how, key)
+
+
+def test_logged_totals_are_fresh_power_sums(monkeypatch):
+    """Cold calls on the pinned drops, all 11 algorithms: every logged
+    total_after_w is, bit for bit, the sum of the user powers evaluated
+    afresh, though a descent evaluates again only the users a step's commit
+    names; and no accepted step changes the power of a user its commit did
+    not name."""
+    log, descend = AllocationState._log, allocators._descend
+    counts = {"logged": 0, "commits": 0, "pairs": 0}
+
+    def checked_log(state, tag, user, n, accepted, dp, before, after):
+        assert after == float(state.user_powers().sum()), (tag, user)
+        counts["logged"] += 1
+        log(state, tag, user, n, accepted, dp, before, after)
+
+    def checked_descend(state, tag, limit, more, propose, active=None):
+        def checked_propose(k):
+            n, dp, commit = propose(k)
+            if commit is None:
+                return n, dp, commit
+
+            def checked_commit():
+                was = state.user_powers()
+                n, dp, changed = commit()
+                moved = np.flatnonzero(state.user_powers() != was)
+                assert set(moved.tolist()) <= set(changed), (tag, changed)
+                counts["commits"] += 1
+                counts["pairs"] += len(changed) == 2
+                return n, dp, changed
+            return n, dp, checked_commit
+        return descend(state, tag, limit, more, checked_propose, active)
+
+    monkeypatch.setattr(AllocationState, "_log", checked_log)
+    monkeypatch.setattr(allocators, "_descend", checked_descend)
+    trajectories()
+    assert counts["logged"] > counts["commits"] > counts["pairs"] > 0
 
 
 if __name__ == "__main__":

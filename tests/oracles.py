@@ -189,12 +189,11 @@ def three_case_opad(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     w1, w2, p1i, n1, n2 = (np.asarray(a, dtype=float)
                            for a in (w1, w2, p1i, n1, n2))
     shape = np.broadcast(g11, g12, g21, g22, w1, w2, p1i, n1, n2).shape
-    garr = (g11, g12, g21, g22)
     admissible = admits_waterline_decrease(g22, w2, sigma2_w) & (n1 >= 2) \
         & (n2 >= 1) & (p1i > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p2_1 = waterline_add(w2, n2, g22, sigma2_w) - sigma2_w / g22
-        lo, hi = power_window(garr, p1i)
+        lo, hi = power_window((g11, g12, g21, g22), p1i)
         ok1 = (p2_1 >= lo - POWER_ATOL) & (p2_1 <= hi + POWER_ATOL) \
             & (p2_1 > 0.0)
         # both edges, p2 = c * p1 on the lower (case 2) and the upper
@@ -202,7 +201,7 @@ def three_case_opad(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
         c = np.stack([(1.0 + mu) * g11 / g12, (1.0 - mu) * g21 / g22])
         ray_ok = np.stack([c[0] <= g21 / g22 * (1.0 + POWER_ATOL),
                            c[1] >= g11 / g12 * (1.0 - POWER_ATOL)])
-        p1_edge, ok_edge = _edge_case_roots(c, garr, sigma2_w, w1, w2, p1i,
+        p1_edge, ok_edge = _edge_case_roots(c, g11, g22, sigma2_w, w2, p1i,
                                             n1, n2, admissible & ray_ok)
         p1 = np.concatenate([np.broadcast_to(p1i, (1,) + shape), p1_edge])
         p2 = np.concatenate([np.broadcast_to(p2_1, (1,) + shape),

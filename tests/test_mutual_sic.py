@@ -640,20 +640,15 @@ def test_opad_cases_edge_powers_are_stationary(case_batch):
 
 
 def _count_phi(monkeypatch):
-    """Count, from now on, the _edge_case_roots calls, the _phi_terms calls
-    and the _phi evaluations, all and those of the bracket phase (the ones
-    without the slope); returns the live counts."""
-    calls = {"roots": 0, "terms": 0, "phi": 0, "bracket": 0}
-    roots, terms, phi = (mutual_sic._edge_case_roots, mutual_sic._phi_terms,
-                         mutual_sic._phi)
+    """Count, from now on, the _edge_case_roots calls and the _phi
+    evaluations, all and those on phi alone, without the slope (the
+    fallback bracket's); returns the live counts."""
+    calls = {"roots": 0, "phi": 0, "bracket": 0}
+    roots, phi = mutual_sic._edge_case_roots, mutual_sic._phi
 
     def counted_roots(*args):
         calls["roots"] += 1
         return roots(*args)
-
-    def counted_terms(*args):
-        calls["terms"] += 1
-        return terms(*args)
 
     def counted_phi(p1, terms, slope=True):
         calls["phi"] += 1
@@ -661,7 +656,6 @@ def _count_phi(monkeypatch):
         return phi(p1, terms, slope)
 
     monkeypatch.setattr(mutual_sic, "_edge_case_roots", counted_roots)
-    monkeypatch.setattr(mutual_sic, "_phi_terms", counted_terms)
     monkeypatch.setattr(mutual_sic, "_phi", counted_phi)
     return calls
 
@@ -707,9 +701,10 @@ def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
     calls_alone = dict(calls)
     calls.update(dict.fromkeys(calls, 0))
     out = opad_cases(*_cases_args(mixed))
-    assert 0 < calls["bracket"] <= calls_alone["bracket"]
-    assert calls["phi"] <= calls_alone["phi"]
-    assert calls["terms"] == calls["roots"] == calls_alone["roots"] == 1
+    # every good row starts from a positive single-law bound
+    assert calls["bracket"] == calls_alone["bracket"] == 0
+    assert 0 < calls["phi"] <= calls_alone["phi"]
+    assert calls["roots"] == calls_alone["roots"] == 1
     for mixed_col, alone_col in zip(out, alone):
         assert np.array_equal(mixed_col[is_good], alone_col)
     bad_case = out[4][~is_good]
@@ -722,7 +717,13 @@ def test_production_path_brackets_one_edge_per_row(monkeypatch):
     """All 11 algorithms on three paper-cell drops: every _edge_case_roots
     call opad_cases makes may bracket at most one row per candidate row
     plus one per empty margined window. Solving both edges of every row,
-    as the three-case oracle does, brackets about two per row."""
+    as the three-case oracle does, brackets about two per row.
+
+    Every row there starts from a positive single-law bound, so no call
+    evaluates phi alone, and the Newton loop takes at most 4 passes per
+    call on average (3.8; a start at p1i with a two-ended bracket took
+    5.4 here, after 2 evaluations of phi alone)."""
+    counts = _count_phi(monkeypatch)
     limits, bracketable = [], []
     cases, roots = allocators.opad_cases, mutual_sic._edge_case_roots
 
@@ -747,6 +748,9 @@ def test_production_path_brackets_one_edge_per_row(monkeypatch):
         assert not any(isinstance(r, Exception) for r in results.values())
     assert len(limits) > 30 and sum(bracketable) > 1000
     assert all(b <= n for b, n in zip(bracketable, limits))
+    assert counts["roots"] == len(limits)
+    assert counts["bracket"] == 0
+    assert counts["phi"] <= 4.0 * counts["roots"]
 
 
 # -- edge roots against a scalar bisection oracle --------------------------------------
@@ -786,12 +790,11 @@ def _edge_rows(rng, count, tiny_root):
 @pytest.mark.parametrize("tiny_root", [False, True])
 def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
     rng = np.random.default_rng(43 + tiny_root)
-    c, g11, g12, g21, g22, w1, w2, p1i, n1, n2 = _edge_rows(rng, 120,
-                                                              tiny_root)
+    c, g11, _, _, g22, _, w2, p1i, n1, n2 = _edge_rows(rng, 120, tiny_root)
     counts = _count_phi(monkeypatch)
-    p1, ok = mutual_sic._edge_case_roots(c, (g11, g12, g21, g22), SIGMA2_REF,
-                                         w1, w2, p1i, n1, n2, True)
-    assert counts["roots"] == counts["terms"] == 1
+    p1, ok = mutual_sic._edge_case_roots(c, g11, g22, SIGMA2_REF, w2, p1i,
+                                         n1, n2, True)
+    assert counts["roots"] == 1
     assert ok.all()
     if tiny_root:
         assert (p1 < 1e-6 * p1i).all()
@@ -799,9 +802,80 @@ def test_edge_roots_match_bisection_oracle(tiny_root, monkeypatch):
         want = edge_root_bisection(c[i], g11[i], g22[i], SIGMA2_REF, w2[i],
                                    p1i[i], n1[i], n2[i])
         assert p1[i] == pytest.approx(want, rel=1e-12, abs=0.0)
-    # the bracket phase evaluates phi without its slope, at least at both
-    # ends; the rest are Newton steps, which must stop far below the
-    # 100-step cap
-    assert counts["bracket"] >= 2
-    newton_steps = counts["phi"] - counts["bracket"]
+    # every row has a positive single-law bound, so none needs the
+    # fallback bracket (phi without its slope); the Newton steps must stop
+    # far below the 100-step cap
+    assert counts["bracket"] == 0
+    newton_steps = counts["phi"]
     assert 0 < newton_steps <= 30
+
+
+def _single_law_roots(c, g11, g22, sigma2_w, w2, p1i, n1, n2):
+    """The p1 at which each power law of oracles.edge_stationarity alone
+    reaches 1 + c: the incumbent's a^(-n1/(n1-1)) and the joiner's
+    c*w2*(g22/sigma2)*b^(-(n2+1)/n2). Either may be 0 or negative."""
+    a = (1.0 + c) ** (-(n1 - 1.0) / n1)
+    b = ((1.0 + c) / (c * w2 * g22 / sigma2_w)) ** (-n2 / (n2 + 1.0))
+    return ((a * (sigma2_w + p1i * g11) - sigma2_w) / g11,
+            (b - 1.0) * sigma2_w / (c * g22))
+
+
+def test_single_law_bounds_lie_below_the_root(monkeypatch):
+    """On sampled edge rows, every positive single-law root lies below the
+    bisection root (phi exceeds 1 + c there by the other law's term), and
+    _edge_case_roots takes its first Newton step from the larger one."""
+    rng = np.random.default_rng(53)
+    c, g11, _, _, g22, _, w2, p1i, n1, n2 = _edge_rows(rng, 200, False)
+    bounds = np.array(_single_law_roots(c, g11, g22, SIGMA2_REF, w2, p1i,
+                                        n1, n2))
+    starts, phi = [], mutual_sic._phi
+
+    def first_point(p1, terms, slope=True):
+        if not starts:
+            starts.append(np.array(p1, copy=True))
+        return phi(p1, terms, slope)
+
+    monkeypatch.setattr(mutual_sic, "_phi", first_point)
+    mutual_sic._edge_case_roots(c, g11, g22, SIGMA2_REF, w2, p1i, n1, n2,
+                                True)
+    for i in range(c.size):
+        root = edge_root_bisection(c[i], g11[i], g22[i], SIGMA2_REF, w2[i],
+                                   p1i[i], n1[i], n2[i])
+        for bound in bounds[:, i]:
+            if bound > 0.0:
+                assert bound < root
+        assert starts[0][i] == pytest.approx(bounds[:, i].max(), rel=1e-12)
+    # both laws give the larger bound on some rows
+    assert len(set(np.argmax(bounds, axis=0).tolist())) == 2
+
+
+def test_edge_roots_fall_back_without_a_positive_bound(monkeypatch):
+    """Rows where neither single-law root is positive (the incumbent's
+    p1i*g11/sigma2 under (1 + c)^((n1-1)/n1) - 1, and c*w2*g22/sigma2 under
+    1 + c) take the fallback: a foot at p1i * 1e-12 shrunk on phi alone,
+    and Newton from p1i. Every admissible row is bracketed, as the
+    two-ended bracket from p1i * 1e-12 and p1i brackets it, its root
+    matches the bisection oracle, and the rows masked out stay out of ok."""
+    rng = np.random.default_rng(59)
+    count, s2 = 60, SIGMA2_REF
+    c = 10.0 ** rng.uniform(-2.0, 2.0, count)
+    n1 = rng.integers(2, 9, count).astype(float)
+    n2 = rng.integers(1, 9, count).astype(float)
+    g11, g22 = 10.0 ** rng.uniform(-11.0, -6.0, (2, count))
+    p1i = rng.uniform(0.05, 0.95, count) \
+        * ((1.0 + c) ** ((n1 - 1.0) / n1) - 1.0) * s2 / g11
+    # 1 < w2*g22/sigma2 < 1 + 1/c: admissible, and no joiner bound
+    w2 = (1.0 + rng.uniform(0.05, 0.95, count) / c) * s2 / g22
+    assert (np.array(_single_law_roots(c, g11, g22, s2, w2, p1i, n1, n2))
+            <= 0.0).all()
+    admissible = np.arange(count) % 5 != 0
+    counts = _count_phi(monkeypatch)
+    p1, ok = mutual_sic._edge_case_roots(c, g11, g22, s2, w2, p1i, n1, n2,
+                                         admissible)
+    assert np.array_equal(ok, admissible)
+    assert counts["bracket"] > 0
+    assert 0 < counts["phi"] - counts["bracket"] <= 30
+    for i in np.flatnonzero(admissible):
+        want = edge_root_bisection(c[i], g11[i], g22[i], s2, w2[i], p1i[i],
+                                   n1[i], n2[i])
+        assert p1[i] == pytest.approx(want, rel=1e-12, abs=0.0)

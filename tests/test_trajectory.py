@@ -28,12 +28,14 @@ from conftest import SMALL, TINY
 PINNED = Path(__file__).with_name("trajectory.json")
 
 # the desk-scale cells use a zero acceptance threshold so that their
-# pairing phases take steps; the paper's cell keeps the default rho_w
+# pairing phases take steps; the paper's cells (9 and 13 Mb/s) keep the
+# default rho_w
 CASES = {
     "tiny": (TINY, 3, 0.0),
     "small": (SMALL, 2, 0.0),
     "loaded": (SMALL.with_(rate_demand_bps=10e6, num_users=12), 2, 0.0),
     "paper": (Scenario(), 2, AlgorithmConfig.rho_w),
+    "paper-13M": (Scenario(rate_demand_bps=13e6), 2, AlgorithmConfig.rho_w),
 }
 
 

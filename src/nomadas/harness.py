@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import math
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -177,7 +176,11 @@ def run_monte_carlo(config: RunConfig) -> list:
     values = sweep_points(config)
     cells = [(v, t) for v in values for t in range(config.trials)]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # imported here, so that importing the package loads no pool; a
+        # forked pool starts all its workers, so no more than there are cells
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(cells))) as pool:
             chunks = list(pool.map(_run_point, [config] * len(cells),
                                    [c[0] for c in cells],
                                    [c[1] for c in cells]))

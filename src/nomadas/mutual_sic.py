@@ -78,13 +78,13 @@ def _dp1(p1, g11, sigma2_w, w1, p1i, n1):
     n1 - 1 sole subcarriers re-waterfill to absorb the rate difference.
     """
     ratio = (sigma2_w + p1 * g11) / (sigma2_w + p1i * g11)
-    shrink = _row_power(ratio, -1.0 / (n1 - 1.0))
+    shrink = _row_power(ratio, -1.0 / (n1 - 1.0), -1.0)
     return (n1 - 1.0) * w1 * (shrink - 1.0) + p1 - p1i
 
 
 def _dp2(p2, g22, sigma2_w, w2, n2):
     """Joiner's total-power delta from adding the pair at power p2."""
-    shrink = _row_power(1.0 + p2 * g22 / sigma2_w, -1.0 / n2)
+    shrink = _row_power(1.0 + p2 * g22 / sigma2_w, -1.0 / n2, -1.0)
     return n2 * w2 * (shrink - 1.0) + p2
 
 
@@ -166,7 +166,9 @@ def _edge_case_roots(c, g11, g22, sigma2_w, w2, p1i, n1, n2, admissible):
             step = np.log(target / phi) * phi / xdphi
             nxt = p1 * np.exp(step)
             newton = (nxt >= lo) & (nxt <= hi)
-            nxt = np.where(newton, nxt, np.sqrt(lo * np.minimum(hi, 16 * lo)))
+            if not newton.all():        # the midpoint only when used
+                nxt = np.where(newton, nxt,
+                               np.sqrt(lo * np.minimum(hi, 16 * lo)))
             p1 = np.where(running, nxt, p1)
             running &= ~newton | (np.abs(step) > 1e-8)
             if not running.any():

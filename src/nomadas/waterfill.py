@@ -119,15 +119,16 @@ def ftpa_power(p1_w, gain1, gain2, alpha):
     return p1_w * (gain1 / gain2) ** alpha
 
 
-def _row_power(base, exponent):
+def _row_power(base, exponent, shortcut):
     """base ** exponent, each element as numpy computes it for one exponent
     shared by the whole call. numpy divides for a shared exponent of -1 and
     takes the square root for 0.5, but rounds differently through its
     general power when the exponent comes per element; doing the same per
     element keeps a row's value independent of the rows computed with it.
+    `shortcut` is the one of -1 and 0.5 that the caller's exponents can take.
     """
-    return np.where(exponent == -1.0, 1.0 / base,
-                    np.where(exponent == 0.5, np.sqrt(base), base ** exponent))
+    exact = 1.0 / base if shortcut == -1.0 else np.sqrt(base)
+    return np.where(exponent == shortcut, exact, base ** exponent)
 
 
 def _lpo_core(waterline_w, p1_w, gain2, sigma2_w, n_sole, mu):
@@ -143,7 +144,7 @@ def _lpo_core(waterline_w, p1_w, gain2, sigma2_w, n_sole, mu):
     ratio = waterline_w * gain2 / (p1_w * gain2 + sigma2_w)
     reject = ratio < 1.0
     safe = np.where(reject, 1.0, ratio)
-    grown = _row_power(safe, n_sole / (n_sole + 1.0))
+    grown = _row_power(safe, n_sole / (n_sole + 1.0), 0.5)
     p_star = (grown - 1.0) * (p1_w + sigma2_w / gain2)
     p2 = np.where(p_star >= p1_w, p_star, p1_w * (1.0 + mu))
     return p2, reject

@@ -467,6 +467,57 @@ def test_pair_table_clean_rows_equal_fresh_prices(alg, monkeypatch):
     assert checked > 0 and accepted > 0
 
 
+@pytest.mark.parametrize("alg", ["SRRH", "SRRH-LPO", "MutSIC-DPA",
+                                 "MutSIC-OPAd", "MutSIC-SOPAd"])
+def test_pair_table_prices_the_proposer_on_demand(alg, monkeypatch):
+    """Every mode (ftpa, lpo, dpa, opad, sopad): a proposal may leave other
+    joiners' rows dirty, but once it is answered every live row of the
+    proposer is clean and holds, bitwise, a fresh pricing of it."""
+    cheapest = allocators._PairTable.cheapest
+    checked = 0
+
+    def check(table, k2, active):
+        nonlocal checked
+        out = cheapest(table, k2, active)
+        if table.state.n_sole[k2] > 0:
+            rows = np.flatnonzero(table.live & (table.k2 == k2))
+            assert not table.dirty[rows].any()
+            if rows.size:
+                assert np.array_equal(table.values[:, rows],
+                                      np.array(table.price(rows)),
+                                      equal_nan=True)
+            checked += rows.size
+        return out
+
+    monkeypatch.setattr(allocators._PairTable, "cheapest", check)
+    for ch in drops(LOADED, N_DROPS, base_seed=17):
+        run_algorithm(ch, AlgorithmConfig(alg, rho_w=0.0))
+    assert checked > 0
+
+
+def test_opad_table_skips_proposals_with_clean_rows(monkeypatch):
+    """On the pinned paper drops, MutSIC-OPAd's table prices fewer times
+    than once per phase run up front and once after every accepted step,
+    as it did when every commit made the next proposal price: a proposer
+    whose own rows no commit touched prices nothing."""
+    price = allocators._PairTable.price
+    calls = 0
+
+    def counted(table, rows, mode=None):
+        nonlocal calls
+        calls += mode is None
+        return price(table, rows, mode)
+
+    monkeypatch.setattr(allocators._PairTable, "price", counted)
+    runs, accepted = 2, 0
+    for d in range(runs):
+        ch = generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
+        res = run_algorithm(ch, AlgorithmConfig("MutSIC-OPAd"))
+        accepted += sum(s.accepted for s in res.state.log
+                        if s.phase == "mutual")
+    assert 0 < calls < runs + accepted
+
+
 def test_total_matches_power_tensor(batch):
     for (alg, i), res in batch.items():
         assert res.total_power_w == pytest.approx(float(res.power_w.sum()),

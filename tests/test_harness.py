@@ -1,5 +1,6 @@
 """Monte Carlo harness: sweeps, trial records, aggregation, CSV persistence."""
 
+import concurrent.futures
 import math
 import pickle
 from dataclasses import replace
@@ -153,6 +154,33 @@ def test_worker_pool_matches_serial():
     serial = run_monte_carlo(RunConfig(**cfg))
     pooled = run_monte_carlo(RunConfig(**cfg, workers=2))
     assert pooled == serial
+
+
+def test_pool_has_no_more_workers_than_cells(monkeypatch):
+    """A fork pool starts every worker up front, so workers=8 over two
+    cells asks for two. The recording pool stand-in starts no process."""
+    asked = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    cfg = dict(scenario=SMALL, algorithms=("OMA-DAS",), trials=2,
+               base_seed=3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    pooled = run_monte_carlo(RunConfig(**cfg, workers=8))
+    assert asked == [2]
+    assert pooled == run_monte_carlo(RunConfig(**cfg))
+    run_monte_carlo(RunConfig(**cfg, workers=8, sweep_values=(2e6, 3e6)))
+    assert asked == [2, 4]
 
 
 def test_worker_pool_matches_serial_with_joint_power_allocation(monkeypatch):

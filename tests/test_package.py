@@ -8,6 +8,9 @@ a caller in the same module counts.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,17 @@ def test_exported_names_resolve():
     assert len(set(nomadas.__all__)) == len(nomadas.__all__)
     missing = [n for n in nomadas.__all__ if not hasattr(nomadas, n)]
     assert not missing
+
+
+def test_import_loads_no_process_pool():
+    """Importing the package leaves concurrent.futures unloaded: only a
+    pooled run_monte_carlo call imports it."""
+    path = os.pathsep.join(filter(None, (str(PKG.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nomadas; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

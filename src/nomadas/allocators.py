@@ -31,8 +31,8 @@ powers. Both freeze one kind of record (Pair) into state.pairs, a
 same-RRH pair exactly when r1 == r2. A pairing phase adds no sole
 holding, so it builds its candidate pairs once and keeps their prices
 (_PairTable, whose one price method serves every mode): an accepted step
-retires its subcarrier's pairs and marks dirty only the pairs of the two
-users it changed. Pricing waits until a proposer has a dirty pair of its
+retires its subcarrier's pairs and marks dirty only the pairs whose inputs
+it changed. Pricing waits until a proposer has a dirty pair of its
 own and then takes every dirty pair of the active users in one call, so
 a retirement, or a proposer no step touched, prices nothing.
 
@@ -216,14 +216,19 @@ class AllocationState:
         link: the sole holdings by user, then subcarrier, then RRH, at
         their waterline powers; then the first link of every pair, in
         pairs order; then the second links, in the same order."""
-        ks, ns, rs = np.nonzero(
-            self.owner == np.arange(self.num_users)[:, None, None])
+        own = self.owner.ravel()
+        held = np.flatnonzero(own >= 0)
+        held = held[np.argsort(own[held], kind="stable")]
+        ks = own[held]
+        ns, rs = np.divmod(held, self.owner.shape[1])
         p = self.waterline[ks] - self.sigma2_w / self.gains[ks, ns, rs]
-        ends = [(q.k1, q.n, q.r1, q.p1_w) for q in self.pairs] \
-            + [(q.k2, q.n, q.r2, q.p2_w) for q in self.pairs]
-        k, n, r, p = np.vstack([np.column_stack([ks, ns, rs, p]),
-                                np.reshape(ends, (-1, 4))]).T
-        return k.astype(int), n.astype(int), r.astype(int), p
+        # (k, n, r, p) rows of the pairs' first links, then second links
+        ends = np.array([(q.k1, q.k2, q.n, q.n, q.r1, q.r2, q.p1_w, q.p2_w)
+                         for q in self.pairs], dtype=float)
+        ends = ends.reshape(-1, 4, 2).transpose(1, 2, 0).reshape(4, -1)
+        k, n, r = (np.concatenate([a, b]).astype(int)
+                   for a, b in zip((ks, ns, rs), ends))
+        return k, n, r, np.concatenate([p, ends[3]])
 
     def sole_gains(self, k: int) -> np.ndarray:
         return self.gains[k][self.owner == k]
@@ -293,6 +298,7 @@ class AllocationResult:
     warnings: tuple = ()
     opa_iterations: int = 0         # of the joint power optimization
     opa_residual: float = math.nan  # its KKT residual; nan without one
+    opa_solves: int = 0             # its active-set solves
 
     @property
     def steps(self) -> str:
@@ -420,6 +426,34 @@ def oma_phase(state: AllocationState) -> None:
 
 # -- unconstrained benchmark: waterfill onto occupied subcarriers -------------
 
+class _UcLinks:
+    """Which (subcarrier, RRH of state.rrhs) links MutSIC-UC may still take,
+    kept across the proposals of one phase run: the held links, the holders
+    per subcarrier and the largest holder's index, as state.owner gives
+    them at phase start. Each commit adds one link (add)."""
+
+    def __init__(self, state: AllocationState):
+        own = state.owner[:, state.rrhs]
+        self.state = state
+        self.held = own >= 0
+        self.count = self.held.sum(axis=1)
+        self.top = own.max(axis=1)
+
+    def add(self, k: int, n: int, ri: int):
+        """Record that user k took subcarrier n through RRH rrhs[ri]."""
+        self.held[n, ri] = True
+        self.count[n] += 1
+        self.top[n] = max(self.top[n], k)
+
+    def open(self, k: int) -> np.ndarray:
+        """(subcarrier, RRH) mask of the links user k may take: those of a
+        free subcarrier and, on a subcarrier one other user holds, those
+        through every other RRH. Same-RRH reuse is single-SIC territory,
+        not covered here."""
+        other = (self.count == 1) & (self.top != k)
+        return self.state.free[:, None] | (other[:, None] & ~self.held)
+
+
 def uc_extension_phase(state: AllocationState) -> None:
     """Keep waterfilling with subcarrier reuse and no decoding conditions.
 
@@ -429,37 +463,38 @@ def uc_extension_phase(state: AllocationState) -> None:
     resulting powers ignore every power-ordering requirement that real
     interference cancellation would impose. Lower-bound reference for the
     constrained mutual-SIC methods, not a deployable allocation.
+
+    A commit adds one link, so the open-link masks (_UcLinks) and the gains
+    through state.rrhs are built once per run, not per proposal.
     """
-    G, s2 = state.gains, state.sigma2_w
+    s2 = state.sigma2_w
+    links = _UcLinks(state)
+    gains = state.gains[:, :, state.rrhs]
 
     def propose(k):
         w = state.waterline[k]
         n_cur = state.n_sole[k]
         floor = s2 / state.weakest[k, 0]       # 0 without sole holdings
-        own = state.owner[:, state.rrhs]
-        held = own >= 0
-        # a subcarrier one other user holds is open on every other RRH;
-        # same-RRH reuse is single-SIC territory, not covered here
-        other = (held.sum(axis=1) == 1) & (own.max(axis=1) != k)
-        allow = state.free[:, None] | (other[:, None] & ~held)
-        cand = G[k][:, state.rrhs]
+        cand = gains[k]
         with np.errstate(divide="ignore"):
             w_new = waterline_add(w, n_cur, cand, s2)
         # shared candidates can outrank existing gains, so unlike the free
         # phase the shrunk waterline must be checked against the floor
-        ok = allow & admits_waterline_decrease(cand, w, s2) & (w_new >= floor)
+        ok = links.open(k) & admits_waterline_decrease(cand, w, s2) \
+            & (w_new >= floor)
         if not ok.any():
             return -1, math.nan, None
         flat = int(np.argmax(np.where(ok, cand, -math.inf)))
         ni, ri = np.unravel_index(flat, cand.shape)
         n, r = int(ni), int(state.rrhs[ri])
-        gain = float(G[k, n, r])
+        gain = float(cand[ni, ri])
         wn = float(w_new[ni, ri])
         dp = delta_power_oma(w, wn, n_cur, gain, s2)
 
         def commit():
             state.waterline[k] = wn
             state._add_sole(k, n, r)
+            links.add(k, n, int(ri))
             return n, dp, (k,)
         return n, dp, commit
 
@@ -482,12 +517,16 @@ class _PairTable:
     Pairing adds no sole holding, so rows only leave: committing a row
     kills the rows on its subcarrier. A row's price reads only the state of
     its incumbent and its joiner, so the commit also marks dirty every row
-    either of its two users is part of, and a clean row's price stays what
-    pricing it now would give, bit for bit. Rows are priced on demand
-    (cheapest): only a proposer with a dirty row of its own prices. On 40
-    paper drops of all 11 algorithms that is 96.8 price calls per drop
-    (14.3 on opad tables), against 100.7 (16.0) when every accepted step
-    made the next proposal price.
+    whose inputs it moved, and a clean row's price stays what pricing it
+    now would give, bit for bit. Those are the rows either of its two users
+    joins and the rows its joiner is the incumbent of. The rows its
+    incumbent is the incumbent of read only that incumbent's waterline,
+    which ftpa, lpo and dpa steps write back unchanged, so only opad and
+    sopad tables (whose steps can move p1) dirty them too. Rows are priced
+    on demand (cheapest): only a proposer with a dirty row of its own
+    prices. On 40 paper drops of all 11 algorithms that is 85.5 table
+    price calls per drop (sopad's one-row refines not counted), against
+    88.0 when every commit dirtied all rows of both its users.
     """
 
     def __init__(self, state: AllocationState, mode: str, same_rrh: bool):
@@ -520,6 +559,8 @@ class _PairTable:
         self.fanout = 1 if same_rrh else len(state.rrhs) - 1
         # sopad selects with the dpa prices
         self.mode = "dpa" if mode == "sopad" else mode
+        # only an opad price or a sopad refine moves the incumbent's waterline
+        self.moves_w1 = mode in ("opad", "sopad")
         self.state, self.same_rrh = state, same_rrh
         self.live = np.ones(self.n.size, dtype=bool)
         self.dirty = self.live.copy()
@@ -591,8 +632,8 @@ class _PairTable:
                 w_add = waterline_add(w2, n2, g22, s2)
                 p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
             else:
-                p1, p2, _, _, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
-                                                SIC_MARGIN)
+                p1, p2, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
+                                          SIC_MARGIN)
                 valid = case > 0
             if not self.same_rrh:
                 xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
@@ -642,13 +683,18 @@ class _PairTable:
         return row, float(self.values[0, row])
 
     def commit(self, row: int):
-        """Retire row's subcarrier and dirty the rows of its two users."""
+        """Retire row's subcarrier and dirty the rows whose inputs the
+        step moved: every row of its joiner, the rows its incumbent joins
+        and, where the step can move the incumbent's waterline (opad,
+        sopad), the rows it is the incumbent of."""
         n, k1, k2 = self.n[row], self.k1[row], self.k2[row]
         dead = self.n == n
         self.live &= ~dead
         self.values[0, dead] = np.inf
-        self.dirty |= (self.k1 == k1) | (self.k1 == k2) | (self.k2 == k1) \
-            | (self.k2 == k2)
+        moved = (self.k1 == k2) | (self.k2 == k1) | (self.k2 == k2)
+        if self.moves_w1:
+            moved |= self.k1 == k1
+        self.dirty |= moved
         self.dirty &= self.live
         self.held -= 1
         self.own[k1] -= 1
@@ -752,11 +798,12 @@ def _freeze_pair(state: AllocationState, pair: Pair, w1_new, w2_new):
 def _result(state: AllocationState, algorithm: str) -> AllocationResult:
     """The outcome of `algorithm` on a state whose phases have all run,
     after the joint power optimization when its plan asks for one."""
-    warnings, iterations, residual = (), 0, math.nan
+    warnings, iterations, residual, solves = (), 0, math.nan, 0
     if PLANS[algorithm][2]:
         opa = optimal_pa.optimal_power_allocation(state)
         P = opa.power_w     # the waterfilled powers when not converged
         iterations, residual = opa.iterations, opa.residual_norm
+        solves = opa.solves
         if not opa.converged:
             warnings = (
                 f"optimal power allocation did not converge "
@@ -782,6 +829,7 @@ def _result(state: AllocationState, algorithm: str) -> AllocationResult:
         warnings=warnings,
         opa_iterations=iterations,
         opa_residual=residual,
+        opa_solves=solves,
     )
 
 

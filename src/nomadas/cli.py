@@ -7,7 +7,9 @@ Subcommands:
   oracle     Compare greedy allocations against the reference optimizers.
 
 simulate and sweep write per-trial CSVs and, optionally, aggregate CSVs,
-and print each algorithm's saving against the first one in --algorithms.
+and print each algorithm's saving against the first one in --algorithms
+and, for SRRH-OPA, the Newton steps and active-set solves of its joint
+power allocation summed over the trials.
 oracle checks SRRH-LPO against the joint power optimum on every drop and
 MutSIC-DPA against the window-constrained optimum on every drop with a
 mutual pair; a solve that does not converge is counted and printed, never
@@ -21,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .allocators import ALGORITHMS
+from .allocators import ALGORITHMS, PLANS
 from .audit import run_invariant_audit
 from .harness import (SWEEP_AXES, AggregateRow, RunConfig, TrialRecord,
                       aggregate, run_monte_carlo, run_trial, write_csv)
@@ -103,6 +105,13 @@ def _cmd_run(args) -> int:
               f"{row.mean_mutsic_sc:.1f}/{row.mean_singsic_sc:.1f}  "
               f"over {row.n_trials} trials ({row.n_failed} failed, "
               f"{row.n_warned} warned)")
+    for alg in config.algorithms:
+        opa = [r for r in records if r.algorithm == alg and not r.failed]
+        if PLANS[alg][2] and opa:
+            print(f"{alg:>14s}  joint power allocation: "
+                  f"{sum(r.opa_iterations for r in opa)} Newton steps in "
+                  f"{sum(r.opa_solves for r in opa)} active-set solves "
+                  f"over {len(opa)} trials")
     return 1 if any(row.n_failed for row in rows) else 0
 
 

@@ -83,6 +83,7 @@ class TrialRecord:
     steps: str = ""         # AllocationResult.steps
     opa_iterations: int = 0
     opa_residual: float = math.nan
+    opa_solves: int = 0
 
     # NaN-aware equality: field-by-field equality holds for a NaN cell (a
     # failed trial's total, the residual without an OPA) only while both
@@ -160,7 +161,8 @@ def _run_point(config: RunConfig, value: float, trial: int):
                                    warnings="; ".join(res.warnings),
                                    steps=res.steps,
                                    opa_iterations=res.opa_iterations,
-                                   opa_residual=res.opa_residual))
+                                   opa_residual=res.opa_residual,
+                                   opa_solves=res.opa_solves))
     return out
 
 

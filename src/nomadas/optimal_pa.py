@@ -46,6 +46,7 @@ class OpaResult:
     converged: bool
     iterations: int         # Newton steps, over all solves of the call
     residual_norm: float
+    solves: int = 0         # active-set solves (optimal_power_allocation)
 
 
 class _KktLayout(NamedTuple):
@@ -235,13 +236,13 @@ def optimal_power_allocation(state) -> OpaResult:
     pin_y = np.zeros(npair, dtype=bool)
     z0 = np.concatenate([x0, y0, lam0])
     steps = 0       # Newton iterations over every active-set solve
-    for _ in range(2 + ns + npair):
+    for solves in range(1, 3 + ns + npair):
         residual, newton_step = _kkt_system(lay, pin_x, pin_y)
         report = solve_system(residual, z0, step=newton_step)
         steps += report.iterations
         if not report.converged:
             return OpaResult(p_now, input_total, False, steps,
-                             report.residual_norm)
+                             report.residual_norm, solves)
         z = report.solution
         x, y, lam = z[:ns], z[ns:ns + npair], z[ns + npair:]
         neg_x = ~pin_x & (x < -1e-9)
@@ -275,7 +276,7 @@ def optimal_power_allocation(state) -> OpaResult:
         break
     else:
         return OpaResult(p_now, input_total, False, steps,
-                         report.residual_norm)
+                         report.residual_norm, solves)
 
     p1 = np.where(pin_x, 0.0, (2.0 ** x - 1.0) / lay.slot_u)
     p2 = np.where(pin_y, 0.0, (2.0 ** y - 1.0)
@@ -287,8 +288,8 @@ def optimal_power_allocation(state) -> OpaResult:
         # a stationary point that does not improve the start is not the
         # optimum of this convex program; keep the input allocation
         return OpaResult(p_now, input_total, False, steps,
-                         report.residual_norm)
-    return OpaResult(P, total, True, steps, report.residual_norm)
+                         report.residual_norm, solves)
+    return OpaResult(P, total, True, steps, report.residual_norm, solves)
 
 
 # -- mutual-SIC optimum --------------------------------------------------------

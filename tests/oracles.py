@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nomadas.mutual_sic import _dp1, _dp2, _edge_case_roots, power_window
+from nomadas.mutual_sic import (_dp1, _dp2, _edge_case_roots, opad_cases,
+                                power_window)
 from nomadas.optimal_pa import LN2, OpaResult
 from nomadas.solver import solve_system
 from nomadas.waterfill import (POWER_ATOL, admits_waterline_decrease,
@@ -217,6 +218,27 @@ def three_case_opad(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     p1, p2, dp1, dp2 = (np.where(found, np.take_along_axis(a, pick, 0)[0],
                                  0.0) for a in (p1, p2, dp1, dp2))
     return p1, p2, dp1, dp2, np.where(found, pick[0] + 1, 0)
+
+
+def opad_with_deltas(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
+    """opad_cases with the deltas of each row's winning case, as
+    (p1, p2, dp1, dp2, case) like three_case_opad: _dp1 and _dp2 at the
+    returned powers, 0 where case is 0. They are computed on the broadcast,
+    flattened rows as opad_cases weighs them, so by row independence they
+    equal its deltas bit for bit."""
+    p1, p2, case = opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2,
+                              mu)
+    g11, g22, w1, w2, p1i, n1, n2, p1_row, p2_row = (
+        a.ravel() for a in np.broadcast_arrays(*(
+            np.asarray(a, dtype=float) for a in (
+                gains_arrays[0], gains_arrays[3], w1, w2, p1i, n1, n2, p1,
+                p2))))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dp1 = _dp1(p1_row, g11, sigma2_w, w1, p1i, n1)
+        dp2 = _dp2(p2_row, g22, sigma2_w, w2, n2)
+    found = case.ravel() > 0
+    return (p1, p2, *(np.where(found, d, 0.0).reshape(case.shape)
+                      for d in (dp1, dp2)), case)
 
 
 def _link_tuples(state):

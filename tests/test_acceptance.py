@@ -16,7 +16,7 @@ from nomadas import (ALGORITHMS, AlgorithmConfig, InfeasibleWaterline,
                      Scenario, run_algorithm)
 from nomadas.audit import run_invariant_audit
 from nomadas.harness import RunConfig, aggregate, run_monte_carlo
-from nomadas.mutual_sic import _dp1, _dp2, dpa_adjust, opad_cases
+from nomadas.mutual_sic import _dp1, _dp2, dpa_adjust
 from nomadas.optimal_pa import optimal_power_allocation
 from nomadas.waterfill import (_lpo_core, delta_power_noma, delta_power_oma,
                                rate_second, waterline_add, waterline_from_rate,
@@ -26,8 +26,8 @@ from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline,
                      constrained_mutual_pa_oracle, edge_stationarity,
                      grid_best_second_power, opa_kkt_residual,
-                     pairing_delta_closed_over_grid, sample_pair_instance,
-                     total_power_at_rate)
+                     opad_with_deltas, pairing_delta_closed_over_grid,
+                     sample_pair_instance, total_power_at_rate)
 
 FIG_ALGS = ("OMA-CAS", "NOMA-CAS", "OMA-DAS", "SRRH", "SRRH-LPO", "SRRH-OPA")
 EXTENDED = FIG_ALGS + ("MutSIC-SOPAd", "MutAndSingSIC")
@@ -376,8 +376,8 @@ def test_c6d_joint_pair_optimum():
         n1, n2 = inst["n1"], inst["n2"]
         w_add = waterline_add(w2, n2, gains.g22, s2)
         p2_ref, window_ok = dpa_adjust(w_add - s2 / gains.g22, garr, p1i, mu)
-        p1, p2, dp1, dp2, case = opad_cases(garr, s2, w1, w2, p1i, n1, n2,
-                                            mu)
+        p1, p2, dp1, dp2, case = opad_with_deltas(garr, s2, w1, w2, p1i, n1,
+                                                  n2, mu)
         if not window_ok[0] or case[0] == 0:
             continue
         dp_ref = float(_dp1(p1i, gains.g11, s2, w1, p1i, n1)[0]

@@ -109,6 +109,35 @@ def test_links_list_every_transmitting_link_once(batch, alg):
         assert list(zip(ks, ns, rs, p))[ks.size - 2 * m:] == ends
 
 
+def _links_from_lists(state):
+    """links() as it was built from per-pair tuple lists: the sole
+    holdings through np.nonzero, the pairs' ends as two lists, stacked
+    as floats and cast back."""
+    ks, ns, rs = np.nonzero(
+        state.owner == np.arange(state.num_users)[:, None, None])
+    p = state.waterline[ks] - state.sigma2_w / state.gains[ks, ns, rs]
+    ends = [(q.k1, q.n, q.r1, q.p1_w) for q in state.pairs] \
+        + [(q.k2, q.n, q.r2, q.p2_w) for q in state.pairs]
+    k, n, r, p = np.vstack([np.column_stack([ks, ns, rs, p]),
+                            np.reshape(ends, (-1, 4))]).T
+    return k.astype(int), n.astype(int), r.astype(int), p
+
+
+def test_links_equal_the_list_built_arrays(batch):
+    """links() converts the pair records in one array call; its four arrays
+    equal the list-built ones in dtype, order and bits for every
+    algorithm on the loaded drops, with pairs of both kinds and MutSIC-UC's
+    two-holder subcarriers among them."""
+    for (alg, i), res in batch.items():
+        st = res.state
+        for got, want in zip(st.links(), _links_from_lists(st)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    states = [res.state for res in batch.values()]
+    assert any((st.holders() == 2).any() for st in states)
+    assert any(q.r1 == q.r2 for st in states for q in st.pairs)
+    assert any(q.r1 != q.r2 for st in states for q in st.pairs)
+
+
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_subcarrier_counters_sum(batch, alg):
     for i in range(N_DROPS):
@@ -516,6 +545,102 @@ def test_opad_table_skips_proposals_with_clean_rows(monkeypatch):
         accepted += sum(s.accepted for s in res.state.log
                         if s.phase == "mutual")
     assert 0 < calls < runs + accepted
+
+
+@pytest.mark.parametrize("alg,drop_ids,calls", [
+    ("MutSIC-DPA", (0, 1), 25),     # 33 when every commit dirtied them
+    ("SRRH-LPO", (8, 10), 35),      # 38
+])
+def test_table_price_calls_on_pinned_paper_drops(alg, drop_ids, calls,
+                                                 monkeypatch):
+    """The price calls of one dpa and one lpo table on pinned paper drops.
+    A commit in these modes leaves the incumbent's waterline as it was, so
+    the rows it is the incumbent of stay clean and price nothing."""
+    price = allocators._PairTable.price
+    count = 0
+
+    def counted(table, rows, mode=None):
+        nonlocal count
+        count += mode is None
+        return price(table, rows, mode)
+
+    monkeypatch.setattr(allocators._PairTable, "price", counted)
+    for d in drop_ids:
+        ch = generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
+        run_algorithm(ch, AlgorithmConfig(alg))
+    assert count == calls
+
+
+@pytest.mark.parametrize("mode,same_rrh", [
+    ("ftpa", True), ("lpo", True), ("dpa", False), ("opad", False),
+    ("sopad", False)])
+def test_pair_table_commit_dirties_the_rows_it_moved(mode, same_rrh):
+    """A commit of row (k1 incumbent, k2 joiner) dirties every live row
+    that k2 joins or is the incumbent of and every live row k1 joins. The
+    rows k1 is the incumbent of read only k1's waterline: ftpa, lpo and
+    dpa steps write it back unchanged, so those rows stay clean; an opad
+    price or a sopad refine moves it, so there they turn dirty."""
+    checked = 0
+    for ch in drops(LOADED, 3, base_seed=17):
+        state = AllocationState(ch, False, 0.0)
+        worst_best_h(state)
+        oma_phase(state)
+        table = allocators._PairTable(state, mode, same_rrh)
+        for row in range(table.n.size):
+            k1, k2 = table.k1[row], table.k2[row]
+            by_k1 = (table.k1 == k1) & (table.k2 != k2)
+            if (by_k1 & (table.n != table.n[row])).any():
+                break
+        else:
+            continue
+        table.dirty[:] = False
+        table.commit(row)
+        live = table.live
+        moved = live & ((table.k1 == k2) | (table.k2 == k1)
+                        | (table.k2 == k2))
+        by_k1 &= live & ~moved
+        assert by_k1.any()
+        assert table.dirty[moved].all()
+        assert table.dirty[by_k1].all() == (mode in ("opad", "sopad"))
+        assert table.dirty[by_k1].any() == (mode in ("opad", "sopad"))
+        assert not table.dirty[live & ~moved & ~by_k1].any()
+        checked += 1
+    assert checked == 3
+
+
+def test_uc_link_masks_equal_rebuilt_ones_after_every_commit(monkeypatch):
+    """uc_extension_phase keeps its open-link masks across proposals and
+    updates them per commit (_UcLinks.add). After every commit, on loaded
+    drops at rho_w 0, each user's open links equal the mask rebuilt from
+    state.owner: a free subcarrier on every RRH, a subcarrier one other
+    user holds on every other RRH. The phase runs after oma_phase, as
+    MutSIC-UC runs it, where nearly every commit shares a subcarrier, and
+    straight after worst_best_h, where most take a free one."""
+    links_class = allocators._UcLinks
+    commits, held_after = 0, {1: 0, 2: 0}
+
+    class Checked(links_class):
+        def add(self, k, n, ri):
+            nonlocal commits
+            super().add(k, n, ri)
+            st = self.state
+            own = st.owner[:, st.rrhs]
+            held = own >= 0
+            for user in range(st.num_users):
+                other = (held.sum(axis=1) == 1) & (own.max(axis=1) != user)
+                want = st.free[:, None] | (other[:, None] & ~held)
+                assert np.array_equal(self.open(user), want)
+            commits += 1
+            held_after[int(held[n].sum())] += 1
+
+    monkeypatch.setattr(allocators, "_UcLinks", Checked)
+    for ch in drops(LOADED, N_DROPS, base_seed=17):
+        run_algorithm(ch, AlgorithmConfig("MutSIC-UC", rho_w=0.0))
+        state = AllocationState(ch, False, 0.0)
+        worst_best_h(state)
+        allocators.uc_extension_phase(state)
+    assert commits == sum(held_after.values())
+    assert held_after[1] > 0 and held_after[2] > 0
 
 
 def test_total_matches_power_tensor(batch):

@@ -119,6 +119,25 @@ def test_summary_prints_paired_saving_and_subcarriers(tmp_path, config_json,
     assert "saving  +0.0% vs OMA-DAS" in lines[0]
 
 
+def test_summary_prints_joint_power_allocation_work(tmp_path, config_json,
+                                                   capsys):
+    """The summary adds one line for SRRH-OPA: the Newton steps and the
+    active-set solves of its joint power allocation, summed over the
+    trials' records; algorithms without one print no such line."""
+    out = tmp_path / "t.csv"
+    rc = main(["simulate", "--config", config_json, "--trials", "3",
+               "--algorithms", "OMA-DAS,SRRH-OPA", "--out", str(out)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    opa = [r for r in read_csv(TrialRecord, out) if r.algorithm == "SRRH-OPA"]
+    steps, solves = (sum(getattr(r, f) for r in opa)
+                     for f in ("opa_iterations", "opa_solves"))
+    assert solves >= len(opa) == 3
+    assert lines[2:] == [f"      SRRH-OPA  joint power allocation: {steps} "
+                         f"Newton steps in {solves} active-set solves over "
+                         f"3 trials"]
+
+
 def test_sweep_prints_failed_trials(tmp_path, config_json, monkeypatch,
                                     capsys):
     def boom(state):

@@ -245,7 +245,7 @@ def test_opa_fallback_warning_reaches_trial_records(monkeypatch):
     """The SRRH-OPA fallback says how far its Newton solve got."""
     def stalled(state):
         p = state.power_tensor()
-        return optimal_pa.OpaResult(p, float(p.sum()), False, 7, 3.1e-5)
+        return optimal_pa.OpaResult(p, float(p.sum()), False, 7, 3.1e-5, 3)
 
     monkeypatch.setattr(optimal_pa, "optimal_power_allocation", stalled)
     recs = run_monte_carlo(RunConfig(SMALL, ("SRRH-OPA",), trials=2))
@@ -255,7 +255,8 @@ def test_opa_fallback_warning_reaches_trial_records(monkeypatch):
         assert r.warnings == ("optimal power allocation did not converge "
                               "(7 Newton iterations, KKT residual 3.1e-05); "
                               "keeping waterfilled powers")
-        assert (r.opa_iterations, r.opa_residual) == (7, 3.1e-5)
+        assert (r.opa_iterations, r.opa_residual, r.opa_solves) \
+            == (7, 3.1e-5, 3)
 
 
 def test_step_and_opa_telemetry_reach_trial_records():
@@ -276,9 +277,10 @@ def test_step_and_opa_telemetry_reach_trial_records():
         if r.algorithm == "SRRH-OPA":
             # converged, possibly at its starting point (0 iterations)
             assert not r.warnings and r.opa_iterations >= 0
-            assert 0.0 <= r.opa_residual < 1e-6
+            assert 0.0 <= r.opa_residual < 1e-6 and r.opa_solves >= 1
         else:
-            assert r.opa_iterations == 0 and math.isnan(r.opa_residual)
+            assert r.opa_iterations == r.opa_solves == 0
+            assert math.isnan(r.opa_residual)
     assert any(" mutual:" in r.steps and " single:" in r.steps for r in recs
                if r.algorithm == "MutAndSingSIC")
 
@@ -385,21 +387,21 @@ GOLDEN_RECORDS = [
                 "RuntimeError('boom, \"quoted\"')"),
     TrialRecord("rate", 1.2e7, "OMA-DAS", 0, 0, 2.5, 64, 0, 0, False),
     TrialRecord("rate", 1.2e7, "SRRH", 0, 0, 1.75, 50, 0, 14, False, "", "",
-                "wbh:6/6 oma:40/52 single:9/21", 4, 2.5e-13),
+                "wbh:6/6 oma:40/52 single:9/21", 4, 2.5e-13, 2),
 ]
 GOLDEN_TRIAL_CSV = (
     "sweep_axis,sweep_value,algorithm,trial,seed,total_power_w,nonmux_sc,"
     "mutsic_sc,singsic_sc,failed,error,warnings,steps,opa_iterations,"
-    "opa_residual",
-    "rate,9000000.0,OMA-DAS,0,0,0.30000000000000004,40,0,0,0,,,,0,nan",
+    "opa_residual,opa_solves",
+    "rate,9000000.0,OMA-DAS,0,0,0.30000000000000004,40,0,0,0,,,,0,nan,0",
     'rate,9000000.0,SRRH,0,0,0.25,30,0,10,0,,"opa did not converge; '
-    'keeping ""waterfilled"", powers",,0,nan',
-    "rate,9000000.0,OMA-DAS,1,1,1e-300,41,0,0,0,,,,0,nan",
+    'keeping ""waterfilled"", powers",,0,nan,0',
+    "rate,9000000.0,OMA-DAS,1,1,1e-300,41,0,0,0,,,,0,nan,0",
     'rate,9000000.0,SRRH,1,1,nan,0,0,0,1,"RuntimeError(\'boom, '
-    '""quoted""\')",,,0,nan',
-    "rate,12000000.0,OMA-DAS,0,0,2.5,64,0,0,0,,,,0,nan",
+    '""quoted""\')",,,0,nan,0',
+    "rate,12000000.0,OMA-DAS,0,0,2.5,64,0,0,0,,,,0,nan,0",
     "rate,12000000.0,SRRH,0,0,1.75,50,0,14,0,,,"
-    "wbh:6/6 oma:40/52 single:9/21,4,2.5e-13",
+    "wbh:6/6 oma:40/52 single:9/21,4,2.5e-13,2",
 )
 GOLDEN_AGGREGATE_CSV = (
     "algorithm,sweep_axis,sweep_value,n_trials,n_failed,n_warned,"

@@ -16,8 +16,8 @@ from nomadas.waterfill import POWER_ATOL, waterline_add
 
 from conftest import drops
 from oracles import (SIGMA2_REF, bisection_waterline, edge_root_bisection,
-                     edge_stationarity, sample_pair_instance, three_case_opad,
-                     total_power_at_rate)
+                     edge_stationarity, opad_with_deltas, sample_pair_instance,
+                     three_case_opad, total_power_at_rate)
 
 gains_st = st.floats(min_value=1e-9, max_value=1e3)
 
@@ -230,10 +230,10 @@ def test_sopa_deltas_need_remaining_sole_set():
     gains = tuple(_one(g) for g in FEASIBLE)
     for n1, n2 in ((1, 2), (3, 0)):
         case = opad_cases(gains, 1.0, _one(4.0), _one(3.0), _one(0.5),
-                          _one(n1), _one(n2), 0.01)[4]
+                          _one(n1), _one(n2), 0.01)[2]
         assert case.tolist() == [0]
     assert opad_cases(gains, 1.0, _one(4.0), _one(3.0), _one(0.5), _one(3),
-                      _one(2), 0.01)[4].tolist() != [0]
+                      _one(2), 0.01)[2].tolist() != [0]
 
 
 def test_sopa_deltas_match_recomputation():
@@ -291,8 +291,9 @@ def _cases_args(insts):
 
 
 def _opad(inst):
-    """opad_cases on one instance's one-element row, as scalars."""
-    p1, p2, dp1, dp2, case = opad_cases(*_cases_args([inst]))
+    """opad_cases on one instance's one-element row, as scalars, with the
+    total of its deltas."""
+    p1, p2, dp1, dp2, case = opad_with_deltas(*_cases_args([inst]))
     return float(p1[0]), float(p2[0]), float(dp1[0] + dp2[0]), int(case[0])
 
 
@@ -317,7 +318,7 @@ def test_empty_margined_window_pins_todays_opad_and_dpa():
     gains = tuple(np.full(2, g) for g in (g11, g12, g21, g22))
     p2_wf = waterline_add(w2, 3, g22, s2) - s2 / g22
     assert not dpa_adjust(np.full(2, p2_wf), gains, p1i, mu)[1].any()
-    p1, p2, _, _, case = opad_cases(gains, s2, w1, w2, p1i, 4, 3, mu)
+    p1, p2, case = opad_cases(gains, s2, w1, w2, p1i, 4, 3, mu)
     assert case.tolist() == [2, 3]
     assert p2 / p1 == pytest.approx([c_lo, c_hi], rel=1e-12)
     assert ((g11 / g12 < p2 / p1) & (p2 / p1 < g21 / g22)).all()
@@ -334,11 +335,11 @@ def test_opad_cases_rows_are_independent():
              for i in range(300)]
     gains, s2, w1, w2, p1i, n1, _, mu = _cases_args(insts)
     n2 = np.arange(len(insts)) % 3 + 1
-    stacked = opad_cases(gains, s2, w1, w2, p1i, n1, n2, mu)
+    stacked = opad_with_deltas(gains, s2, w1, w2, p1i, n1, n2, mu)
     for i in range(len(insts)):
         one = slice(i, i + 1)
-        alone = opad_cases(tuple(g[one] for g in gains), s2, w1[one], w2[i],
-                           p1i[one], n1[one], n2[i], mu)
+        alone = opad_with_deltas(tuple(g[one] for g in gains), s2, w1[one],
+                                 w2[i], p1i[one], n1[one], n2[i], mu)
         for col, want in zip(stacked, alone):
             assert col[i] == want[0], i
     assert {1, 2, 3} <= set(stacked[4].tolist())
@@ -425,12 +426,13 @@ def _oracle_rows():
 def test_opad_cases_matches_three_case_oracle():
     """opad_cases prices case 1 and one edge per row (both edges where the
     margined window is empty); oracles.three_case_opad prices all three
-    cases on every row. All five outputs agree bit for bit, on one batch
-    of every kind of row, on the empty windows alone, and on every row
-    called alone, as MutSIC-SOPAd's one-row refine calls it or with
-    scalars; the batch as a 2-d array gives the same bits."""
+    cases on every row. The powers, the case and the winning case's deltas
+    (recomputed from the powers, opad_with_deltas) agree bit for bit, on
+    one batch of every kind of row, on the empty windows alone, and on
+    every row called alone, as MutSIC-SOPAd's one-row refine calls it or
+    with scalars; the batch as a 2-d array gives the same bits."""
     insts, kinds, sides = _oracle_rows()
-    got = opad_cases(*_cases_args(insts))
+    got = opad_with_deltas(*_cases_args(insts))
     for col, ref in zip(got, three_case_opad(*_cases_args(insts))):
         assert _same_bits(col, ref)
     case = got[4]
@@ -444,14 +446,14 @@ def test_opad_cases_matches_three_case_oracle():
     assert (empty & (sides == "above") & (case == 2)).any()
 
     alone = [insts[i] for i in np.flatnonzero(empty)]
-    for col, ref in zip(opad_cases(*_cases_args(alone)),
+    for col, ref in zip(opad_with_deltas(*_cases_args(alone)),
                         three_case_opad(*_cases_args(alone))):
         assert _same_bits(col, ref)
     # the batch as a 2-d array
     gains, s2, w1, w2, p1i, n1, n2, mu = _cases_args(insts)
     two_d = (tuple(g.reshape(2, -1) for g in gains), s2,
              *(a.reshape(2, -1) for a in (w1, w2, p1i, n1, n2)), mu)
-    for col, ref in zip(opad_cases(*two_d), got):
+    for col, ref in zip(opad_with_deltas(*two_d), got):
         assert _same_bits(col, ref.reshape(2, -1))
     for i, inst in enumerate(insts):
         gains, s2, w1, w2, p1i, n1, n2, mu = _cases_args([inst])
@@ -460,8 +462,58 @@ def test_opad_cases_matches_three_case_oracle():
         else:       # every argument a scalar
             args = (tuple(g[0] for g in gains), s2, w1[0], w2[0], p1i[0],
                     n1[0], n2[0], mu)
-        for col, ref in zip(opad_cases(*args), three_case_opad(*args)):
+        for col, ref in zip(opad_with_deltas(*args), three_case_opad(*args)):
             assert _same_bits(col, ref)
+
+
+def test_opad_cases_weighs_deltas_only_where_two_cases_compete(monkeypatch):
+    """A row weighs two cases only where case 1 is feasible or its margined
+    window is empty; every other row has one candidate, its edge. So a
+    call with neither kind of row computes no _dp1/_dp2, and one such row
+    makes the call compute them. Both kinds of call equal the three-case
+    oracle bit for bit. So do two constructed rows whose edge total the
+    deltas make non-finite: one with an infinite edge root, one whose
+    p2 = c * p1 overflows. They get case 0 without a delta."""
+    calls = {"dp": 0}
+    for name in ("_dp1", "_dp2"):
+        def counted(*args, real=getattr(mutual_sic, name)):
+            calls["dp"] += 1
+            return real(*args)
+        monkeypatch.setattr(mutual_sic, name, counted)
+
+    def check(args, weighs):
+        before = calls["dp"]
+        got = opad_with_deltas(*args)
+        assert (calls["dp"] > before) == weighs
+        for col, ref in zip(got, three_case_opad(*args)):
+            assert _same_bits(col, ref)
+        return got[4]
+
+    insts, kinds, _ = _oracle_rows()
+    single = [inst for inst, kind in zip(insts, kinds)
+              if kind in ("below", "above")]
+    assert set(check(_cases_args(single), False).tolist()) == {2, 3}
+    for kind in ("in", "empty"):
+        mixed = single + [insts[int(np.flatnonzero(kinds == kind)[0])]]
+        check(_cases_args(mixed), True)
+
+    s2, mu = 1.0, 0.01
+    rows = [((1e188, 1e162, 1e293, 1e-12), 1e261, 1e300, 2, 1),
+            ((1e-83, 1e-244, 1e75, 1e-190), 1e242, 1e211, 2, 2)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for g, w1, w2, n1, n2 in rows:
+            # the root solver brackets both edges; a power is not finite
+            p1i = w1 - s2 / g[0]
+            c = np.array([(1.0 + mu) * g[0] / g[1], (1.0 - mu) * g[2] / g[3]])
+            p1, ok = mutual_sic._edge_case_roots(c, g[0], g[3], s2, w2, p1i,
+                                                 n1, n2, True)
+            assert ok.all() and not np.isfinite(c * p1).any()
+        args = (tuple(np.array(g) for g in zip(*(r[0] for r in rows))), s2,
+                *(np.array([r[i] for r in rows], dtype=float)
+                  for i in (1, 2)),
+                np.array([r[1] - s2 / r[0][0] for r in rows]),
+                np.array([2.0, 2.0]), np.array([1.0, 2.0]), mu)
+        assert check(args, False).tolist() == [0, 0]
 
 
 def _edge_ratio(inst, case):
@@ -581,14 +633,14 @@ def case_batch():
     # every fourth instance may have an empty margined window
     insts = [sample_pair_instance(rng, require_window=bool(i % 4))
              for i in range(300)]
-    return insts, opad_cases(*_cases_args(insts))
+    return insts, opad_with_deltas(*_cases_args(insts))
 
 
 def test_opad_cases_rows_independent_of_batch(case_batch):
     """Each row of a batched call equals the same row called alone."""
     insts, out = case_batch
     for j, inst in enumerate(insts):
-        alone = opad_cases(*_cases_args([inst]))
+        alone = opad_with_deltas(*_cases_args([inst]))
         for batched, single in zip(out, alone):
             assert np.array_equal(batched[j:j + 1], single)
 
@@ -707,7 +759,7 @@ def test_opad_cases_inadmissible_rows_cost_nothing(monkeypatch):
     assert calls["roots"] == calls_alone["roots"] == 1
     for mixed_col, alone_col in zip(out, alone):
         assert np.array_equal(mixed_col[is_good], alone_col)
-    bad_case = out[4][~is_good]
+    bad_case = out[2][~is_good]
     ray_miss = np.arange(60) % 3 == 2
     assert (bad_case[~ray_miss] == 0).all()
     assert (bad_case[ray_miss] <= 1).all()

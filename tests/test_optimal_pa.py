@@ -11,7 +11,7 @@ from nomadas import (AlgorithmConfig, Scenario, generate_channel,
                      run_algorithm, solver)
 from nomadas import optimal_pa
 from nomadas.allocators import ALGORITHMS, run_algorithms
-from nomadas.harness import trial_seed
+from nomadas.harness import RunConfig, _run_point, trial_seed
 from nomadas.optimal_pa import mutual_power_optimum, optimal_power_allocation
 from nomadas.waterfill import rate_second, rate_single
 
@@ -278,9 +278,10 @@ def test_opa_converges_through_singular_pair_blocks(monkeypatch):
 
 def test_opa_iterations_count_every_active_set_solve(monkeypatch):
     """On 12 Mb/s drop 73 (base seed 0, SRRH-LPO state) the active-set loop
-    solves twice, in 19 and 5 Newton steps: the result, and SRRH-OPA's
-    record, count all 24, not the last solve's 5. A fallback return counts
-    every solve as well, the one that failed included."""
+    solves twice, in 19 and 5 Newton steps: the result, SRRH-OPA's result
+    and its trial record count all 24, not the last solve's 5, and both
+    solves. A fallback return counts every solve as well, the one that
+    failed included."""
     ch = generate_channel(Scenario(rate_demand_bps=12e6),
                           np.random.default_rng(trial_seed(0, 73)))
     st = run_algorithm(ch, AlgorithmConfig("SRRH-LPO")).state
@@ -296,9 +297,12 @@ def test_opa_iterations_count_every_active_set_solve(monkeypatch):
         m.setattr(optimal_pa, "solve_system", counted)
         res = optimal_power_allocation(st)
     assert steps == [19, 5]
-    assert res.converged and res.iterations == 24
-    assert run_algorithm(ch, AlgorithmConfig("SRRH-OPA")).opa_iterations \
-        == 24
+    assert res.converged and (res.iterations, res.solves) == (24, 2)
+    opa = run_algorithm(ch, AlgorithmConfig("SRRH-OPA"))
+    assert (opa.opa_iterations, opa.opa_solves) == (24, 2)
+    config = RunConfig(Scenario(rate_demand_bps=12e6), ("SRRH-OPA",))
+    (record,) = _run_point(config, 12e6, 73)
+    assert (record.opa_iterations, record.opa_solves) == (24, 2)
 
     def second_fails(f, z0, **kwargs):
         report = counted(f, z0, **kwargs)
@@ -308,7 +312,7 @@ def test_opa_iterations_count_every_active_set_solve(monkeypatch):
     monkeypatch.setattr(optimal_pa, "solve_system", second_fails)
     res = optimal_power_allocation(st)
     assert steps == [19, 5]
-    assert not res.converged and res.iterations == 24
+    assert not res.converged and (res.iterations, res.solves) == (24, 2)
     assert np.array_equal(res.power_w, st.power_tensor())
 
 

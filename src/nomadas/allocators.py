@@ -30,11 +30,16 @@ pair geometry (same RRH or across RRHs) and the mode's rule for the pair
 powers. Both freeze one kind of record (Pair) into state.pairs, a
 same-RRH pair exactly when r1 == r2. A pairing phase adds no sole
 holding, so it builds its candidate pairs once and keeps their prices
-(_PairTable, whose one price method serves every mode): an accepted step
-retires its subcarrier's pairs and marks dirty only the pairs whose inputs
-it changed. Pricing waits until a proposer has a dirty pair of its
-own and then takes every dirty pair of the active users in one call, so
-a retirement, or a proposer no step touched, prices nothing.
+(_PairTable): an accepted step retires its subcarrier's pairs and marks
+dirty only the pairs whose inputs it changed. Pricing waits until a
+proposer has a dirty pair of its own and then takes every dirty pair of
+the active users in one call, so a retirement, or a proposer no step
+touched, prices nothing. The table gathers what the rows read and one
+pure row kernel, price_rows, prices them for every mode. A pairing phase
+is a generator that yields each such call's arguments, a price request,
+and takes its outputs back; run on its own, each request is priced as it
+comes (_solo). worst_best_h, oma_phase and uc_extension_phase price
+nothing and run straight through.
 
 Algorithms share their leading phases: worst_best_h and oma_phase on
 the antenna set, then any PLANS phases two plans have in common. Each
@@ -49,11 +54,22 @@ function was replaced by name; the channel's gains are read-only. A
 phase that raised is not stored; results never hold a stored state, only
 forks of one. A state carries no algorithm: the one stored state serves
 every plan below it.
+
+run_lockstep runs many drops through the algorithms in step, for the
+Monte Carlo harness. It walks the same plans (_plan), each drop on a
+phase store of its own whose states leave once no algorithm left to run
+reads them. At each tick the drop furthest behind, and the drops
+waiting on a request of the same mode and geometry, up to JOIN_ROWS rows
+in all, have their requests priced in one price_rows call, so the fixed
+cost of a call is shared by the drops. A row's prices do not depend on the rows priced with it, so
+each drop's outcomes equal run_algorithms' bit for bit. run_trial, and
+through it the invariant audit and the oracle command, stay per trial.
 """
 
 from __future__ import annotations
 
 import copy
+import inspect
 import math
 import threading
 from dataclasses import dataclass
@@ -358,7 +374,13 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     iteration count and its bound `limit` add up in
     state.phase_iterations[tag]. `active`, the mask of the users not yet
     retired, starts all True; a caller whose proposer reads it passes it.
+
+    A proposer that prices rows (_pairing) is a generator function, and so
+    is each commit it returns: the descent passes their price requests on
+    (yield from). So the descent is a generator, which a phase runs with
+    _solo; with a plain proposer it yields nothing.
     """
+    priced = inspect.isgeneratorfunction(propose)
     rho = state.rho_w
     if active is None:
         active = np.ones(state.num_users, dtype=bool)
@@ -371,11 +393,14 @@ def _descend(state: AllocationState, tag: str, limit: int, more,
     while left and more():
         iters += 1
         k = int(masked.argmax())
-        n, dp, commit = propose(k)
+        if priced:
+            n, dp, commit = yield from propose(k)
+        else:
+            n, dp, commit = propose(k)
         accepted = bool(dp < -rho)
         after = before
         if accepted:
-            n, dp, changed = commit()
+            n, dp, changed = (yield from commit()) if priced else commit()
             for u in changed:
                 powers[u] = state.user_power(u)
                 if active[u]:
@@ -420,8 +445,8 @@ def oma_phase(state: AllocationState) -> None:
             return n, dp, (k,)
         return n, dp, commit
 
-    _descend(state, "oma", int(state.free.sum()) + state.num_users,
-             state.free.any, propose)
+    _solo(_descend(state, "oma", int(state.free.sum()) + state.num_users,
+                   state.free.any, propose))
 
 
 # -- unconstrained benchmark: waterfill onto occupied subcarriers -------------
@@ -498,8 +523,8 @@ def uc_extension_phase(state: AllocationState) -> None:
             return n, dp, (k,)
         return n, dp, commit
 
-    _descend(state, "uc", 2 * state.num_subcarriers + state.num_users,
-             lambda: True, propose)
+    _solo(_descend(state, "uc", 2 * state.num_subcarriers + state.num_users,
+                   lambda: True, propose))
 
 
 # -- pairing: one table of priced candidate pairs, one greedy -----------------
@@ -593,81 +618,21 @@ class _PairTable:
                 state.waterline[k2s], state.n_sole[k2s],
                 s2 / state.weakest[k2s, 0])
 
-    def price(self, rows, mode=None):
-        """Total-power change of the rows and the values a freeze writes:
-        (dp, p1, p2, rate2, w1_new, w2_new), powers by `mode` (the table's).
-
-        The mode's rule sets the pair powers (single_sic_pairing,
-        mutual_sic_pairing): ftpa, lpo and dpa keep the incumbent at its
-        sole power p1i, opad moves it. Across RRHs p2 must be positive, the
-        joiner's gain must admit a waterline decrease and both exact decode
-        margins must hold at (p1, p2).
-
-        The joiner offloads rate2 from its n2 sole subcarriers, hearing p1
-        on a shared RRH and nothing across RRHs, and its waterline w2_new
-        must stay at or above g2_floor. When p1 moved off p1i, the
-        incumbent's n1 - 1 remaining sole subcarriers absorb its rate change
-        on the pair, moving to w1_new; they must then exist and w1_new must
-        stay at or above rest_floor. The change is
-        (n1 - 1)(w1_new - w1) + (p1 - p1i) + n2 (w2_new - w2) + p2,
-        inf where a rule or a screen fails. When p1 is p1i the incumbent
-        terms are zero, so they are left out and w1_new is w1.
-        """
-        s2, sc_bw = self.state.sigma2_w, self.state.sc_bw_hz
+    def request(self, rows, mode=None):
+        """price_rows' arguments for the rows, by `mode` (the table's)."""
         mode = mode or self.mode
-        g, w1, n1, rest_floor, w2, n2, g2_floor = self.inputs(
-            rows, mode == "opad")
-        g11, g22 = g[0], g[3]
-        p1 = p1i = w1 - s2 / g11
-        # a row that divides by zero, overflows or turns NaN fails a screen
-        # below or is priced inf
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if mode == "ftpa":
-                p2 = ftpa_power(p1, g11, g22, FTPA_ALPHA)
-                valid = np.ones(rows.size, dtype=bool)
-            elif mode == "lpo":
-                p2, reject = _lpo_core(w2, p1, g22, s2, n2, SIC_MARGIN)
-                valid = ~reject
-            elif mode == "dpa":
-                w_add = waterline_add(w2, n2, g22, s2)
-                p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
-            else:
-                p1, p2, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
-                                          SIC_MARGIN)
-                valid = case > 0
-            if not self.same_rrh:
-                xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
-                valid &= (p2 > 0) & admits_waterline_decrease(g22, w2, s2) \
-                    & (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
-
-            rate2 = rate_second(np.where(valid, p2, 0.0),
-                                p1 if self.same_rrh else 0.0, g22, s2, sc_bw)
-            w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
-            valid &= w2_new >= g2_floor
-            dp = delta_power_noma(w2, w2_new, n2, p2)
-            w1_new = w1
-            if p1 is not p1i:
-                rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
-                rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
-                moved = np.abs(p1 - p1i) > POWER_ATOL
-                valid &= ~moved | (n1 >= 2)
-                w1_new = np.where(
-                    n1 >= 2,
-                    waterline_rate_shift(w1, rate1_old - rate1,
-                                         np.maximum(n1 - 1, 1), sc_bw),
-                    w1)
-                valid &= np.where(moved, w1_new >= rest_floor, True)
-                dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) + dp
-        return np.where(valid, dp, np.inf), p1, p2, rate2, w1_new, w2_new
+        return (mode, self.same_rrh, self.inputs(rows, mode == "opad"),
+                self.state.sigma2_w, self.state.sc_bw_hz)
 
     def cheapest(self, k2: int, active: np.ndarray):
-        """(row, dp) of k2's cheapest live row, the first on ties. When a
-        live row of k2 is dirty, first prices, in one call, every dirty row
-        of the active joiners that still hold a subcarrier alone; pricing
-        a row later than its commit gives the same bits, as nothing but a
-        commit that dirties it moves its inputs. (None, nan) when k2 holds
-        nothing alone or has no candidate at all, (None, inf) when the gain
-        screen left out all."""
+        """(row, dp) of k2's cheapest live row, the first on ties, as a
+        generator's return value. When a live row of k2 is dirty, it first
+        prices, in one request (price_rows' arguments, yielded, answered
+        with its outputs), every dirty row of the active joiners that still
+        hold a subcarrier alone; pricing a row later than its commit gives
+        the same bits, as nothing but a commit that dirties it moves its
+        inputs. (None, nan) when k2 holds nothing alone or has no candidate
+        at all, (None, inf) when the gain screen left out all."""
         if self.state.n_sole[k2] == 0 \
                 or (self.held - self.own[k2]) * self.fanout == 0:
             return None, math.nan
@@ -677,7 +642,7 @@ class _PairTable:
         if self.dirty[lo:hi].any():
             ready = active & (self.state.n_sole > 0)
             rows = np.flatnonzero(self.dirty & ready[self.k2])
-            self.values[:, rows] = self.price(rows)
+            self.values[:, rows] = yield self.request(rows)
             self.dirty[rows] = False
         row = lo + int(np.argmin(self.values[0, lo:hi]))
         return row, float(self.values[0, row])
@@ -700,26 +665,29 @@ class _PairTable:
         self.own[k1] -= 1
 
 
-def _pairing(state: AllocationState, mode: str, same_rrh: bool) -> None:
+def _pairing(state: AllocationState, mode: str, same_rrh: bool):
     """Multiplex heavy users as second user on subcarriers held alone.
 
     The joiner offloads rate from its sole set onto the cheapest row of the
     table, which freezes both users on the subcarrier at the priced values.
     A sopad step re-prices its selected row by opad and keeps that optimum
     when it passes the screens. A rejected step logs its row's subcarrier
-    on the same RRH and -1 across RRHs.
+    on the same RRH and -1 across RRHs. A generator: it yields the price
+    requests of the table (cheapest) and of the sopad refines, each
+    answered with price_rows' outputs (_solo, run_lockstep).
     """
     s2, sc_bw = state.sigma2_w, state.sc_bw_hz
 
     def propose(k2):
-        row, dp_best = table.cheapest(k2, active)
+        row, dp_best = yield from table.cheapest(k2, active)
         if row is None:
             return -1, dp_best, None
 
         def commit():
             values = table.values[:, row]
             if mode == "sopad":
-                refined = [a[0] for a in table.price(np.array([row]), "opad")]
+                refined = [a[0] for a in (
+                    yield table.request(np.array([row]), "opad"))]
                 if refined[0] < math.inf:
                     values = refined
             dp, p1, p2, rate2, w1_new, w2_new = (float(v) for v in values)
@@ -735,9 +703,9 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool) -> None:
 
     table = _PairTable(state, mode, same_rrh)
     active = np.ones(state.num_users, dtype=bool)
-    _descend(state, "single" if same_rrh else "mutual",
-             table.held + state.num_users, lambda: table.held > 0, propose,
-             active)
+    yield from _descend(state, "single" if same_rrh else "mutual",
+                        table.held + state.num_users, lambda: table.held > 0,
+                        propose, active)
 
 
 def single_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -751,7 +719,7 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
     """
     if mode not in ("ftpa", "lpo"):
         raise ValueError(f"unknown single-SIC mode {mode!r}")
-    _pairing(state, mode, True)
+    _solo(_pairing(state, mode, True))
 
 
 def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -765,7 +733,130 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     """
     if mode not in ("dpa", "opad", "sopad"):
         raise ValueError(f"unknown mutual-SIC mode {mode!r}")
-    _pairing(state, mode, False)
+    _solo(_pairing(state, mode, False))
+
+
+# the pairing phases as the price-request generators a plan runs in their
+# place (_plan); keyed by function, so a phase replaced by name runs as
+# called
+_STEPS = {
+    single_sic_pairing: lambda state, mode: _pairing(state, mode, True),
+    mutual_sic_pairing: lambda state, mode: _pairing(state, mode, False),
+}
+
+
+# -- pricing: one row kernel, run alone or on the rows of many drops ---------
+
+def price_rows(mode: str, same_rrh: bool, inputs, sigma2_w: float,
+               sc_bw_hz: float):
+    """Total-power change of candidate pair rows and the values a freeze
+    writes: (dp, p1, p2, rate2, w1_new, w2_new), the powers by `mode`.
+
+    `inputs` is what _PairTable.inputs gathers for the rows, on the shared
+    RRH when `same_rrh`, else across RRHs. Each row's outputs depend on its
+    inputs alone, so the rows of several tables price in one call
+    (run_lockstep) to the same bits as one table's rows.
+
+    The mode's rule sets the pair powers (single_sic_pairing,
+    mutual_sic_pairing): ftpa, lpo and dpa keep the incumbent at its
+    sole power p1i, opad moves it. Across RRHs p2 must be positive, the
+    joiner's gain must admit a waterline decrease and both exact decode
+    margins must hold at (p1, p2).
+
+    The joiner offloads rate2 from its n2 sole subcarriers, hearing p1
+    on a shared RRH and nothing across RRHs, and its waterline w2_new
+    must stay at or above g2_floor. When p1 moved off p1i, the
+    incumbent's n1 - 1 remaining sole subcarriers absorb its rate change
+    on the pair, moving to w1_new; they must then exist and w1_new must
+    stay at or above rest_floor. The change is
+    (n1 - 1)(w1_new - w1) + (p1 - p1i) + n2 (w2_new - w2) + p2,
+    inf where a rule or a screen fails. When p1 is p1i the incumbent
+    terms are zero, so they are left out and w1_new is w1.
+    """
+    s2, sc_bw = sigma2_w, sc_bw_hz
+    g, w1, n1, rest_floor, w2, n2, g2_floor = inputs
+    g11, g22 = g[0], g[3]
+    p1 = p1i = w1 - s2 / g11
+    # a row that divides by zero, overflows or turns NaN fails a screen
+    # below or is priced inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if mode == "ftpa":
+            p2 = ftpa_power(p1, g11, g22, FTPA_ALPHA)
+            valid = np.ones(w1.size, dtype=bool)
+        elif mode == "lpo":
+            p2, reject = _lpo_core(w2, p1, g22, s2, n2, SIC_MARGIN)
+            valid = ~reject
+        elif mode == "dpa":
+            w_add = waterline_add(w2, n2, g22, s2)
+            p2, valid = dpa_adjust(w_add - s2 / g22, g, p1, SIC_MARGIN)
+        else:
+            p1, p2, case = opad_cases(g, s2, w1, w2, p1i, n1, n2,
+                                      SIC_MARGIN)
+            valid = case > 0
+        if not same_rrh:
+            xy, zt, scale = rate_condition_terms(g, p1, p2, s2)
+            valid &= (p2 > 0) & admits_waterline_decrease(g22, w2, s2) \
+                & (xy >= -1e-9 * scale) & (zt >= -1e-9 * scale)
+
+        rate2 = rate_second(np.where(valid, p2, 0.0),
+                            p1 if same_rrh else 0.0, g22, s2, sc_bw)
+        w2_new = waterline_rate_shift(w2, -rate2, n2, sc_bw)
+        valid &= w2_new >= g2_floor
+        dp = delta_power_noma(w2, w2_new, n2, p2)
+        w1_new = w1
+        if p1 is not p1i:
+            rate1 = rate_single(np.maximum(p1, 0.0), g11, s2, sc_bw)
+            rate1_old = rate_single(np.maximum(p1i, 0.0), g11, s2, sc_bw)
+            moved = np.abs(p1 - p1i) > POWER_ATOL
+            valid &= ~moved | (n1 >= 2)
+            w1_new = np.where(
+                n1 >= 2,
+                waterline_rate_shift(w1, rate1_old - rate1,
+                                     np.maximum(n1 - 1, 1), sc_bw),
+                w1)
+            valid &= np.where(moved, w1_new >= rest_floor, True)
+            dp = (n1 - 1) * (w1_new - w1) + (p1 - p1i) + dp
+    return np.where(valid, dp, np.inf), p1, p2, rate2, w1_new, w2_new
+
+
+def _solo(steps):
+    """Run a generator of price requests to its end, pricing each request
+    alone as it comes (price_rows); returns what the generator returns."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(price_rows(*request))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _price_together(requests) -> list:
+    """The answer to each of several requests with one (mode, geometry,
+    sigma2, bandwidth): (price_rows' outputs, None), or (None, the exception
+    pricing it raised). Several requests price in one call on their joined
+    rows; where that call raises, each is priced alone, so an exception
+    reaches only the requests whose rows raise it."""
+    if len(requests) > 1:
+        mode, same_rrh, _, s2, sc_bw = requests[0]
+        parts = [r[2] for r in requests]
+        gains = tuple(map(np.concatenate, zip(*(p[0] for p in parts))))
+        joined = (gains, *(None if col[0] is None else np.concatenate(col)
+                           for col in zip(*(p[1:] for p in parts))))
+        try:
+            outputs = price_rows(mode, same_rrh, joined, s2, sc_bw)
+        except Exception:       # priced again one by one below
+            outputs = None
+        if outputs is not None:
+            cuts = np.cumsum([0] + [p[1].size for p in parts]).tolist()
+            return [(tuple(a[lo:hi] for a in outputs), None)
+                    for lo, hi in zip(cuts, cuts[1:])]
+    answers = []
+    for request in requests:
+        try:
+            answers.append((price_rows(*request), None))
+        except Exception as exc:    # this request's own exception
+            answers.append((None, exc))
+    return answers
 
 
 # -- freezing an accepted pair ------------------------------------------------
@@ -857,6 +948,43 @@ def run_algorithms(channel: ChannelTensor, algorithms,
     return outcomes
 
 
+def _plan_steps(algorithm: str):
+    """(central, [(phase function, *arguments), ...]) of the algorithm's
+    plan, each phase looked up by name now."""
+    central, phases, _ = PLANS[algorithm]
+    return central, [(globals()[name], *args) for name, *args in
+                     (("worst_best_h",), ("oma_phase",)) + phases]
+
+
+def _plan(kept: dict, channel: ChannelTensor, config: AlgorithmConfig):
+    """config's run on channel, as a generator of the price requests of its
+    pairing phases that returns its AllocationResult.
+
+    `kept` is a phase store, {phase path: state}, a phase path being the
+    antenna set, then each phase as its function and arguments. The run
+    goes on from a fork of the deepest stored state of its plan and stores
+    a fork after each phase it runs. A pairing phase found under its own
+    name runs as its generator (_STEPS); any other phase, or one replaced
+    by name, runs as called.
+    """
+    central, steps = _plan_steps(config.algorithm)
+    done = len(steps)
+    while done and (central, *steps[:done]) not in kept:
+        done -= 1
+    path = (central, *steps[:done])
+    state = kept[path].fork() if done \
+        else AllocationState(channel, central, config.rho_w)
+    for fn, *args in steps[done:]:
+        stepped = _STEPS.get(fn)
+        if stepped is None:
+            fn(state, *args)
+        else:
+            yield from stepped(state, *args)
+        path += ((fn, *args),)
+        kept[path] = state.fork()
+    return _result(state, config.algorithm)
+
+
 # this thread's last channel and rho_w: (channel, rho_w, {phase path:
 # state}) for run_algorithm
 _last = threading.local()
@@ -869,25 +997,108 @@ def run_algorithm(channel: ChannelTensor,
 
     Called again on the same channel object with the same rho_w, it goes
     on from the deepest phase state an earlier call of this thread left
-    (see the module docstring).
+    (see the module docstring). Each price request is priced alone.
     """
     entry = getattr(_last, "entry", None)
     if entry is None or entry[0] is not channel or entry[1] != config.rho_w:
         entry = _last.entry = (channel, config.rho_w, {})
-    kept = entry[2]
-    central, phases, _ = PLANS[config.algorithm]
-    # a phase path: the antenna set, then each phase as its function,
-    # looked up by name now, and its arguments
-    steps = [(globals()[name], *args)
-             for name, *args in (("worst_best_h",), ("oma_phase",)) + phases]
-    done = len(steps)
-    while done and (central, *steps[:done]) not in kept:
-        done -= 1
-    path = (central, *steps[:done])
-    state = kept[path].fork() if done \
-        else AllocationState(channel, central, config.rho_w)
-    for fn, *args in steps[done:]:
-        fn(state, *args)
-        path += ((fn, *args),)
-        kept[path] = state.fork()
-    return _result(state, config.algorithm)
+    return _solo(_plan(entry[2], channel, config))
+
+
+# a tick joins price requests of this many rows in all at most: past it a
+# call's cost is mostly per row, so joining more saves little and holds
+# more rows' temporaries at once
+JOIN_ROWS = 1024
+
+
+def run_lockstep(channels, algorithms, rho_w: float = 1e-3):
+    """Run several algorithms on many channel realizations, in step.
+
+    Each drop runs `algorithms` in order on a phase store of its own, as
+    run_algorithms does on one channel (_plan), so each distinct phase
+    prefix runs once per drop; a stored state leaves its store once no
+    algorithm left to run reads it. The drops advance in ticks: each runs
+    on until its next price request, and a tick prices the request of the
+    drop furthest behind (the lowest algorithm index, the first on ties)
+    together with the other waiting requests of the same mode and geometry
+    (and sigma2 and bandwidth) while their rows fit in JOIN_ROWS, in one
+    price_rows call (_price_together). Drops ahead wait, so the drops stay
+    in step and their requests meet.
+
+    A phase replaced by name runs as called and prices its drop's requests
+    alone; the harness runs such trials one at a time instead.
+
+    Yields (index into `channels`, algorithm, AllocationResult or the
+    exception its run raised) as each run completes. A drop's outcomes
+    come in the order of `algorithms` and equal run_algorithms' bit for
+    bit: a row prices to the same bits in any batch.
+    """
+    algorithms = tuple(algorithms)
+    if len(set(algorithms)) != len(algorithms):
+        raise ValueError(f"repeated algorithm in {algorithms}")
+    if not algorithms:
+        return
+    configs = [AlgorithmConfig(alg, rho_w) for alg in algorithms]
+    # the phase paths each plan reads, and those still read once the
+    # algorithm at each index has run
+    reads = []
+    for alg in algorithms:
+        central, steps = _plan_steps(alg)
+        reads.append({(central, *steps[:d])
+                      for d in range(1, len(steps) + 1)})
+    still_read = [set().union(*reads[j + 1:]) for j in range(len(reads))]
+    stores = [{} for _ in channels]
+    runs = [_plan(kept, channel, configs[0])
+            for kept, channel in zip(stores, channels)]
+    at = [0] * len(runs)        # the index of each drop's running algorithm
+    done = []                   # the runs completed since the last yield
+
+    def advance(i, reply, error):
+        """Run drop i on, sending `reply` into (or raising `error` in) the
+        run that waits; adds each of its runs that completes to `done` and
+        returns its next price request, None once its algorithms have all
+        run."""
+        while True:
+            try:
+                if error is not None:
+                    return runs[i].throw(error)
+                return runs[i].send(reply)
+            except StopIteration as stop:
+                outcome = stop.value
+            except Exception as exc:    # the outcome of this run alone
+                outcome = exc
+            j = at[i]
+            done.append((i, algorithms[j], outcome))
+            kept = stores[i]
+            for path in [p for p in kept if p not in still_read[j]]:
+                del kept[path]
+            at[i] = j = j + 1
+            if j == len(configs):
+                return None
+            runs[i] = _plan(kept, channels[i], configs[j])
+            reply = error = None
+
+    pending = {}
+    answers = [(i, None, None) for i in range(len(runs))]
+    while True:
+        for i, reply, error in answers:
+            request = advance(i, reply, error)
+            if request is not None:
+                pending[i] = request
+        yield from done
+        done.clear()
+        if not pending:
+            return
+        # the drop furthest behind, and the drops that wait on the same
+        # kind of pricing, while their rows fit in JOIN_ROWS
+        first = min(pending, key=at.__getitem__)
+        kind = pending[first]
+        drops, rows = [first], kind[2][1].size
+        for i, r in pending.items():
+            size = r[2][1].size
+            if i != first and r[0] == kind[0] and r[1] == kind[1] \
+                    and r[3:] == kind[3:] and rows + size <= JOIN_ROWS:
+                drops.append(i)
+                rows += size
+        priced = _price_together([pending.pop(i) for i in drops])
+        answers = [(i, *a) for i, a in zip(drops, priced)]

@@ -3,13 +3,22 @@
 Trial t of a run with base seed b draws its channel from the seed
 trial_seed(b, t) = (b << 32) | t, so runs are reproducible, base seed 0
 draws trial t from seed t, and two base seeds never share a drop.
-run_trial runs every requested algorithm on that same drop, which is what
-makes the per-trial power ratios between algorithms meaningful. It runs
-them through allocators.run_algorithms, one run_algorithm call per
-algorithm on the one channel object, so the phases algorithms share run
-once per drop. The Monte Carlo runs, the invariant audit and the
-oracle command all draw their drops through it. Each TrialRecord carries
-its algorithm's step counts per phase and its joint power optimization's
+Every requested algorithm runs on that same drop, which is what makes
+the per-trial power ratios between algorithms meaningful, and the phases
+algorithms share run once per drop.
+
+run_monte_carlo splits each sweep value's trials into chunks of about
+CHUNK_TRIALS consecutive trials, a whole multiple of `workers` of them,
+and runs each chunk's drops in lockstep (allocators.run_lockstep): each
+drop keeps its own phase store, and at each tick the price requests of
+the drops that wait on the same kind of pricing share one kernel call.
+Each outcome becomes its TrialRecord as soon as it completes; the
+records equal those of per-trial runs. A chunk of one trial, or any
+chunk once an allocation function has been replaced by name, runs trial
+by trial (_run_chunk). run_trial runs one trial through
+allocators.run_algorithms; the invariant audit and the oracle command
+draw their drops through it, one at a time. Each TrialRecord carries its
+algorithm's step counts per phase and its joint power optimization's
 iterations and residual. write_csv and read_csv store the record
 dataclasses, one column per field.
 """
@@ -23,9 +32,25 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .allocators import ALGORITHMS, run_algorithms
+from . import allocators
+from .allocators import ALGORITHMS, run_algorithms, run_lockstep
 from .channel import generate_channel
 from .scenario import Scenario
+
+# run_monte_carlo splits each sweep value's trials into a whole multiple of
+# `workers` chunks of about this many consecutive trials, each run in
+# lockstep: more drops per chunk share more of each pricing call, and keep
+# more pair tables in memory at once
+CHUNK_TRIALS = 8
+
+# the allocators functions a trial's allocations look up by name, as
+# imported: once one is replaced (a test's stand-in, a tracer's wrapper),
+# chunks run trial by trial, so that each replacement is called as in a
+# per-trial run and no drop prices part of its phases alone
+_OWN = {name: getattr(allocators, name) for name in
+        {"run_algorithm", "worst_best_h", "oma_phase"}
+        | {phase[0] for plan in allocators.PLANS.values()
+           for phase in plan[1]}}
 
 # sweep axis -> the Scenario field it replaces
 SWEEP_AXES = {
@@ -143,27 +168,61 @@ def run_trial(scenario: Scenario, algorithms, base_seed: int, trial: int):
     return seed, list(run_algorithms(channel, algorithms).items())
 
 
+def _record(cell, alg: str, trial: int, seed: int, res) -> TrialRecord:
+    """The TrialRecord of one algorithm's AllocationResult, or of the
+    exception its allocation raised, at cell (sweep axis, value)."""
+    if isinstance(res, Exception):
+        return TrialRecord(*cell, alg, trial, seed, float("nan"), 0, 0, 0,
+                           True, repr(res))
+    return TrialRecord(*cell, alg, trial, seed, res.total_power_w,
+                       res.nonmux_sc, res.mutsic_sc, res.singsic_sc, False,
+                       warnings="; ".join(res.warnings), steps=res.steps,
+                       opa_iterations=res.opa_iterations,
+                       opa_residual=res.opa_residual,
+                       opa_solves=res.opa_solves)
+
+
 def _run_point(config: RunConfig, value: float, trial: int):
-    """Trial records of all algorithms for one (sweep value, trial)."""
+    """Trial records of all algorithms for one (sweep value, trial), run
+    on their own (run_trial): the per-trial reference of _run_chunk."""
     scen = apply_sweep(config.scenario, config.sweep_axis, value)
     seed, results = run_trial(scen, config.algorithms, config.base_seed,
                               trial)
+    return [_record((config.sweep_axis, float(value)), alg, trial, seed, res)
+            for alg, res in results]
+
+
+def _run_chunk(config: RunConfig, value: float, trials) -> list:
+    """Trial records of all algorithms for consecutive trials of one sweep
+    value, in (trial, algorithm) order: the trials' drops run in lockstep
+    (run_lockstep), and each outcome becomes its record as it completes.
+    A chunk of one trial, which has no pricing calls to share, or any chunk
+    once an allocators function of _OWN is replaced by name, runs trial by
+    trial (_run_point) instead."""
+    if len(trials) == 1 or any(getattr(allocators, name) is not fn
+                               for name, fn in _OWN.items()):
+        return [rec for t in trials for rec in _run_point(config, value, t)]
+    scen = apply_sweep(config.scenario, config.sweep_axis, value)
+    seeds = [trial_seed(config.base_seed, t) for t in trials]
+    channels = [generate_channel(scen, np.random.default_rng(s))
+                for s in seeds]
     cell = (config.sweep_axis, float(value))
-    out = []
-    for alg, res in results:
-        if isinstance(res, Exception):
-            out.append(TrialRecord(*cell, alg, trial, seed, float("nan"),
-                                   0, 0, 0, True, repr(res)))
-        else:
-            out.append(TrialRecord(*cell, alg, trial, seed,
-                                   res.total_power_w, res.nonmux_sc,
-                                   res.mutsic_sc, res.singsic_sc, False,
-                                   warnings="; ".join(res.warnings),
-                                   steps=res.steps,
-                                   opa_iterations=res.opa_iterations,
-                                   opa_residual=res.opa_residual,
-                                   opa_solves=res.opa_solves))
-    return out
+    column = {alg: j for j, alg in enumerate(config.algorithms)}
+    rows = [[None] * len(column) for _ in trials]
+    for i, alg, res in run_lockstep(channels, config.algorithms):
+        rows[i][column[alg]] = _record(cell, alg, trials[i], seeds[i], res)
+    return [rec for row in rows for rec in row]
+
+
+def _chunks(config: RunConfig) -> list:
+    """(sweep value, trials) of every chunk, in order: each value's trials
+    split into a whole multiple of `workers` runs of consecutive trials,
+    CHUNK_TRIALS long or about, less the empty ones."""
+    per_value = config.workers * max(
+        1, round(config.trials / (CHUNK_TRIALS * config.workers)))
+    return [(v, part.tolist()) for v in sweep_points(config)
+            for part in np.array_split(np.arange(config.trials), per_value)
+            if part.size]
 
 
 def sweep_points(config: RunConfig) -> tuple:
@@ -174,24 +233,22 @@ def sweep_points(config: RunConfig) -> tuple:
 
 
 def run_monte_carlo(config: RunConfig) -> list:
-    """All trial records, ordered by (sweep value, trial, algorithm)."""
-    values = sweep_points(config)
-    cells = [(v, t) for v in values for t in range(config.trials)]
+    """All trial records, ordered by (sweep value, trial, algorithm); the
+    trials run in chunks (_chunks, _run_chunk), in one process or spread
+    over `workers` processes."""
+    chunks = _chunks(config)
+    args = ([config] * len(chunks), *zip(*chunks))
     if config.workers > 1:
         # imported here, so that importing the package loads no pool; a
-        # forked pool starts all its workers, so no more than there are cells
+        # forked pool starts all its workers, so no more than there are
+        # chunks
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                max_workers=min(config.workers, len(cells))) as pool:
-            chunks = list(pool.map(_run_point, [config] * len(cells),
-                                   [c[0] for c in cells],
-                                   [c[1] for c in cells]))
+                max_workers=min(config.workers, len(chunks))) as pool:
+            done = list(pool.map(_run_chunk, *args))
     else:
-        chunks = [_run_point(config, v, t) for v, t in cells]
-    records = []
-    for chunk in chunks:
-        records.extend(chunk)
-    return records
+        done = list(map(_run_chunk, *args))
+    return [rec for chunk in done for rec in chunk]
 
 
 def aggregate(records) -> list:

@@ -116,9 +116,10 @@ def _edge_case_roots(c, g11, g22, sigma2_w, w2, p1i, n1, n2, admissible):
     """Vectorized safeguarded Newton for the edge-case stationarity roots.
 
     All arguments broadcast; returns (p1, ok) where ok marks admissible
-    candidates with a bracketed positive root. The stationarity
-    (1 + c) - phi(p1) increases in p1 from below 0 (under the admission
-    precondition) towards 1 + c, so every admissible row has one root.
+    candidates with a bracketed root that is positive and finite. The
+    stationarity (1 + c) - phi(p1) increases in p1 from below 0 (under the
+    admission precondition) towards 1 + c, so every admissible row has one
+    root.
     Each power law of phi alone reaches 1 + c at a closed-form p1 where phi
     still exceeds 1 + c by the other law, so the larger of the two bounds
     the root from below: it is the bracket's foot and Newton's start, at no
@@ -175,7 +176,7 @@ def _edge_case_roots(c, g11, g22, sigma2_w, w2, p1i, n1, n2, admissible):
             running &= ~newton | (np.abs(step) > 1e-8)
             if not running.any():
                 break
-    return p1, ok & (p1 > 0.0)
+    return p1, ok & (p1 > 0.0) & (p1 < np.inf)
 
 
 def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
@@ -191,15 +192,14 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
     feasible delta wins, the lowest case on ties; a NaN delta never wins.
 
     Only two kinds of row weigh two cases: a row whose case 1 is feasible
-    and a row whose margined window is empty. A call without either has
-    one candidate per row, its edge, so it computes no delta. An edge with
-    a non-finite p2 (an infinite root, or c * p1 overflowing) has
-    non-finite deltas and gets case 0; an edge with finite powers wins. Its
-    deltas are finite too, unless a term overflows, which takes powers or
-    waterlines near the top of the float range (about 1e300 W); there
-    weighing them could have given case 0. On 1,350 recorded calls of
-    paper, 13 Mb/s and dense drops, 68% of the calls had neither kind of
-    row.
+    and a row whose margined window is empty. Every other row has one
+    candidate, its edge, which it takes without a delta where the edge
+    powers are finite (case 0 for an infinite root, or c * p1
+    overflowing), so a call without either kind computes no delta, and a
+    row's case does not depend on the rows called with it, even where its
+    deltas overflow (powers or waterlines near 1e300 W). On 1,350 recorded
+    calls of paper, 13 Mb/s and dense drops, 68% of the calls had neither
+    kind of row.
 
     Every argument broadcasts. Returns (p1, p2, case) with case = 0 and zero
     powers where no case is feasible. Candidates must already pass the
@@ -241,12 +241,11 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
         p1, ok = _edge_case_roots(c, g11, g22, sigma2_w, w2, p1i, n1, n2,
                                   solvable)
         p2 = c * p1
+        ok &= np.isfinite(p2)
         if not (far.size or ok1.any()):
-            # one candidate per row: its edge, where its powers are finite
-            found = ok & np.isfinite(p2)
-            return (*(np.where(found, a, 0.0).reshape(shape)
-                      for a in (p1, p2)),
-                    np.where(found, 2 + upper, 0).reshape(shape))
+            # one candidate per row: its edge
+            return (*(np.where(ok, a, 0.0).reshape(shape) for a in (p1, p2)),
+                    np.where(ok, 2 + upper, 0).reshape(shape))
         total = _dp1(p1, g11, sigma2_w, w1, p1i, n1) \
             + _dp2(p2, g22, sigma2_w, w2, n2)
         # case 1's dp1(p1i) is 0
@@ -258,8 +257,10 @@ def opad_cases(gains_arrays, sigma2_w, w1, w2, p1i, n1, n2, mu):
         swap = total[size:] < total[far]
         for a in (edge.T, total, upper):
             a[far[swap]] = a[size:][swap]
-    pick1 = total1 <= total[:size]      # case 1 wins ties
-    found = np.minimum(total1, total[:size]) < np.inf
+    pick1 = ok1 & (total1 <= total[:size])      # case 1 wins ties
+    # a row with one candidate takes its edge unweighed, as above
+    lone = ok[:size] & ~(ok1 | empty)
+    found = (np.minimum(total1, total[:size]) < np.inf) | lone
     out = np.where(found, np.where(pick1, (p1i[:size], p2_1),
                                    edge[:, :size]), 0.0)
     case = np.where(found, np.where(pick1, 1, 2 + upper[:size]), 0)

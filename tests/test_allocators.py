@@ -13,7 +13,8 @@ from nomadas import (ALGORITHMS, AlgorithmConfig, AllocationState,
                      InfeasibleWaterline, Pair, Scenario, generate_channel,
                      mutual_sic_feasible, run_algorithm)
 from nomadas import allocators
-from nomadas.allocators import _freeze_pair, oma_phase, worst_best_h
+from nomadas.allocators import (_freeze_pair, oma_phase, price_rows,
+                                worst_best_h)
 from nomadas.waterfill import rate_second, rate_single
 
 from conftest import SMALL, drops, sole_links
@@ -317,7 +318,8 @@ def test_descend_breaks_power_ties_by_lowest_index(tiny_channel):
             return 5, -1.0, (k,)
         return 5, -1.0, commit
 
-    allocators._descend(state, "tie", 4, lambda: True, propose)
+    allocators._solo(allocators._descend(state, "tie", 4, lambda: True,
+                                         propose))
     assert proposed == [1, 2, 0, 1]
     assert [(s.user, s.accepted) for s in state.log] \
         == [(1, True), (2, False), (0, False), (1, False)]
@@ -468,12 +470,12 @@ def test_pair_table_clean_rows_equal_fresh_prices(alg, monkeypatch):
 
     def check(table, k2, active):
         nonlocal checked
-        out = cheapest(table, k2, active)
+        out = yield from cheapest(table, k2, active)
         ready = active & (table.state.n_sole > 0)
         rows = np.flatnonzero(table.live & ~table.dirty & ready[table.k2])
         if rows.size:
             assert np.array_equal(table.values[:, rows],
-                                  np.array(table.price(rows)),
+                                  np.array(price_rows(*table.request(rows))),
                                   equal_nan=True)
             if table.same_rrh:
                 # a same-RRH price never moves the incumbent: p1 is its
@@ -507,14 +509,15 @@ def test_pair_table_prices_the_proposer_on_demand(alg, monkeypatch):
 
     def check(table, k2, active):
         nonlocal checked
-        out = cheapest(table, k2, active)
+        out = yield from cheapest(table, k2, active)
         if table.state.n_sole[k2] > 0:
             rows = np.flatnonzero(table.live & (table.k2 == k2))
             assert not table.dirty[rows].any()
             if rows.size:
-                assert np.array_equal(table.values[:, rows],
-                                      np.array(table.price(rows)),
-                                      equal_nan=True)
+                assert np.array_equal(
+                    table.values[:, rows],
+                    np.array(price_rows(*table.request(rows))),
+                    equal_nan=True)
             checked += rows.size
         return out
 
@@ -529,15 +532,14 @@ def test_opad_table_skips_proposals_with_clean_rows(monkeypatch):
     than once per phase run up front and once after every accepted step,
     as it did when every commit made the next proposal price: a proposer
     whose own rows no commit touched prices nothing."""
-    price = allocators._PairTable.price
     calls = 0
 
-    def counted(table, rows, mode=None):
+    def counted(*request):
         nonlocal calls
-        calls += mode is None
-        return price(table, rows, mode)
+        calls += 1
+        return price_rows(*request)
 
-    monkeypatch.setattr(allocators._PairTable, "price", counted)
+    monkeypatch.setattr(allocators, "price_rows", counted)
     runs, accepted = 2, 0
     for d in range(runs):
         ch = generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
@@ -556,15 +558,14 @@ def test_table_price_calls_on_pinned_paper_drops(alg, drop_ids, calls,
     """The price calls of one dpa and one lpo table on pinned paper drops.
     A commit in these modes leaves the incumbent's waterline as it was, so
     the rows it is the incumbent of stay clean and price nothing."""
-    price = allocators._PairTable.price
     count = 0
 
-    def counted(table, rows, mode=None):
+    def counted(*request):
         nonlocal count
-        count += mode is None
-        return price(table, rows, mode)
+        count += 1
+        return price_rows(*request)
 
-    monkeypatch.setattr(allocators._PairTable, "price", counted)
+    monkeypatch.setattr(allocators, "price_rows", counted)
     for d in drop_ids:
         ch = generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
         run_algorithm(ch, AlgorithmConfig(alg))

@@ -1,6 +1,7 @@
 """Monte Carlo harness: sweeps, trial records, aggregation, CSV persistence."""
 
 import concurrent.futures
+import functools
 import math
 import pickle
 from dataclasses import replace
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from nomadas import AlgorithmConfig, Scenario, generate_channel, run_algorithm
-from nomadas.allocators import run_algorithms
-from nomadas import harness, optimal_pa
+from nomadas.allocators import run_lockstep
+from nomadas import ALGORITHMS, allocators, harness, optimal_pa
 from nomadas.harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                              apply_sweep, read_csv, run_monte_carlo,
                              sweep_points, trial_seed, write_csv)
@@ -158,8 +159,9 @@ def test_worker_pool_matches_serial():
 
 def test_pool_has_no_more_workers_than_cells(monkeypatch):
     """A fork pool starts every worker up front, so workers=8 over two
-    cells asks for two. The recording pool stand-in starts no process."""
-    asked = []
+    cells asks for two, and never more workers than chunks of trials it
+    hands out. The recording pool stand-in starts no process."""
+    asked, chunks = [], []
 
     class Recording:
         def __init__(self, max_workers):
@@ -171,7 +173,9 @@ def test_pool_has_no_more_workers_than_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        map = staticmethod(map)
+        def map(self, fn, *args):
+            chunks.append(len(args[0]))
+            return map(fn, *args)
 
     cfg = dict(scenario=SMALL, algorithms=("OMA-DAS",), trials=2,
                base_seed=3)
@@ -181,6 +185,7 @@ def test_pool_has_no_more_workers_than_cells(monkeypatch):
     assert pooled == run_monte_carlo(RunConfig(**cfg))
     run_monte_carlo(RunConfig(**cfg, workers=8, sweep_values=(2e6, 3e6)))
     assert asked == [2, 4]
+    assert all(w <= n for w, n in zip(asked, chunks)) and len(chunks) == 2
 
 
 def test_worker_pool_matches_serial_with_joint_power_allocation(monkeypatch):
@@ -209,15 +214,108 @@ def test_worker_pool_matches_serial_with_joint_power_allocation(monkeypatch):
     assert not any(r.failed or r.warnings for r in serial)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunked_records_equal_per_trial_records(workers):
+    """run_monte_carlo's records, each chunk of trials run in lockstep,
+    equal those of a loop of per-trial runs (_run_point), NaN-aware:
+    paper drops of all 11 algorithms at two rates, 9 trials each, split
+    into chunks of 9 serially and of 4 and 5 in two workers."""
+    cfg = RunConfig(Scenario(), ALGORITHMS, trials=9, base_seed=4,
+                    sweep_values=(9e6, 12e6), workers=workers)
+    per_trial = [rec for v in (9e6, 12e6) for t in range(9)
+                 for rec in harness._run_point(cfg, v, t)]
+    assert run_monte_carlo(cfg) == per_trial
+    assert [len(c[1]) for c in harness._chunks(cfg)] \
+        == ([9, 9] if workers == 1 else [5, 4, 5, 4])
+
+
+def test_raise_in_a_chunk_stays_with_its_trial(monkeypatch):
+    """A price call that raises on one trial's rows fails that trial's
+    records as a per-trial run fails them, with the same error, though its
+    rows are priced together with the other trials' of its chunk; every
+    other record is unchanged."""
+    cfg = RunConfig(Scenario(), ALGORITHMS, trials=4, base_seed=0)
+    clean = run_monte_carlo(cfg)
+    seed = trial_seed(0, 2)
+    target = generate_channel(Scenario(),
+                              np.random.default_rng(seed)).gains.ravel()
+    real = allocators.price_rows
+
+    def raising(mode, same_rrh, inputs, sigma2_w, sc_bw_hz):
+        if mode == "opad" and np.isin(inputs[0][0], target).any():
+            raise ValueError("injected")
+        return real(mode, same_rrh, inputs, sigma2_w, sc_bw_hz)
+
+    monkeypatch.setattr(allocators, "price_rows", raising)
+    got = run_monte_carlo(cfg)
+    assert got == [rec for t in range(4)
+                   for rec in harness._run_point(cfg, 9e6, t)]
+    assert {r.algorithm for r in got if r.failed} \
+        == {"MutSIC-OPAd", "MutSIC-SOPAd", "MutAndSingSIC"}
+    assert all(r.trial == 2 and r.error == "ValueError('injected')"
+               for r in got if r.failed)
+    assert [r for r in got if r.trial != 2] \
+        == [r for r in clean if r.trial != 2]
+
+
+def _no_lockstep(channels, algorithms):
+    raise AssertionError("a chunk ran in lockstep")
+
+
+@pytest.mark.parametrize("name", ["run_algorithm", "mutual_sic_pairing"])
+def test_chunks_call_a_replaced_function_trial_by_trial(monkeypatch, name):
+    """Once run_algorithm or a phase is replaced by name, as a tracer's
+    wrapper replaces it, every chunk runs trial by trial, so the wrapper
+    sees each call a per-trial run makes, and the records are unchanged."""
+    cfg = RunConfig(SMALL, ("OMA-DAS", "MutSIC-DPA"), trials=3, base_seed=2)
+    clean = run_monte_carlo(cfg)
+    real = getattr(allocators, name)
+    calls = []
+
+    @functools.wraps(real)
+    def wrapper(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(allocators, name, wrapper)
+    monkeypatch.setattr(harness, "run_lockstep", _no_lockstep)
+    assert run_monte_carlo(cfg) == clean
+    assert len(calls) == (6 if name == "run_algorithm" else 3)
+
+
+def test_run_monte_carlo_joins_price_calls(monkeypatch):
+    """8 paper trials through run_monte_carlo make fewer price_rows calls
+    than the same trials run per trial: the harness prices in lockstep, and
+    a silent fall back to per-trial runs fails this deterministic count."""
+    cfg = RunConfig(Scenario(), ALGORITHMS, trials=8, base_seed=0)
+    calls = []
+    real = allocators.price_rows
+
+    def counted(*request):
+        calls.append(1)
+        return real(*request)
+
+    monkeypatch.setattr(allocators, "price_rows", counted)
+    chunked = run_monte_carlo(cfg)
+    lockstep, calls[:] = len(calls), []
+    assert chunked == [rec for t in range(8)
+                       for rec in harness._run_point(cfg, 9e6, t)]
+    assert 0 < lockstep < len(calls) / 2
+
+
+def test_one_trial_chunk_runs_per_trial(monkeypatch):
+    """A chunk of one trial has no pricing to share: it runs as _run_point."""
+    cfg = RunConfig(Scenario(), ALGORITHMS, trials=1, base_seed=1)
+    monkeypatch.setattr(harness, "run_lockstep", _no_lockstep)
+    assert harness._run_chunk(cfg, 9e6, [5]) == harness._run_point(cfg, 9e6, 5)
+
+
 def test_failures_are_captured(monkeypatch):
-    real = run_algorithms
+    def flaky(channels, algorithms):
+        for i, alg, res in run_lockstep(channels, algorithms):
+            yield i, alg, RuntimeError("injected") if alg == "SRRH" else res
 
-    def flaky(channel, algorithms):
-        out = real(channel, algorithms)
-        out["SRRH"] = RuntimeError("injected")
-        return out
-
-    monkeypatch.setattr(harness, "run_algorithms", flaky)
+    monkeypatch.setattr(harness, "run_lockstep", flaky)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=3))
     bad = [r for r in recs if r.algorithm == "SRRH"]
     good = [r for r in recs if r.algorithm == "OMA-DAS"]
@@ -227,14 +325,13 @@ def test_failures_are_captured(monkeypatch):
 
 
 def test_warnings_reach_trial_records(monkeypatch):
-    real = run_algorithms
+    def warned(channels, algorithms):
+        for i, alg, res in run_lockstep(channels, algorithms):
+            if alg == "SRRH":
+                res = replace(res, warnings=("first, note", "second"))
+            yield i, alg, res
 
-    def warned(channel, algorithms):
-        out = real(channel, algorithms)
-        out["SRRH"] = replace(out["SRRH"], warnings=("first, note", "second"))
-        return out
-
-    monkeypatch.setattr(harness, "run_algorithms", warned)
+    monkeypatch.setattr(harness, "run_lockstep", warned)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=2))
     assert all(r.warnings == "first, note; second"
                for r in recs if r.algorithm == "SRRH")
@@ -351,17 +448,17 @@ def test_paired_saving_is_relative_mean_saving_without_failures(records):
 
 
 def test_paired_saving_skips_trials_the_reference_failed(monkeypatch):
-    real = run_algorithms
     calls = []
 
-    def fail_second_reference(channel, algorithms):
-        out = real(channel, algorithms)
-        calls.append(1)
-        if len(calls) == 2:
-            out["OMA-DAS"] = RuntimeError("injected")
-        return out
+    def fail_second_reference(channels, algorithms):
+        for i, alg, res in run_lockstep(channels, algorithms):
+            if alg == "OMA-DAS":
+                calls.append(1)
+                if len(calls) == 2:
+                    res = RuntimeError("injected")
+            yield i, alg, res
 
-    monkeypatch.setattr(harness, "run_algorithms", fail_second_reference)
+    monkeypatch.setattr(harness, "run_lockstep", fail_second_reference)
     recs = run_monte_carlo(RunConfig(SMALL, ("OMA-DAS", "SRRH"), trials=3))
     power = {(r.algorithm, r.trial): r.total_power_w for r in recs}
     assert [r.trial for r in recs if r.failed] == [1]

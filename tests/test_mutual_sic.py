@@ -290,6 +290,15 @@ def _cases_args(insts):
             col("n1"), col("n2"), insts[0]["mu"])
 
 
+def _row_args(rows, sigma2_w=1.0, mu=0.01):
+    """opad_cases arguments for rows given as (gains, w1, w2, n1, n2), with
+    the incumbent's p1i = w1 - sigma2 / g11."""
+    gains = tuple(np.array(g) for g in zip(*(r[0] for r in rows)))
+    w1, w2, n1, n2 = (np.array([r[i] for r in rows], dtype=float)
+                      for i in range(1, 5))
+    return (gains, sigma2_w, w1, w2, w1 - sigma2_w / gains[0], n1, n2, mu)
+
+
 def _opad(inst):
     """opad_cases on one instance's one-element row, as scalars, with the
     total of its deltas."""
@@ -502,18 +511,35 @@ def test_opad_cases_weighs_deltas_only_where_two_cases_compete(monkeypatch):
             ((1e-83, 1e-244, 1e75, 1e-190), 1e242, 1e211, 2, 2)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for g, w1, w2, n1, n2 in rows:
-            # the root solver brackets both edges; a power is not finite
+            # no edge has finite powers: an infinite root is not ok, and a
+            # finite one overflows p2 = c * p1
             p1i = w1 - s2 / g[0]
             c = np.array([(1.0 + mu) * g[0] / g[1], (1.0 - mu) * g[2] / g[3]])
             p1, ok = mutual_sic._edge_case_roots(c, g[0], g[3], s2, w2, p1i,
                                                  n1, n2, True)
-            assert ok.all() and not np.isfinite(c * p1).any()
-        args = (tuple(np.array(g) for g in zip(*(r[0] for r in rows))), s2,
-                *(np.array([r[i] for r in rows], dtype=float)
-                  for i in (1, 2)),
-                np.array([r[1] - s2 / r[0][0] for r in rows]),
-                np.array([2.0, 2.0]), np.array([1.0, 2.0]), mu)
-        assert check(args, False).tolist() == [0, 0]
+            assert np.array_equal(ok, np.isfinite(p1))
+            assert not np.isfinite(c * p1).any()
+        assert check(_row_args(rows, s2, mu), False).tolist() == [0, 0]
+
+
+def test_edge_roots_ok_means_a_finite_positive_root():
+    """ok marks a bracketed root that is positive and finite. Both edge
+    roots of the recorded extreme row g = (1e188, 1e162, 1e293, 1e-12),
+    w1 = p1i = 1e261, w2 = 1e300, n1 = 2, n2 = 1, sigma2 = 1 come out
+    infinite, so neither is ok; the sampled edge rows beside them all are."""
+    rng = np.random.default_rng(61)
+    c, g11, _, _, g22, _, w2, p1i, n1, n2 = _edge_rows(rng, 40, False)
+    p1, ok = mutual_sic._edge_case_roots(c, g11, g22, SIGMA2_REF, w2, p1i,
+                                         n1, n2, True)
+    assert ok.all() and (p1 > 0.0).all() and np.isfinite(p1).all()
+
+    g, mu = (1e188, 1e162, 1e293, 1e-12), 0.01
+    c = np.array([(1.0 + mu) * g[0] / g[1], (1.0 - mu) * g[2] / g[3]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p1, ok = mutual_sic._edge_case_roots(c, g[0], g[3], 1.0, 1e300,
+                                             1e261, 2, 1, True)
+    assert np.isinf(p1).all()
+    assert not ok.any()
 
 
 def _edge_ratio(inst, case):
@@ -637,12 +663,34 @@ def case_batch():
 
 
 def test_opad_cases_rows_independent_of_batch(case_batch):
-    """Each row of a batched call equals the same row called alone."""
+    """Each row of a batched call equals the same row called alone. So do
+    three found rows whose edge powers are finite but whose deltas
+    overflow: alone, in a call that weighs no delta, and beside a row that
+    weighs two cases (an empty margined window), they take their edge."""
     insts, out = case_batch
     for j, inst in enumerate(insts):
         alone = opad_with_deltas(*_cases_args([inst]))
         for batched, single in zip(out, alone):
             assert np.array_equal(batched[j:j + 1], single)
+
+    overflowing = [((1.85e-132, 1.37e-187, 1.31e205, 3.61e-25), 4.72e280,
+                    7.65e267, 2, 1),
+                   ((3.41e12, 7.73e-156, 8.15e255, 3.01e-148), 1.89e252,
+                    4.0e209, 3, 4),
+                   ((1.31e-7, 2.06e-167, 4.61e121, 4.27e-131), 1.07e268,
+                    2.44e131, 4, 4)]
+    weighing = ((1e-9, 1e-9, 1e-9, 1e-9), 1e-2, 5e-2, 3, 2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row in overflowing:
+            gains, s2, w1, w2, p1i, n1, n2, _ = _row_args([row])
+            p1, p2, case = opad_cases(*_row_args([row]))
+            assert case.tolist() == [2]
+            assert np.isfinite([p1, p2]).all()
+            assert not np.isfinite(_dp1(p1, gains[0], s2, w1, p1i, n1)
+                                   + _dp2(p2, gains[3], s2, w2, n2)).all()
+            beside = opad_cases(*_row_args([row, weighing]))
+            for single, batched in zip((p1, p2, case), beside):
+                assert np.array_equal(batched[:1], single)
 
 
 def test_opad_cases_matches_scalar_optimizer(case_batch):

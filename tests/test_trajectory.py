@@ -13,6 +13,7 @@ the greedy trajectory rewrites the file:
 
 import dataclasses
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
@@ -114,15 +115,20 @@ def test_logged_totals_are_fresh_power_sums(monkeypatch):
         counts["logged"] += 1
         log(state, tag, user, n, accepted, dp, before, after)
 
+    def answered(value):
+        """A plain proposer's or commit's value, or a pricing one's, its
+        price requests passed on."""
+        return (yield from value) if inspect.isgenerator(value) else value
+
     def checked_descend(state, tag, limit, more, propose, active=None):
         def checked_propose(k):
-            n, dp, commit = propose(k)
+            n, dp, commit = yield from answered(propose(k))
             if commit is None:
                 return n, dp, commit
 
             def checked_commit():
                 was = state.user_powers()
-                n, dp, changed = commit()
+                n, dp, changed = yield from answered(commit())
                 moved = np.flatnonzero(state.user_powers() != was)
                 assert set(moved.tolist()) <= set(changed), (tag, changed)
                 counts["commits"] += 1

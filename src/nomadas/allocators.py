@@ -61,9 +61,10 @@ phase store of its own whose states leave once no algorithm left to run
 reads them. At each tick the drop furthest behind, and the drops
 waiting on a request of the same mode and geometry, up to JOIN_ROWS rows
 in all, have their requests priced in one price_rows call, so the fixed
-cost of a call is shared by the drops. A row's prices do not depend on the rows priced with it, so
-each drop's outcomes equal run_algorithms' bit for bit. run_trial, and
-through it the invariant audit and the oracle command, stay per trial.
+cost of a call is shared by the drops. A row's prices do not depend on
+the rows priced with it, so each drop's outcomes equal those of its lone
+run bit for bit. A lone drop has nothing to share and runs as one
+run_algorithm call per algorithm: run_algorithms is that case.
 """
 
 from __future__ import annotations
@@ -674,8 +675,13 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool):
     when it passes the screens. A rejected step logs its row's subcarrier
     on the same RRH and -1 across RRHs. A generator: it yields the price
     requests of the table (cheapest) and of the sopad refines, each
-    answered with price_rows' outputs (_solo, run_lockstep).
+    answered with price_rows' outputs (_solo, run_lockstep). A mode its
+    geometry has no rule for raises ValueError at the first step.
     """
+    kind, modes = (("single", ("ftpa", "lpo")) if same_rrh
+                   else ("mutual", ("dpa", "opad", "sopad")))
+    if mode not in modes:
+        raise ValueError(f"unknown {kind}-SIC mode {mode!r}")
     s2, sc_bw = state.sigma2_w, state.sc_bw_hz
 
     def propose(k2):
@@ -703,9 +709,8 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool):
 
     table = _PairTable(state, mode, same_rrh)
     active = np.ones(state.num_users, dtype=bool)
-    yield from _descend(state, "single" if same_rrh else "mutual",
-                        table.held + state.num_users, lambda: table.held > 0,
-                        propose, active)
+    yield from _descend(state, kind, table.held + state.num_users,
+                        lambda: table.held > 0, propose, active)
 
 
 def single_sic_pairing(state: AllocationState, mode: str) -> None:
@@ -717,8 +722,6 @@ def single_sic_pairing(state: AllocationState, mode: str) -> None:
     decoding), so only a joiner weaker than the incumbent on the shared
     RRH can pair.
     """
-    if mode not in ("ftpa", "lpo"):
-        raise ValueError(f"unknown single-SIC mode {mode!r}")
     _solo(_pairing(state, mode, True))
 
 
@@ -731,8 +734,6 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     runs opad_cases on the winning row alone. Only rows whose gains admit
     mutual cancellation (mutual_sic_feasible) are priced.
     """
-    if mode not in ("dpa", "opad", "sopad"):
-        raise ValueError(f"unknown mutual-SIC mode {mode!r}")
     _solo(_pairing(state, mode, False))
 
 
@@ -926,26 +927,18 @@ def _result(state: AllocationState, algorithm: str) -> AllocationResult:
 
 def run_algorithms(channel: ChannelTensor, algorithms,
                    rho_w: float = 1e-3) -> dict:
-    """Run several algorithms on one channel realization, sharing phases.
+    """Run several algorithms on one channel realization, sharing phases:
+    run_lockstep on this one channel, which calls run_algorithm for each
+    algorithm in turn, so each distinct phase prefix runs once (see the
+    module docstring) and this thread's entry is left on `channel`.
 
-    Calls run_algorithm for each algorithm in turn, so each distinct
-    phase prefix runs once (see the module docstring) and this thread's
-    entry is left on `channel`. Returns {algorithm: AllocationResult, or
-    the exception its run raised} in the order of `algorithms`. A shared
-    phase that raised is not stored, so it runs again for each algorithm
-    below it, and each of them gets the exception it raised itself.
+    Returns {algorithm: AllocationResult, or the exception its run raised}
+    in the order of `algorithms`. A shared phase that raised is not
+    stored, so it runs again for each algorithm below it, and each of them
+    gets the exception it raised itself.
     """
-    algorithms = tuple(algorithms)
-    if len(set(algorithms)) != len(algorithms):
-        raise ValueError(f"repeated algorithm in {algorithms}")
-    configs = [AlgorithmConfig(alg, rho_w) for alg in algorithms]
-    outcomes = {}
-    for config in configs:
-        try:
-            outcomes[config.algorithm] = run_algorithm(channel, config)
-        except Exception as exc:    # the outcome of this algorithm alone
-            outcomes[config.algorithm] = exc
-    return outcomes
+    return {alg: res for _, alg, res in
+            run_lockstep([channel], algorithms, rho_w)}
 
 
 def _plan_steps(algorithm: str):
@@ -1025,20 +1018,30 @@ def run_lockstep(channels, algorithms, rho_w: float = 1e-3):
     price_rows call (_price_together). Drops ahead wait, so the drops stay
     in step and their requests meet.
 
-    A phase replaced by name runs as called and prices its drop's requests
-    alone; the harness runs such trials one at a time instead.
+    A lone drop has no requests to join: it runs as one run_algorithm call
+    per algorithm, looked up by name, so a replaced run_algorithm sees
+    each call. A phase replaced by name runs as called and prices its
+    drop's requests alone.
 
     Yields (index into `channels`, algorithm, AllocationResult or the
     exception its run raised) as each run completes. A drop's outcomes
-    come in the order of `algorithms` and equal run_algorithms' bit for
+    come in the order of `algorithms` and equal its lone run's bit for
     bit: a row prices to the same bits in any batch.
     """
     algorithms = tuple(algorithms)
     if len(set(algorithms)) != len(algorithms):
         raise ValueError(f"repeated algorithm in {algorithms}")
+    configs = [AlgorithmConfig(alg, rho_w) for alg in algorithms]
+    if len(channels) == 1:
+        for config in configs:
+            try:
+                outcome = run_algorithm(channels[0], config)
+            except Exception as exc:    # the outcome of this algorithm alone
+                outcome = exc
+            yield 0, config.algorithm, outcome
+        return
     if not algorithms:
         return
-    configs = [AlgorithmConfig(alg, rho_w) for alg in algorithms]
     # the phase paths each plan reads, and those still read once the
     # algorithm at each index has run
     reads = []

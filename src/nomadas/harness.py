@@ -13,14 +13,15 @@ and runs each chunk's drops in lockstep (allocators.run_lockstep): each
 drop keeps its own phase store, and at each tick the price requests of
 the drops that wait on the same kind of pricing share one kernel call.
 Each outcome becomes its TrialRecord as soon as it completes; the
-records equal those of per-trial runs. A chunk of one trial, or any
-chunk once an allocation function has been replaced by name, runs trial
-by trial (_run_chunk). run_trial runs one trial through
-allocators.run_algorithms; the invariant audit and the oracle command
-draw their drops through it, one at a time. Each TrialRecord carries its
-algorithm's step counts per phase and its joint power optimization's
-iterations and residual. write_csv and read_csv store the record
-dataclasses, one column per field.
+records equal those of per-trial runs. A chunk of one trial is a lone
+drop, which run_lockstep runs as one run_algorithm call per algorithm;
+once run_algorithm is replaced by name, each drop of a chunk runs alone
+(_run_chunk). run_trial runs one trial through allocators.run_algorithms;
+the invariant audit and the oracle command draw their drops through it,
+one at a time. Each TrialRecord carries its algorithm's step counts per
+phase and its joint power optimization's iterations and residual.
+write_csv and read_csv store the record dataclasses, one column per
+field.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import allocators
-from .allocators import ALGORITHMS, run_algorithms, run_lockstep
+from .allocators import (ALGORITHMS, run_algorithm, run_algorithms,
+                         run_lockstep)
 from .channel import generate_channel
 from .scenario import Scenario
 
@@ -42,15 +44,6 @@ from .scenario import Scenario
 # lockstep: more drops per chunk share more of each pricing call, and keep
 # more pair tables in memory at once
 CHUNK_TRIALS = 8
-
-# the allocators functions a trial's allocations look up by name, as
-# imported: once one is replaced (a test's stand-in, a tracer's wrapper),
-# chunks run trial by trial, so that each replacement is called as in a
-# per-trial run and no drop prices part of its phases alone
-_OWN = {name: getattr(allocators, name) for name in
-        {"run_algorithm", "worst_best_h", "oma_phase"}
-        | {phase[0] for plan in allocators.PLANS.values()
-           for phase in plan[1]}}
 
 # sweep axis -> the Scenario field it replaces
 SWEEP_AXES = {
@@ -182,36 +175,28 @@ def _record(cell, alg: str, trial: int, seed: int, res) -> TrialRecord:
                        opa_solves=res.opa_solves)
 
 
-def _run_point(config: RunConfig, value: float, trial: int):
-    """Trial records of all algorithms for one (sweep value, trial), run
-    on their own (run_trial): the per-trial reference of _run_chunk."""
-    scen = apply_sweep(config.scenario, config.sweep_axis, value)
-    seed, results = run_trial(scen, config.algorithms, config.base_seed,
-                              trial)
-    return [_record((config.sweep_axis, float(value)), alg, trial, seed, res)
-            for alg, res in results]
-
-
 def _run_chunk(config: RunConfig, value: float, trials) -> list:
     """Trial records of all algorithms for consecutive trials of one sweep
     value, in (trial, algorithm) order: the trials' drops run in lockstep
     (run_lockstep), and each outcome becomes its record as it completes.
-    A chunk of one trial, which has no pricing calls to share, or any chunk
-    once an allocators function of _OWN is replaced by name, runs trial by
-    trial (_run_point) instead."""
-    if len(trials) == 1 or any(getattr(allocators, name) is not fn
-                               for name, fn in _OWN.items()):
-        return [rec for t in trials for rec in _run_point(config, value, t)]
+    Once allocators.run_algorithm is replaced by name (a tracer's wrapper),
+    each drop is drawn and run on its own instead, so the replacement sees
+    each drop's generate_channel call and then that drop's run_algorithm
+    calls."""
     scen = apply_sweep(config.scenario, config.sweep_axis, value)
-    seeds = [trial_seed(config.base_seed, t) for t in trials]
-    channels = [generate_channel(scen, np.random.default_rng(s))
-                for s in seeds]
     cell = (config.sweep_axis, float(value))
-    column = {alg: j for j, alg in enumerate(config.algorithms)}
-    rows = [[None] * len(column) for _ in trials]
-    for i, alg, res in run_lockstep(channels, config.algorithms):
-        rows[i][column[alg]] = _record(cell, alg, trials[i], seeds[i], res)
-    return [rec for row in rows for rec in row]
+    parts = [trials] if allocators.run_algorithm is run_algorithm \
+        else [[t] for t in trials]
+    records = []
+    for part in parts:
+        seeds = [trial_seed(config.base_seed, t) for t in part]
+        channels = [generate_channel(scen, np.random.default_rng(s))
+                    for s in seeds]
+        rows = [[] for _ in part]
+        for i, alg, res in run_lockstep(channels, config.algorithms):
+            rows[i].append(_record(cell, alg, part[i], seeds[i], res))
+        records += [rec for row in rows for rec in row]
+    return records
 
 
 def _chunks(config: RunConfig) -> list:

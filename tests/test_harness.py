@@ -14,7 +14,7 @@ from nomadas.allocators import run_lockstep
 from nomadas import ALGORITHMS, allocators, harness, optimal_pa
 from nomadas.harness import (AggregateRow, RunConfig, TrialRecord, aggregate,
                              apply_sweep, read_csv, run_monte_carlo,
-                             sweep_points, trial_seed, write_csv)
+                             run_trial, sweep_points, trial_seed, write_csv)
 
 from conftest import SMALL
 
@@ -214,16 +214,28 @@ def test_worker_pool_matches_serial_with_joint_power_allocation(monkeypatch):
     assert not any(r.failed or r.warnings for r in serial)
 
 
+def _per_trial(cfg, value, trials) -> list:
+    """The records of a loop of per-trial runs (run_trial) at one sweep
+    value: the reference of the chunked runs."""
+    scen = apply_sweep(cfg.scenario, cfg.sweep_axis, value)
+    records = []
+    for t in trials:
+        seed, results = run_trial(scen, cfg.algorithms, cfg.base_seed, t)
+        records += [harness._record((cfg.sweep_axis, float(value)), alg, t,
+                                    seed, res) for alg, res in results]
+    return records
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunked_records_equal_per_trial_records(workers):
     """run_monte_carlo's records, each chunk of trials run in lockstep,
-    equal those of a loop of per-trial runs (_run_point), NaN-aware:
+    equal those of a loop of per-trial runs (run_trial), NaN-aware:
     paper drops of all 11 algorithms at two rates, 9 trials each, split
     into chunks of 9 serially and of 4 and 5 in two workers."""
     cfg = RunConfig(Scenario(), ALGORITHMS, trials=9, base_seed=4,
                     sweep_values=(9e6, 12e6), workers=workers)
-    per_trial = [rec for v in (9e6, 12e6) for t in range(9)
-                 for rec in harness._run_point(cfg, v, t)]
+    per_trial = [rec for v in (9e6, 12e6) for rec in _per_trial(cfg, v,
+                                                                range(9))]
     assert run_monte_carlo(cfg) == per_trial
     assert [len(c[1]) for c in harness._chunks(cfg)] \
         == ([9, 9] if workers == 1 else [5, 4, 5, 4])
@@ -248,8 +260,7 @@ def test_raise_in_a_chunk_stays_with_its_trial(monkeypatch):
 
     monkeypatch.setattr(allocators, "price_rows", raising)
     got = run_monte_carlo(cfg)
-    assert got == [rec for t in range(4)
-                   for rec in harness._run_point(cfg, 9e6, t)]
+    assert got == _per_trial(cfg, 9e6, range(4))
     assert {r.algorithm for r in got if r.failed} \
         == {"MutSIC-OPAd", "MutSIC-SOPAd", "MutAndSingSIC"}
     assert all(r.trial == 2 and r.error == "ValueError('injected')"
@@ -258,29 +269,41 @@ def test_raise_in_a_chunk_stays_with_its_trial(monkeypatch):
         == [r for r in clean if r.trial != 2]
 
 
-def _no_lockstep(channels, algorithms):
-    raise AssertionError("a chunk ran in lockstep")
-
-
 @pytest.mark.parametrize("name", ["run_algorithm", "mutual_sic_pairing"])
-def test_chunks_call_a_replaced_function_trial_by_trial(monkeypatch, name):
-    """Once run_algorithm or a phase is replaced by name, as a tracer's
-    wrapper replaces it, every chunk runs trial by trial, so the wrapper
-    sees each call a per-trial run makes, and the records are unchanged."""
+def test_chunks_call_a_replaced_function(monkeypatch, name):
+    """A function replaced by name, as a tracer's wrapper replaces it, sees
+    every call a per-trial run makes, and the records are unchanged. A
+    replaced phase runs as called inside the chunk's lockstep run; a
+    replaced run_algorithm makes each drop of the chunk run alone, drawn
+    (generate_channel) just before its run_algorithm calls."""
     cfg = RunConfig(SMALL, ("OMA-DAS", "MutSIC-DPA"), trials=3, base_seed=2)
     clean = run_monte_carlo(cfg)
     real = getattr(allocators, name)
-    calls = []
+    calls, events, drops = [], [], []
 
     @functools.wraps(real)
     def wrapper(*args):
         calls.append(args[1:])
+        events.append(name)
         return real(*args)
 
+    def drawn(scenario, rng):
+        events.append("generate_channel")
+        return generate_channel(scenario, rng)
+
+    def counted(channels, algorithms):
+        drops.append(len(channels))
+        return run_lockstep(channels, algorithms)
+
     monkeypatch.setattr(allocators, name, wrapper)
-    monkeypatch.setattr(harness, "run_lockstep", _no_lockstep)
+    monkeypatch.setattr(harness, "generate_channel", drawn)
+    monkeypatch.setattr(harness, "run_lockstep", counted)
     assert run_monte_carlo(cfg) == clean
-    assert len(calls) == (6 if name == "run_algorithm" else 3)
+    if name == "run_algorithm":
+        assert len(calls) == 6 and drops == [1, 1, 1]
+        assert events == ["generate_channel", name, name] * 3
+    else:
+        assert len(calls) == 3 and drops == [3]
 
 
 def test_run_monte_carlo_joins_price_calls(monkeypatch):
@@ -298,16 +321,8 @@ def test_run_monte_carlo_joins_price_calls(monkeypatch):
     monkeypatch.setattr(allocators, "price_rows", counted)
     chunked = run_monte_carlo(cfg)
     lockstep, calls[:] = len(calls), []
-    assert chunked == [rec for t in range(8)
-                       for rec in harness._run_point(cfg, 9e6, t)]
+    assert chunked == _per_trial(cfg, 9e6, range(8))
     assert 0 < lockstep < len(calls) / 2
-
-
-def test_one_trial_chunk_runs_per_trial(monkeypatch):
-    """A chunk of one trial has no pricing to share: it runs as _run_point."""
-    cfg = RunConfig(Scenario(), ALGORITHMS, trials=1, base_seed=1)
-    monkeypatch.setattr(harness, "run_lockstep", _no_lockstep)
-    assert harness._run_chunk(cfg, 9e6, [5]) == harness._run_point(cfg, 9e6, 5)
 
 
 def test_failures_are_captured(monkeypatch):

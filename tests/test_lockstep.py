@@ -187,3 +187,55 @@ def test_lockstep_outcomes_of_a_failing_phase(monkeypatch):
 def test_lockstep_rejects_repeated_names():
     with pytest.raises(ValueError, match="repeated"):
         list(run_lockstep([], ("OMA-DAS", "OMA-DAS")))
+
+
+def test_a_lone_drop_runs_as_run_algorithm_calls(monkeypatch):
+    """One channel has no requests to join: run_lockstep makes one
+    run_algorithm call per algorithm, in order, and no joined pricing
+    (_price_together), and yields those calls' outcomes."""
+    ch = generate_channel(Scenario(), np.random.default_rng([0, 1, 0]))
+    copy = dataclasses.replace(ch)
+    alone = {alg: _outcome(allocators.run_algorithm(copy,
+                                                    AlgorithmConfig(alg)))
+             for alg in ALGORITHMS}
+    real = allocators.run_algorithm
+    calls = []
+
+    def counted(channel, config):
+        calls.append((channel is ch, config.algorithm))
+        return real(channel, config)
+
+    def joined(requests):
+        raise AssertionError("a lone drop priced requests together")
+
+    monkeypatch.setattr(allocators, "run_algorithm", counted)
+    monkeypatch.setattr(allocators, "_price_together", joined)
+    got = [(i, alg, _outcome(res))
+           for i, alg, res in run_lockstep([ch], ALGORITHMS)]
+    assert calls == [(True, alg) for alg in ALGORITHMS]
+    assert got == [(0, alg, alone[alg]) for alg in ALGORITHMS]
+
+
+@pytest.mark.parametrize("name, mode", [("single_sic_pairing", "dpa"),
+                                        ("mutual_sic_pairing", "bogus")])
+def test_plans_check_the_pairing_mode(monkeypatch, name, mode):
+    """A plan whose pairing phase names a mode its geometry has no rule for
+    fails with the ValueError of the direct phase call, alone
+    (run_algorithm) and on each drop of a lockstep run."""
+    channels = [generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
+                for d in range(2)]
+    with pytest.raises(ValueError, match="unknown") as direct:
+        getattr(allocators, name)(
+            allocators.AllocationState(channels[0], False, 1e-3), mode)
+    monkeypatch.setitem(allocators.PLANS, "SRRH",
+                        (False, ((name, mode),), False))
+    with pytest.raises(ValueError) as planned:
+        allocators.run_algorithm(dataclasses.replace(channels[0]),
+                                 AlgorithmConfig("SRRH"))
+    assert repr(planned.value) == repr(direct.value)
+    got = {(i, alg): res for i, alg, res in
+           run_lockstep(channels, ("OMA-DAS", "SRRH"))}
+    assert [repr(got[i, "SRRH"]) for i in range(2)] \
+        == [repr(direct.value)] * 2
+    assert not any(isinstance(got[i, "OMA-DAS"], Exception)
+                   for i in range(2))

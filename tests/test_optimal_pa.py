@@ -11,7 +11,7 @@ from nomadas import (AlgorithmConfig, Scenario, generate_channel,
                      run_algorithm, solver)
 from nomadas import optimal_pa
 from nomadas.allocators import ALGORITHMS, run_algorithms
-from nomadas.harness import RunConfig, _run_point, trial_seed
+from nomadas.harness import RunConfig, _run_chunk, trial_seed
 from nomadas.optimal_pa import mutual_power_optimum, optimal_power_allocation
 from nomadas.waterfill import rate_second, rate_single
 
@@ -301,7 +301,7 @@ def test_opa_iterations_count_every_active_set_solve(monkeypatch):
     opa = run_algorithm(ch, AlgorithmConfig("SRRH-OPA"))
     assert (opa.opa_iterations, opa.opa_solves) == (24, 2)
     config = RunConfig(Scenario(rate_demand_bps=12e6), ("SRRH-OPA",))
-    (record,) = _run_point(config, 12e6, 73)
+    (record,) = _run_chunk(config, 12e6, [73])
     assert (record.opa_iterations, record.opa_solves) == (24, 2)
 
     def second_fails(f, z0, **kwargs):

@@ -29,8 +29,9 @@ Both pairing phases are one phase (_pairing) that differs in data: the
 pair geometry (same RRH or across RRHs) and the mode's rule for the pair
 powers. Both freeze one kind of record (Pair) into state.pairs, a
 same-RRH pair exactly when r1 == r2. A pairing phase adds no sole
-holding, so it builds its candidate pairs once and keeps their prices
-(_PairTable): an accepted step retires its subcarrier's pairs and marks
+holding, so its candidate pairs are fixed by its start state and
+geometry (_Candidates) and a run keeps their prices (_PairTable): an
+accepted step retires its subcarrier's pairs and marks
 dirty only the pairs whose inputs it changed. Pricing waits until a
 proposer has a dirty pair of its own and then takes every dirty pair of
 the active users in one call, so a retirement, or a proposer no step
@@ -48,17 +49,20 @@ after every phase run_algorithm ran, keyed by the antenna set and the
 phase functions (looked up by name at call time) and arguments so far. A
 later call on that channel goes on from a fork of the deepest stored
 state of its plan, so run_algorithms, one run_algorithm call per
-algorithm, runs each distinct phase prefix once. A call misses, and
-runs, when the channel is another object, rho_w differs or a phase
-function was replaced by name; the channel's gains are read-only. A
-phase that raised is not stored; results never hold a stored state, only
-forks of one. A state carries no algorithm: the one stored state serves
-every plan below it.
+algorithm, runs each distinct phase prefix once. The pairing runs from
+one stored state share one candidate set per geometry, kept with the
+state, and each mode's prices at that state: SOPAd selects from DPA's
+first prices and refines a pair no step of its own has touched from
+OPAd's. A call misses, and runs, when the channel is another object,
+rho_w differs or a phase function was replaced by name; the channel's
+gains are read-only. A phase that raised is not stored; results never
+hold a stored state, only forks of one. A state carries no algorithm:
+the one stored state serves every plan below it.
 
 run_lockstep runs many drops through the algorithms in step, for the
 Monte Carlo harness. It walks the same plans (_plan), each drop on a
-phase store of its own whose states leave once no algorithm left to run
-reads them. At each tick the drop furthest behind, and the drops
+phase store of its own that keeps a state only while an algorithm left
+to run reads it. At each tick the drop furthest behind, and the drops
 waiting on a request of the same mode and geometry, up to JOIN_ROWS rows
 in all, have their requests priced in one price_rows call, so the fixed
 cost of a call is shared by the drops. A row's prices do not depend on
@@ -510,7 +514,7 @@ def uc_extension_phase(state: AllocationState) -> None:
             & (w_new >= floor)
         if not ok.any():
             return -1, math.nan, None
-        flat = int(np.argmax(np.where(ok, cand, -math.inf)))
+        flat = int(np.where(ok, cand, -math.inf).argmax())
         ni, ri = np.unravel_index(flat, cand.shape)
         n, r = int(ni), int(state.rrhs[ri])
         gain = float(cand[ni, ri])
@@ -530,32 +534,24 @@ def uc_extension_phase(state: AllocationState) -> None:
 
 # -- pairing: one table of priced candidate pairs, one greedy -----------------
 
-class _PairTable:
-    """The priced candidate pairs of one pairing phase run.
+class _Candidates:
+    """The candidate pairs of pairing from one start state in one geometry:
+    what every pairing run from that state reads and none changes.
 
     One row per (joiner k2, subcarrier n, joiner RRH r2) over the
-    subcarriers another user k1 holds alone through r1 at phase start:
+    subcarriers another user k1 holds alone through r1 in the state:
     r2 = r1 for same-RRH pairing, every other RRH of state.rrhs otherwise.
     Rows that can never pair are left out (on the gains (g11, g12, g21,
     g22): g22 >= g11 on the shared RRH, mutual_sic_feasible false across
     RRHs); the rest run by joiner, then n, then r2.
 
-    Pairing adds no sole holding, so rows only leave: committing a row
-    kills the rows on its subcarrier. A row's price reads only the state of
-    its incumbent and its joiner, so the commit also marks dirty every row
-    whose inputs it moved, and a clean row's price stays what pricing it
-    now would give, bit for bit. Those are the rows either of its two users
-    joins and the rows its joiner is the incumbent of. The rows its
-    incumbent is the incumbent of read only that incumbent's waterline,
-    which ftpa, lpo and dpa steps write back unchanged, so only opad and
-    sopad tables (whose steps can move p1) dirty them too. Rows are priced
-    on demand (cheapest): only a proposer with a dirty row of its own
-    prices. On 40 paper drops of all 11 algorithms that is 85.5 table
-    price calls per drop (sopad's one-row refines not counted), against
-    88.0 when every commit dirtied all rows of both its users.
+    prices[mode] holds the outputs of a run's first pricing in that mode
+    when it covered every row: the rows' prices at the start state, which
+    a later run from the state reads instead of pricing them again. Only
+    sopad reads them, so only sets across RRHs keep them.
     """
 
-    def __init__(self, state: AllocationState, mode: str, same_rrh: bool):
+    def __init__(self, state: AllocationState, same_rrh: bool):
         G, K = state.gains, state.num_users
         held = state.owner >= 0
         alone = np.count_nonzero(held, axis=1) == 1
@@ -583,14 +579,56 @@ class _PairTable:
         self.held = int(alone.sum())
         self.own = np.bincount(k1[alone], minlength=K)
         self.fanout = 1 if same_rrh else len(state.rrhs) - 1
+        self.prices = {}
+
+
+class _PairTable:
+    """The priced candidate pairs of one pairing phase run: the rows of a
+    candidate set (_Candidates) and what the run changes of them.
+
+    Pairing adds no sole holding, so rows only leave: committing a row
+    kills the rows on its subcarrier. A row's price reads only the state of
+    its incumbent and its joiner, so the commit also marks dirty every row
+    whose inputs it moved, and a clean row's price stays what pricing it
+    now would give, bit for bit. Those are the rows either of its two users
+    joins and the rows its joiner is the incumbent of. The rows its
+    incumbent is the incumbent of read only that incumbent's waterline,
+    which ftpa, lpo and dpa steps write back unchanged, so only opad and
+    sopad tables (whose steps can move p1) dirty them too. Rows are priced
+    on demand (cheapest): only a proposer with a dirty row of its own
+    prices. On 40 paper drops of all 11 algorithms that is 85.5 table
+    price calls per drop (sopad's one-row refines not counted), against
+    88.0 when every commit dirtied all rows of both its users; 84.5 once
+    sopad starts from dpa's start-state prices.
+
+    A run whose mode has start-state prices in its set starts from them,
+    with no row dirty. A row no commit of the run has moved is pristine:
+    its inputs are still the start state's, so a sopad refine of it reads
+    the set's opad prices when an opad run left them (refine).
+
+    `sets`, a start state's candidate sets by geometry, gives the set to
+    read and keeps the one built when it has none; without it the run
+    builds its own.
+    """
+
+    def __init__(self, state: AllocationState, mode: str, same_rrh: bool,
+                 sets: dict | None = None):
+        sets = {} if sets is None else sets
+        if same_rrh not in sets:
+            sets[same_rrh] = _Candidates(state, same_rrh)
+        vars(self).update(vars(sets[same_rrh]))     # the rows, shared
+        self.own = self.own.copy()
         # sopad selects with the dpa prices
         self.mode = "dpa" if mode == "sopad" else mode
         # only an opad price or a sopad refine moves the incumbent's waterline
         self.moves_w1 = mode in ("opad", "sopad")
         self.state, self.same_rrh = state, same_rrh
         self.live = np.ones(self.n.size, dtype=bool)
-        self.dirty = self.live.copy()
-        self.values = np.full((6, self.n.size), np.inf)  # price outputs
+        self.pristine = self.live.copy()
+        start = self.prices.get(self.mode)
+        self.dirty = np.full(self.n.size, start is None)
+        self.values = np.full((6, self.n.size), np.inf) if start is None \
+            else start.copy()                       # price outputs
 
     def inputs(self, rows, incumbent=True):
         """What pricing the rows reads: (gains, w1, n1, rest_floor, w2, n2,
@@ -642,11 +680,24 @@ class _PairTable:
             return None, math.inf
         if self.dirty[lo:hi].any():
             ready = active & (self.state.n_sole > 0)
-            rows = np.flatnonzero(self.dirty & ready[self.k2])
+            rows = (self.dirty & ready[self.k2]).nonzero()[0]
             self.values[:, rows] = yield self.request(rows)
             self.dirty[rows] = False
-        row = lo + int(np.argmin(self.values[0, lo:hi]))
+            # every row dirty: the first pricing, at the start state
+            if rows.size == self.n.size and not self.same_rrh:
+                start = self.prices[self.mode] = self.values.copy()
+                start.flags.writeable = False
+        row = lo + int(self.values[0, lo:hi].argmin())
         return row, float(self.values[0, row])
+
+    def refine(self, row: int):
+        """row's opad outputs, as a generator's return value: the start
+        state's when the row is pristine and an opad run left them, else
+        those of a one-row request."""
+        start = self.prices.get("opad")
+        if start is not None and self.pristine[row]:
+            return start[:, row]
+        return [a[0] for a in (yield self.request(np.array([row]), "opad"))]
 
     def commit(self, row: int):
         """Retire row's subcarrier and dirty the rows whose inputs the
@@ -662,11 +713,13 @@ class _PairTable:
             moved |= self.k1 == k1
         self.dirty |= moved
         self.dirty &= self.live
+        self.pristine &= ~moved
         self.held -= 1
         self.own[k1] -= 1
 
 
-def _pairing(state: AllocationState, mode: str, same_rrh: bool):
+def _pairing(state: AllocationState, mode: str, same_rrh: bool,
+             sets: dict | None = None):
     """Multiplex heavy users as second user on subcarriers held alone.
 
     The joiner offloads rate from its sole set onto the cheapest row of the
@@ -676,7 +729,8 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool):
     on the same RRH and -1 across RRHs. A generator: it yields the price
     requests of the table (cheapest) and of the sopad refines, each
     answered with price_rows' outputs (_solo, run_lockstep). A mode its
-    geometry has no rule for raises ValueError at the first step.
+    geometry has no rule for raises ValueError at the first step. `sets`
+    holds the start state's candidate sets (_PairTable).
     """
     kind, modes = (("single", ("ftpa", "lpo")) if same_rrh
                    else ("mutual", ("dpa", "opad", "sopad")))
@@ -692,8 +746,7 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool):
         def commit():
             values = table.values[:, row]
             if mode == "sopad":
-                refined = [a[0] for a in (
-                    yield table.request(np.array([row]), "opad"))]
+                refined = yield from table.refine(row)
                 if refined[0] < math.inf:
                     values = refined
             dp, p1, p2, rate2, w1_new, w2_new = (float(v) for v in values)
@@ -707,7 +760,7 @@ def _pairing(state: AllocationState, mode: str, same_rrh: bool):
         shown = same_rrh and dp_best < math.inf
         return int(table.n[row]) if shown else -1, dp_best, commit
 
-    table = _PairTable(state, mode, same_rrh)
+    table = _PairTable(state, mode, same_rrh, sets)
     active = np.ones(state.num_users, dtype=bool)
     yield from _descend(state, kind, table.held + state.num_users,
                         lambda: table.held > 0, propose, active)
@@ -737,13 +790,10 @@ def mutual_sic_pairing(state: AllocationState, mode: str) -> None:
     _solo(_pairing(state, mode, False))
 
 
-# the pairing phases as the price-request generators a plan runs in their
-# place (_plan); keyed by function, so a phase replaced by name runs as
-# called
-_STEPS = {
-    single_sic_pairing: lambda state, mode: _pairing(state, mode, True),
-    mutual_sic_pairing: lambda state, mode: _pairing(state, mode, False),
-}
+# the pairing phases, by their geometry (same_rrh), that a plan runs as
+# price-request generators (_pairing) in their place (_plan); keyed by
+# function, so a phase replaced by name runs as called
+_STEPS = {single_sic_pairing: True, mutual_sic_pairing: False}
 
 
 # -- pricing: one row kernel, run alone or on the rows of many drops ---------
@@ -949,37 +999,43 @@ def _plan_steps(algorithm: str):
                      (("worst_best_h",), ("oma_phase",)) + phases]
 
 
-def _plan(kept: dict, channel: ChannelTensor, config: AlgorithmConfig):
+def _plan(kept: dict, channel: ChannelTensor, config: AlgorithmConfig,
+          later=None):
     """config's run on channel, as a generator of the price requests of its
     pairing phases that returns its AllocationResult.
 
-    `kept` is a phase store, {phase path: state}, a phase path being the
-    antenna set, then each phase as its function and arguments. The run
-    goes on from a fork of the deepest stored state of its plan and stores
-    a fork after each phase it runs. A pairing phase found under its own
-    name runs as its generator (_STEPS); any other phase, or one replaced
-    by name, runs as called.
+    `kept` is a phase store, {phase path: (state, candidate sets)}, a phase
+    path being the antenna set, then each phase as its function and
+    arguments. The run goes on from a fork of the deepest stored state of
+    its plan and stores a fork after each phase it runs whose path is in
+    `later` (every path when None). A pairing phase found under its own
+    name runs as its generator (_STEPS), sharing the candidate sets stored
+    with its start state; any other phase, or one replaced by name, runs
+    as called.
     """
     central, steps = _plan_steps(config.algorithm)
     done = len(steps)
     while done and (central, *steps[:done]) not in kept:
         done -= 1
     path = (central, *steps[:done])
-    state = kept[path].fork() if done \
+    state = kept[path][0].fork() if done \
         else AllocationState(channel, central, config.rho_w)
     for fn, *args in steps[done:]:
-        stepped = _STEPS.get(fn)
-        if stepped is None:
+        same_rrh = _STEPS.get(fn)
+        if same_rrh is None:
             fn(state, *args)
         else:
-            yield from stepped(state, *args)
+            stored = kept.get(path)
+            yield from _pairing(state, *args, same_rrh,
+                                stored and stored[1])
         path += ((fn, *args),)
-        kept[path] = state.fork()
+        if later is None or path in later:
+            kept[path] = (state.fork(), {})
     return _result(state, config.algorithm)
 
 
-# this thread's last channel and rho_w: (channel, rho_w, {phase path:
-# state}) for run_algorithm
+# this thread's last channel and rho_w: (channel, rho_w, phase store) for
+# run_algorithm
 _last = threading.local()
 
 
@@ -1009,8 +1065,10 @@ def run_lockstep(channels, algorithms, rho_w: float = 1e-3):
 
     Each drop runs `algorithms` in order on a phase store of its own, as
     run_algorithms does on one channel (_plan), so each distinct phase
-    prefix runs once per drop; a stored state leaves its store once no
-    algorithm left to run reads it. The drops advance in ticks: each runs
+    prefix runs once per drop. A state is stored only where a later
+    algorithm reads its path, and leaves its store once none left to run
+    does; a candidate set kept with it leaves once none left to run pairs
+    from it. The drops advance in ticks: each runs
     on until its next price request, and a tick prices the request of the
     drop furthest behind (the lowest algorithm index, the first on ties)
     together with the other waiting requests of the same mode and geometry
@@ -1042,16 +1100,18 @@ def run_lockstep(channels, algorithms, rho_w: float = 1e-3):
         return
     if not algorithms:
         return
-    # the phase paths each plan reads, and those still read once the
+    # the phase paths each plan reads, with (path, geometry) for each of
+    # its pairing phases' candidate sets, and those still read once the
     # algorithm at each index has run
     reads = []
     for alg in algorithms:
         central, steps = _plan_steps(alg)
-        reads.append({(central, *steps[:d])
-                      for d in range(1, len(steps) + 1)})
+        paths = [(central, *steps[:d]) for d in range(len(steps) + 1)]
+        reads.append({*paths[1:]} | {(path, _STEPS[fn]) for path, (fn, *_)
+                                     in zip(paths, steps) if fn in _STEPS})
     still_read = [set().union(*reads[j + 1:]) for j in range(len(reads))]
     stores = [{} for _ in channels]
-    runs = [_plan(kept, channel, configs[0])
+    runs = [_plan(kept, channel, configs[0], still_read[0])
             for kept, channel in zip(stores, channels)]
     at = [0] * len(runs)        # the index of each drop's running algorithm
     done = []                   # the runs completed since the last yield
@@ -1075,10 +1135,13 @@ def run_lockstep(channels, algorithms, rho_w: float = 1e-3):
             kept = stores[i]
             for path in [p for p in kept if p not in still_read[j]]:
                 del kept[path]
+            for path, (_, sets) in kept.items():
+                for g in [g for g in sets if (path, g) not in still_read[j]]:
+                    del sets[g]
             at[i] = j = j + 1
             if j == len(configs):
                 return None
-            runs[i] = _plan(kept, channels[i], configs[j])
+            runs[i] = _plan(kept, channels[i], configs[j], still_read[j])
             reply = error = None
 
     pending = {}

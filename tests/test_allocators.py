@@ -609,6 +609,103 @@ def test_pair_table_commit_dirties_the_rows_it_moved(mode, same_rrh):
     assert checked == 3
 
 
+def test_one_candidate_set_per_start_state_on_pinned_paper_drops(
+        monkeypatch):
+    """All 11 algorithms in ALGORITHMS order on one channel build one
+    candidate set per start state and geometry: same-RRH from the CAS and
+    the DAS OMA states, across RRHs from the DAS one, same-RRH from
+    SOPAd's state for MutAndSingSIC; 4 per drop, where each pairing run
+    built its own (7). SOPAd selects from DPA's start-state prices, so it
+    asks for no selection price before its first commit, and it asks for
+    an opad refine only where a commit of its own moved the row: a
+    pristine row's refine reads OPAd's start-state prices."""
+    counts = dict.fromkeys(("builds", "early", "refines", "pristine",
+                            "accepted", "commits"), 0)
+    running = None
+
+    class Counted(allocators._Candidates):
+        def __init__(self, *args):
+            counts["builds"] += 1
+            super().__init__(*args)
+
+    def priced(*request):
+        if running == "MutSIC-SOPAd":
+            if request[0] == "opad":
+                counts["refines"] += 1
+            elif counts["commits"] == 0:
+                counts["early"] += 1
+        return price_rows(*request)
+
+    table = allocators._PairTable
+    commit, refine = table.commit, table.refine
+
+    def committed(table, row):
+        counts["commits"] += running == "MutSIC-SOPAd"
+        return commit(table, row)
+
+    def refined(table, row):
+        if table.pristine[row] and "opad" in table.prices:
+            counts["pristine"] += 1
+        return (yield from refine(table, row))
+
+    run = allocators.run_algorithm
+
+    def ran(channel, config):
+        nonlocal running
+        running, counts["commits"] = config.algorithm, 0
+        res = run(channel, config)
+        if running == "MutSIC-SOPAd":
+            counts["accepted"] += sum(s.accepted for s in res.state.log
+                                      if s.phase == "mutual")
+        return res
+
+    monkeypatch.setattr(allocators, "_Candidates", Counted)
+    monkeypatch.setattr(allocators, "price_rows", priced)
+    monkeypatch.setattr(allocators._PairTable, "commit", committed)
+    monkeypatch.setattr(allocators._PairTable, "refine", refined)
+    monkeypatch.setattr(allocators, "run_algorithm", ran)
+    for d in range(4):
+        ch = generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
+        allocators.run_algorithms(ch, ALGORITHMS)
+    assert counts["builds"] == 4 * 4
+    assert counts["early"] == 0
+    assert counts["pristine"] > 0
+    assert counts["refines"] == counts["accepted"] - counts["pristine"]
+    # 42 refine requests when every refine asked for one
+    assert (counts["accepted"], counts["pristine"]) == (42, 9)
+
+
+@pytest.mark.parametrize("scenario,count,rho_w", [
+    (Scenario(), 6, AlgorithmConfig.rho_w), (LOADED, N_DROPS, 0.0)])
+def test_refines_from_start_state_prices_equal_fresh_ones(
+        scenario, count, rho_w, monkeypatch):
+    """A sopad refine of a row no commit of its run has moved reads the
+    opad prices OPAd's first pricing left at the start state. Each such
+    refine, and each other, equals bit for bit a fresh one-row opad
+    pricing of the row from the state at refine time."""
+    refine = allocators._PairTable.refine
+    from_start, differ = 0, []
+
+    def check(table, row):
+        nonlocal from_start
+        fresh = price_rows(*table.request(np.array([row]), "opad"))
+        from_start += bool(table.pristine[row]
+                           and "opad" in table.prices)
+        got = yield from refine(table, row)
+        if np.array(got, dtype=float).tobytes() \
+                != np.array([a[0] for a in fresh]).tobytes():
+            differ.append((row, got, fresh))
+        return got
+
+    monkeypatch.setattr(allocators._PairTable, "refine", check)
+    for ch in drops(scenario, count, base_seed=17):
+        outcomes = allocators.run_algorithms(ch, ALGORITHMS, rho_w)
+        assert not any(isinstance(res, Exception)
+                       for res in outcomes.values())
+    assert differ == []
+    assert from_start > 0
+
+
 def test_uc_link_masks_equal_rebuilt_ones_after_every_commit(monkeypatch):
     """uc_extension_phase keeps its open-link masks across proposals and
     updates them per commit (_UcLinks.add). After every commit, on loaded

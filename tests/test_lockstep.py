@@ -101,6 +101,56 @@ def test_lockstep_joins_price_calls(monkeypatch):
     assert 0 < calls["lockstep"] < calls["solo"] / 2
 
 
+def test_lockstep_stores_only_what_a_later_algorithm_reads(monkeypatch):
+    """In run_lockstep, an algorithm's run stores a state only at a phase
+    path a later algorithm reads, and when a run starts, its drop's store
+    holds only the paths, and the candidate sets (path, geometry), that
+    this or a later algorithm reads. So a paper drop makes 15 forks, not
+    21: none for the states after the CAS and DAS ftpa pairings, uc, dpa,
+    opad and MutAndSingSIC's lpo, which nothing reads. The pairing runs
+    from one state still share its sets."""
+    reads = []
+    for alg in ALGORITHMS:
+        central, steps = allocators._plan_steps(alg)
+        paths = [(central, *steps[:d]) for d in range(len(steps) + 1)]
+        reads.append(set(paths[1:]) | {
+            (path, fn is allocators.single_sic_pairing)
+            for path, (fn, *_) in zip(paths, steps)
+            if fn.__name__.endswith("_sic_pairing")})
+    plan, fork = allocators._plan, allocators.AllocationState.fork
+    unread, forks, shared = [], 0, 0
+
+    def watched(kept, channel, config, *later):
+        nonlocal shared
+        j = ALGORITHMS.index(config.algorithm)
+        sets = {(path, g) for path, (_, by_g) in kept.items() for g in by_g}
+        unread.extend((set(kept) | sets) - set().union(*reads[j:]))
+        shared += len(sets)
+        before = set(kept)
+        result = yield from plan(kept, channel, config, *later)
+        unread.extend(set(kept) - before - set().union(*reads[j + 1:]))
+        return result
+
+    def counted(state):
+        nonlocal forks
+        forks += 1
+        return fork(state)
+
+    monkeypatch.setattr(allocators, "_plan", watched)
+    monkeypatch.setattr(allocators.AllocationState, "fork", counted)
+    channels = [generate_channel(Scenario(), np.random.default_rng([0, 1, d]))
+                for d in range(3)]
+    got = {(i, alg): _outcome(res)
+           for i, alg, res in run_lockstep(channels, ALGORITHMS)}
+    assert unread == []
+    assert forks == 15 * len(channels)
+    assert shared > 0
+    monkeypatch.undo()
+    alone = {(i, alg): _outcome(res) for i, ch in enumerate(channels)
+             for alg, res in run_algorithms(ch, ALGORITHMS).items()}
+    assert got == alone
+
+
 def test_joined_requests_fit_the_row_budget(monkeypatch):
     """A tick joins requests of JOIN_ROWS rows in all at most; a larger
     request is priced alone. The outcomes do not depend on the budget."""
